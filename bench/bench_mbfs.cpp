@@ -16,6 +16,9 @@
 /// * **Full route** — wall clock of the serial router and the parallel
 ///   engine at 1/2/4/8 workers, with a bit-identity check against the
 ///   serial result on every engine run.
+/// * **Per-net growth** — a serial route of the sparse-100k generator cut
+///   to 16k nets. Its µs/net over sparse-100k-ci's (the same generator at
+///   4k nets) must stay flat; CI fails the build above 1.5.
 ///
 /// `--repeat N` (default 3) runs each timed section N times after one
 /// warm-up and reports the median. `--quick` shrinks the instance set and
@@ -84,6 +87,8 @@ struct Instance {
   /// scaling instance, whose sweep would dominate quick-mode runtime
   /// without measuring anything the smaller instances don't.
   bool route_only = false;
+  /// Serial full-route row only (no connect sweep, no engine rows).
+  bool serial_only = false;
 };
 
 std::vector<levelb::BNet> random_nets(util::Rng& rng, geom::Coord size,
@@ -155,8 +160,9 @@ Prepared prepare_final_occupancy(const Instance& inst) {
   const std::vector<std::size_t> order =
       levelb::order_nets(inst.nets, levelb::NetOrdering::kLongestFirst);
   p.snapped = levelb::snap_and_reserve_terminals(p.grid, inst.nets);
-  const levelb::UnroutedSuffix unrouted(p.snapped, order);
   const levelb::LevelBOptions options;
+  const levelb::UnroutedSuffix unrouted(
+      p.snapped, order, levelb::unrouted_bucket_edge(p.grid, options));
   levelb::SearchStats stats;
   for (std::size_t k = 0; k < order.size(); ++k) {
     const levelb::BNet& net = inst.nets[order[k]];
@@ -332,6 +338,7 @@ ConnectRow connect_parallel(const Prepared& p,
 struct RouteRow {
   std::string mode;  ///< "serial", "engine" (speculative) or "sharded"
   int threads = 1;
+  int nets = 0;
   double wall_ms = 0.0;  ///< median across repeats
   bool identical = true;
   int routed = 0;
@@ -345,20 +352,39 @@ struct RouteRow {
   long long batches = 0;        ///< sharded rows: batches dispatched
   long long boundary_nets = 0;  ///< sharded rows: escapes re-routed
   double speedup_vs_1t = 0.0;  ///< same-mode-1-thread wall / this wall
+  // Deterministic work counters of one route (engine rows include the
+  // work of re-routed searches).
+  long long mbfs_crossings = 0;
+  long long dup_points_tested = 0;
   // Memory datapoints (chunked-storage accounting; see DESIGN.md §11).
   long long grid_bytes = 0;    ///< routed grid's occupancy bytes
   long long peak_rss_kb = 0;   ///< process high-water RSS after the run
 };
 
+/// Registry work counters accumulated while \p route runs, into \p row.
+template <typename F>
+auto count_work(RouteRow& row, F&& route) {
+  util::MetricsRegistry& reg = util::MetricsRegistry::global();
+  util::Counter& crossings = reg.counter("levelb.mbfs_crossings");
+  util::Counter& dup = reg.counter("levelb.dup_points_tested");
+  const long long crossings0 = crossings.value();
+  const long long dup0 = dup.value();
+  auto result = route();
+  row.mbfs_crossings = crossings.value() - crossings0;
+  row.dup_points_tested = dup.value() - dup0;
+  return result;
+}
+
 RouteRow route_serial(const Instance& inst, int repeat,
                       levelb::LevelBResult& expected) {
-  RouteRow row{"serial", 1, 0.0, true, 0, 0};
+  RouteRow row{"serial", 1, static_cast<int>(inst.nets.size())};
   std::vector<double> walls;
   for (int r = 0; r <= repeat; ++r) {
     tig::TrackGrid grid = inst.grid;
     levelb::LevelBRouter router(grid);
     const auto t0 = std::chrono::steady_clock::now();
-    levelb::LevelBResult result = router.route(inst.nets);
+    levelb::LevelBResult result =
+        count_work(row, [&] { return router.route(inst.nets); });
     const double wall = ms_since(t0);
     if (r > 0) walls.push_back(wall);
     row.routed = result.routed_nets;
@@ -375,7 +401,7 @@ RouteRow route_engine(const Instance& inst, engine::EngineMode mode,
                       int threads, int repeat,
                       const levelb::LevelBResult& expected) {
   RouteRow row{mode == engine::EngineMode::kSharded ? "sharded" : "engine",
-               threads};
+               threads, static_cast<int>(inst.nets.size())};
   std::vector<double> walls;
   for (int r = 0; r <= repeat; ++r) {
     tig::TrackGrid grid = inst.grid;
@@ -384,7 +410,8 @@ RouteRow route_engine(const Instance& inst, engine::EngineMode mode,
     options.mode = mode;
     engine::RoutingEngine router(grid, options);
     const auto t0 = std::chrono::steady_clock::now();
-    const levelb::LevelBResult result = router.route(inst.nets);
+    const levelb::LevelBResult result =
+        count_work(row, [&] { return router.route(inst.nets); });
     const double wall = ms_since(t0);
     if (r > 0) walls.push_back(wall);
     row.identical = result == expected;
@@ -431,12 +458,16 @@ void run_route_rows(const Instance& inst, const Config& cfg,
                        "1.00x", "-", util::format("%d", serial.routed), "-",
                        "-"});
   std::vector<RouteRow> rows{serial};
+  const std::vector<engine::EngineMode> modes =
+      inst.serial_only ? std::vector<engine::EngineMode>{}
+                       : std::vector<engine::EngineMode>{
+                             engine::EngineMode::kSpeculative,
+                             engine::EngineMode::kSharded};
   // Quick mode keeps the 1-thread engine run so speedup_vs_1t is always
   // derivable from a single JSON capture (the CI smoke gate reads it).
   const std::vector<int> route_threads =
       cfg.quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-  for (const engine::EngineMode mode :
-       {engine::EngineMode::kSpeculative, engine::EngineMode::kSharded}) {
+  for (const engine::EngineMode mode : modes) {
     double mode_1t_ms = 0.0;
     for (const int threads : route_threads) {
       RouteRow row = route_engine(inst, mode, threads, cfg.repeat, expected);
@@ -464,10 +495,14 @@ void run_route_rows(const Instance& inst, const Config& cfg,
           .add("instance", inst.name)
           .add("mode", row.mode)
           .add("threads", row.threads)
+          .add("nets", row.nets)
           .add("wall_ms", row.wall_ms)
+          .add("us_per_net", row.nets > 0 ? row.wall_ms * 1e3 / row.nets : 0.0)
           .add("identical", row.identical)
           .add("routed_nets", row.routed)
           .add("vertices", static_cast<long long>(row.vertices))
+          .add("mbfs_crossings", row.mbfs_crossings)
+          .add("dup_points_tested", row.dup_points_tested)
           .add("speedup_vs_1t", row.speedup_vs_1t)
           .add("speculation_aborts", row.speculation_aborts)
           .add("wasted_vertices", row.wasted_vertices)
@@ -491,7 +526,7 @@ void bench_instance(const Instance& inst, const Config& cfg,
               static_cast<int>(inst.nets.size()), inst.grid.num_h(),
               inst.grid.num_v());
 
-  if (inst.route_only) {
+  if (inst.route_only || inst.serial_only) {
     run_route_rows(inst, cfg, json);
     return;
   }
@@ -611,6 +646,18 @@ int main(int argc, char** argv) {
                                  std::move(large.grid),
                                  std::move(large.nets),
                                  /*route_only=*/true});
+  }
+  // The per-net growth row: the same generator at 16k nets, serial only
+  // (the engine sweep would add minutes without measuring growth).
+  {
+    bench_data::LevelBSpec spec = bench_data::sparse100k_spec();
+    spec.name = "sparse-100k-16k";
+    spec.num_nets = 16000;
+    bench_data::LevelBInstance cut = bench_data::generate_levelb_instance(spec);
+    Instance inst{std::move(cut.name), std::move(cut.grid),
+                  std::move(cut.nets)};
+    inst.serial_only = true;
+    instances.push_back(std::move(inst));
   }
   // Undocumented profiling aid: run a single instance by name.
   const char* only = std::getenv("BENCH_MBFS_ONLY");

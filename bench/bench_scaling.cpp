@@ -395,6 +395,19 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
                         : bench_data::sparse100k_ci_spec());
 
   util::MetricsRegistry& metrics = util::MetricsRegistry::global();
+  // Work counters of the last route a mode ran: (crossings, dup points).
+  struct Work {
+    long long mbfs_crossings = 0;
+    long long dup_points_tested = 0;
+  };
+  const auto count_work = [&metrics](Work& work, const auto& route) {
+    util::Counter& crossings = metrics.counter("levelb.mbfs_crossings");
+    util::Counter& dup = metrics.counter("levelb.dup_points_tested");
+    const long long crossings0 = crossings.value();
+    const long long dup0 = dup.value();
+    route();
+    work = Work{crossings.value() - crossings0, dup.value() - dup0};
+  };
   for (const bench_data::LevelBSpec& spec : specs) {
     const bench_data::LevelBInstance inst =
         bench_data::generate_levelb_instance(spec);
@@ -403,11 +416,12 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
     long long serial_grid_bytes = 0;
     long long serial_blocked_chunks = 0;
     long long serial_rss_kb = 0;
+    Work serial_work;
     const double serial_ms = median_wall_ms(repeat, [&] {
       tig::TrackGrid grid = inst.grid;
       levelb::LevelBRouter router(grid);
       const auto t0 = std::chrono::steady_clock::now();
-      expected = router.route(inst.nets);
+      count_work(serial_work, [&] { expected = router.route(inst.nets); });
       const double wall = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -423,6 +437,7 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
     long long sharded_grid_bytes = 0;
     long long sharded_blocked_chunks = 0;
     long long sharded_rss_kb = 0;
+    Work sharded_work;
     engine::EngineStats stats;
     const double sharded_ms = median_wall_ms(repeat, [&] {
       tig::TrackGrid grid = inst.grid;
@@ -431,7 +446,7 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
       options.mode = engine::EngineMode::kSharded;
       engine::RoutingEngine router(grid, options);
       const auto t0 = std::chrono::steady_clock::now();
-      sharded = router.route(inst.nets);
+      count_work(sharded_work, [&] { sharded = router.route(inst.nets); });
       const double wall = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -456,13 +471,17 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
       long long boundary_nets;
       long long rss_kb;  ///< process peak after this mode's first (cold)
                          ///< route (monotonic: includes what ran before)
+      long long vertices;
+      Work work;
     };
     const Row rows[] = {
         {"serial", serial_ms, expected.routed_nets, "-", serial_grid_bytes,
-         serial_blocked_chunks, 0, 0, serial_rss_kb},
+         serial_blocked_chunks, 0, 0, serial_rss_kb,
+         expected.vertices_examined, serial_work},
         {"sharded-4t", sharded_ms, sharded.routed_nets,
          identical ? "yes" : "NO", sharded_grid_bytes, sharded_blocked_chunks,
-         stats.batches, stats.boundary_nets, sharded_rss_kb},
+         stats.batches, stats.boundary_nets, sharded_rss_kb,
+         sharded.vertices_examined, sharded_work},
     };
     for (const Row& row : rows) {
       table.add_row({spec.name, util::format("%d", spec.num_nets), row.mode,
@@ -486,6 +505,9 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
             .add("blocked_chunks", row.blocked_chunks)
             .add("batches", row.batches)
             .add("boundary_nets", row.boundary_nets)
+            .add("vertices", row.vertices)
+            .add("mbfs_crossings", row.work.mbfs_crossings)
+            .add("dup_points_tested", row.work.dup_points_tested)
             .add("arena_high_water_bytes", arena_hw)
             .add("arena_reserved_bytes",
                  metrics.gauge("levelb.arena_reserved_bytes").value())

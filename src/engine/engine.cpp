@@ -147,7 +147,8 @@ LevelBResult RoutingEngine::route(const std::vector<BNet>& nets) {
   Prepared prep;
   prep.order = levelb::order_nets(nets, options_.levelb.ordering);
   prep.snapped = levelb::snap_and_reserve_terminals(grid_, nets);
-  prep.unrouted.emplace(prep.snapped, prep.order);
+  prep.unrouted.emplace(prep.snapped, prep.order,
+                        levelb::unrouted_bucket_edge(grid_, options_.levelb));
   const std::size_t n = prep.order.size();
   prep.nets_by_position.resize(n);
   prep.terminals_by_position.resize(n);
@@ -410,7 +411,7 @@ LevelBResult RoutingEngine::route_parallel(const std::vector<BNet>& nets,
   stats_.ripup_recovered = recovered;
   stats_.pool_task_failures =
       static_cast<long long>(pool.task_failures().size());
-  workspace.publish_arena_metrics();
+  workspace.publish_metrics();
 
   LevelBResult result = levelb::assemble_result(std::move(results), stats);
   result.ripup_recovered = recovered;
@@ -654,7 +655,7 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
   stats_.ripup_recovered = recovered;
   stats_.pool_task_failures =
       static_cast<long long>(pool.task_failures().size());
-  workspace.publish_arena_metrics();
+  workspace.publish_metrics();
 
   LevelBResult result = levelb::assemble_result(std::move(results), stats);
   result.ripup_recovered = recovered;

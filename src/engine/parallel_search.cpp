@@ -82,7 +82,7 @@ void BatchSearch::run_worker() {
   for (;;) {
     const std::size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
     if (i >= items_.size()) {
-      workspace.publish_arena_metrics();
+      workspace.publish_metrics();
       return;
     }
     const std::size_t k = begin_ + i;
@@ -226,7 +226,7 @@ void ParallelSearch::run_worker() {
 
     slots_.publish(k, std::move(spec));
   }
-  workspace.publish_arena_metrics();
+  workspace.publish_metrics();
 }
 
 }  // namespace ocr::engine

@@ -17,7 +17,10 @@
 /// The paper's recommendation — w1 = 1, w21 = w22 = w23 = 1/2 for sparse
 /// problems, heavier w2x for dense ones — is the default here.
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "geom/interval_set.hpp"
@@ -63,11 +66,60 @@ class SensitiveRuns {
   std::map<int, geom::IntervalSet> v_;
 };
 
+/// Uniform bucket index over a flat point array, for the dup term's
+/// radius queries (only points within R of a corner contribute). Points
+/// fall into square buckets of edge `cell` dbu; only occupied buckets are
+/// stored — sorted bucket keys, each bucket's entries in ascending flat
+/// index — so memory is O(points) however large the die.
+class PointBuckets {
+ public:
+  /// (flat index, manhattan distance) of one dup_sum hit.
+  using Hit = std::pair<std::size_t, geom::Coord>;
+
+  PointBuckets() = default;
+  /// Indexes \p points (flat index = position) into buckets of edge
+  /// \p cell dbu (>= 1).
+  PointBuckets(const std::vector<geom::Point>& points, geom::Coord cell);
+
+  /// Σ (1 - d / radius) over the points at flat index >= \p from whose
+  /// manhattan distance d to \p p is below \p radius, added in ascending
+  /// flat index: the order of a linear scan, so the sum is bit-identical
+  /// to one. A radius of `cell` reads the 3x3 buckets around \p p; any
+  /// radius is exact. \p hits is scratch; \p tested counts the points
+  /// whose distance was computed.
+  double dup_sum(const geom::Point& p, geom::Coord radius, std::size_t from,
+                 std::vector<Hit>& hits, long long& tested) const;
+
+ private:
+  struct Entry {
+    geom::Point p;
+    std::size_t index = 0;
+  };
+
+  geom::Coord cell_ = 1;
+  std::vector<std::uint64_t> keys_;   // occupied bucket keys, ascending
+  std::vector<std::size_t> starts_;   // keys_.size() + 1 offsets into entries_
+  std::vector<Entry> entries_;        // grouped by bucket, index-ascending
+};
+
+/// The terminals of the nets after one ordering position: the entries of
+/// an index at flat index >= `from` (UnroutedSuffix::suffix). Default-
+/// constructed = no unrouted terminals (rip-up re-routes).
+struct UnroutedView {
+  const PointBuckets* index = nullptr;
+  std::size_t from = 0;
+};
+
+struct SearchWorkspace;  // workspace.hpp: caller-owned scratch + counters
+
 /// Context shared by all corner evaluations of one connection.
 struct CostContext {
-  /// Terminals of nets not yet routed (plus remaining terminals of the
-  /// current net); the dup term steers corners away from them.
-  const std::vector<geom::Point>* unrouted_terminals = nullptr;
+  /// Terminals of nets not yet routed; the dup term steers corners away
+  /// from them.
+  UnroutedView unrouted;
+  /// Remaining terminals of the current net, added to the dup term after
+  /// the unrouted ones (optional).
+  const std::vector<geom::Point>* own_terminals = nullptr;
   /// Radius of the dup term, in dbu.
   geom::Coord dup_radius = 0;
   /// Half-width of the acf congestion window around a corner, in dbu.
@@ -80,11 +132,16 @@ struct CostContext {
   /// as a (track, interval) dependency. The engine validates speculative
   /// searches against it; serial callers leave it null.
   SearchFootprint* footprint = nullptr;
+  /// When set, the dup term uses its scratch and counts its work there
+  /// (`dup_points_tested`); null uses throwaway scratch.
+  SearchWorkspace* workspace = nullptr;
 };
 
 /// Builds a CostContext with radii derived from the grid's mean pitch.
+/// \p own_terminals becomes CostContext::own_terminals; callers with
+/// unrouted nets set CostContext::unrouted afterwards.
 CostContext make_cost_context(const tig::GridView& grid,
-                              const std::vector<geom::Point>* unrouted,
+                              const std::vector<geom::Point>* own_terminals,
                               double dup_radius_pitches = 8.0,
                               double acf_window_pitches = 4.0);
 

@@ -1,9 +1,10 @@
 #include "levelb/net_core.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
-#include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "geom/rect.hpp"
 #include "levelb/workspace.hpp"
@@ -68,6 +69,17 @@ Point leg_closest_crossing(const tig::GridView& grid, const GeomLeg& leg,
   return Point{leg.fixed, y};
 }
 
+/// Bucket edge for an unrouted index built without one: about sqrt(n)
+/// buckets along the larger side of the points' bounding box.
+Coord spread_bucket_edge(const std::vector<Point>& points) {
+  if (points.empty()) return 1;
+  const geom::Rect box = geom::bounding_box(points);
+  const auto side = static_cast<double>(std::max(box.width(), box.height()));
+  const double buckets =
+      std::ceil(std::sqrt(static_cast<double>(points.size())));
+  return std::max<Coord>(1, static_cast<Coord>(side / buckets));
+}
+
 void block_terminals(tig::TrackGrid& grid, const std::vector<Point>& pts) {
   for (const Point& p : pts) block_terminal(grid, p);
 }
@@ -84,8 +96,6 @@ int ripup_round(tig::TrackGrid& grid, const LevelBOptions& options,
                 std::vector<NetResult>& results,
                 std::vector<std::vector<Committed>>& committed,
                 SearchStats& stats, SearchWorkspace* workspace) {
-  const std::vector<Point> no_unrouted;
-
   int recovered = 0;
   for (std::size_t f = 0; f < results.size(); ++f) {
     if (results[f].complete || snapped[f].size() < 2) continue;
@@ -135,8 +145,7 @@ int ripup_round(tig::TrackGrid& grid, const LevelBOptions& options,
       std::vector<Committed> f_new;
       NetResult f_result = route_single_net(
           grid, options,
-          NetRouteRequest{nets[f].id, &snapped[f],
-                          std::span<const Point>(no_unrouted), nullptr},
+          NetRouteRequest{nets[f].id, &snapped[f], {}, nullptr},
           f_new, stats, nullptr, workspace);
       block_terminals(grid, snapped[f]);
 
@@ -152,8 +161,7 @@ int ripup_round(tig::TrackGrid& grid, const LevelBOptions& options,
       std::vector<Committed> v_new;
       NetResult v_result = route_single_net(
           grid, options,
-          NetRouteRequest{nets[v].id, &snapped[v],
-                          std::span<const Point>(no_unrouted), nullptr},
+          NetRouteRequest{nets[v].id, &snapped[v], {}, nullptr},
           v_new, stats, nullptr, workspace);
       block_terminals(grid, snapped[v]);
       if (v_result.complete) {
@@ -205,7 +213,16 @@ std::vector<std::vector<Point>> snap_and_reserve_terminals(
   // grid is coarser than the pin pitch (metal3/4 rules), so distinct
   // terminals of *different* nets can land on the same crossing. Probe the
   // neighbouring crossings for a free one before accepting a collision.
-  std::map<std::pair<Coord, Coord>, std::size_t> taken;  // crossing -> net
+  // crossing (packed track indices) -> net; only ever looked up, so the
+  // hash's iteration order cannot leak into the result.
+  std::unordered_map<std::uint64_t, std::size_t> taken;
+  const auto crossing_key = [](int i, int j) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32 |
+           static_cast<std::uint32_t>(j);
+  };
+  std::size_t terminal_count = 0;
+  for (const BNet& net : nets) terminal_count += net.terminals.size();
+  taken.reserve(terminal_count);
   std::vector<std::vector<Point>> snapped(nets.size());
   for (std::size_t i = 0; i < nets.size(); ++i) {
     for (const Point& t : nets[i].terminals) {
@@ -215,6 +232,7 @@ std::vector<std::vector<Point>> snap_and_reserve_terminals(
       // *different* net; fall back to the nearest crossing when the whole
       // neighbourhood is contested.
       Point chosen = grid.crossing(ci, cj);
+      std::uint64_t chosen_key = crossing_key(ci, cj);
       Coord chosen_dist = std::numeric_limits<Coord>::max();
       for (int di = -1; di <= 1; ++di) {
         for (int dj = -1; dj <= 1; ++dj) {
@@ -225,7 +243,8 @@ std::vector<std::vector<Point>> snap_and_reserve_terminals(
             continue;
           }
           const Point p = grid.crossing(ni, nj);
-          const auto it = taken.find({p.x, p.y});
+          const std::uint64_t key = crossing_key(ni, nj);
+          const auto it = taken.find(key);
           if (it != taken.end() && it->second != i) continue;
           // Crossings already blocked in the grid (obstacles, or via sites
           // committed by a previous route() call) are not usable either.
@@ -233,11 +252,12 @@ std::vector<std::vector<Point>> snap_and_reserve_terminals(
           const Coord d = geom::manhattan(p, t);
           if (d < chosen_dist) {
             chosen = p;
+            chosen_key = key;
             chosen_dist = d;
           }
         }
       }
-      taken.emplace(std::make_pair(chosen.x, chosen.y), i);
+      taken.emplace(chosen_key, i);
       snapped[i].push_back(chosen);
     }
   }
@@ -391,16 +411,17 @@ NetResult route_single_net(tig::GridView grid,
 
     // The dup cost term sees other nets' unrouted terminals plus this
     // net's still-unattached ones.
-    std::vector<Point>& dup_points = ws.dup_points;
-    dup_points.assign(request.unrouted.begin(), request.unrouted.end());
+    std::vector<Point>& own = ws.own_terminals;
+    own.clear();
     for (std::size_t t = 0; t < terminals.size(); ++t) {
-      if (!attached[t] && t != pick) dup_points.push_back(terminals[t]);
+      if (!attached[t] && t != pick) own.push_back(terminals[t]);
     }
-    CostContext ctx =
-        make_cost_context(grid, &dup_points, options.dup_radius_pitches,
-                          options.acf_window_pitches);
+    CostContext ctx = make_cost_context(grid, &own, options.dup_radius_pitches,
+                                        options.acf_window_pitches);
+    ctx.unrouted = request.unrouted;
     ctx.sensitive = request.sensitive;
     ctx.footprint = footprint;
+    ctx.workspace = &ws;
 
     bool connected = false;
     for (const Point& target : targets) {
@@ -549,14 +570,24 @@ LevelBResult assemble_result(std::vector<NetResult> results,
 
 UnroutedSuffix::UnroutedSuffix(
     const std::vector<std::vector<Point>>& snapped,
-    const std::vector<std::size_t>& order) {
+    const std::vector<std::size_t>& order, Coord cell) {
+  std::vector<Point> flat;  // terminals in ordering sequence
   offset_.resize(order.size() + 1, 0);
   for (std::size_t k = 0; k < order.size(); ++k) {
-    offset_[k] = flat_.size();
+    offset_[k] = flat.size();
     const auto& pts = snapped[order[k]];
-    flat_.insert(flat_.end(), pts.begin(), pts.end());
+    flat.insert(flat.end(), pts.begin(), pts.end());
   }
-  offset_[order.size()] = flat_.size();
+  offset_[order.size()] = flat.size();
+  index_ = PointBuckets(flat, cell > 0 ? cell : spread_bucket_edge(flat));
+}
+
+Coord unrouted_bucket_edge(const tig::GridView& grid,
+                           const LevelBOptions& options) {
+  return std::max<Coord>(
+      1, make_cost_context(grid, nullptr, options.dup_radius_pitches,
+                           options.acf_window_pitches)
+             .dup_radius);
 }
 
 }  // namespace ocr::levelb

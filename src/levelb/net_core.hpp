@@ -13,7 +13,6 @@
 /// SearchFootprint and DESIGN.md "Engine architecture").
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "levelb/path_finder.hpp"
@@ -156,10 +155,10 @@ struct NetRouteRequest {
   /// This net's snapped terminals. The net's own terminal crossings must
   /// already be unblocked in the grid when routing.
   const std::vector<geom::Point>* terminals = nullptr;
-  /// Snapped terminals of all not-yet-routed nets (dup cost term). Order
-  /// matters for floating-point determinism; callers must present the
-  /// serial router's order (later nets in ordering sequence).
-  std::span<const geom::Point> unrouted;
+  /// Snapped terminals of all not-yet-routed nets (dup cost term):
+  /// UnroutedSuffix::suffix of the net's ordering position, so the dup
+  /// sums run in the serial router's order. Empty for rip-up re-routes.
+  UnroutedView unrouted;
   /// Committed sensitive wiring (w24 term), or null.
   const SensitiveRuns* sensitive = nullptr;
 };
@@ -204,22 +203,32 @@ int run_ripup_rounds(tig::TrackGrid& grid, const LevelBOptions& options,
 LevelBResult assemble_result(std::vector<NetResult> results,
                              const SearchStats& stats);
 
-/// Flattened "terminals of nets after position k" views. suffix(k) is the
-/// concatenation of snapped terminals of ordering positions k+1..N-1 — the
-/// exact vector the serial router builds for the dup cost term.
+/// The snapped terminals of all nets, flattened in ordering sequence and
+/// bucket-indexed for the dup term. suffix(k) views the terminals of
+/// ordering positions k+1..N-1 — the nets not yet routed when position k
+/// routes — without copying them.
 class UnroutedSuffix {
  public:
+  /// \p cell is the index's bucket edge in dbu. Routers pass the dup
+  /// radius (unrouted_bucket_edge), which makes a dup query read the 3x3
+  /// buckets around a corner; 0 picks an edge from the terminals' spread.
+  /// Query results are exact for any edge.
   UnroutedSuffix(const std::vector<std::vector<geom::Point>>& snapped,
-                 const std::vector<std::size_t>& order);
+                 const std::vector<std::size_t>& order,
+                 geom::Coord cell = 0);
 
-  std::span<const geom::Point> suffix(std::size_t position) const {
-    return std::span<const geom::Point>(flat_).subspan(
-        offset_[position + 1]);
+  UnroutedView suffix(std::size_t position) const {
+    return UnroutedView{&index_, offset_[position + 1]};
   }
 
  private:
-  std::vector<geom::Point> flat_;     // terminals in ordering sequence
+  PointBuckets index_;
   std::vector<std::size_t> offset_;   // offset_[k] = start of position k
 };
+
+/// The dup radius in dbu for \p options on \p grid (make_cost_context's
+/// value): the bucket edge routers give UnroutedSuffix.
+geom::Coord unrouted_bucket_edge(const tig::GridView& grid,
+                                 const LevelBOptions& options);
 
 }  // namespace ocr::levelb

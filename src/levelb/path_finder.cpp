@@ -226,7 +226,6 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
     if (arrival_depth >= 0 && node.depth > arrival_depth) continue;
     ++stats.vertices_examined;
     if (limits.should_stop(stats.vertices_examined)) return;
-    const bool collect_only = arrival_depth >= 0;  // no deeper enqueues
 
     if (node.track.orient == Orientation::kVertical) {
       const int j = node.track.index;
@@ -236,6 +235,17 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
       // creation (ascending visit order preserved).
       const int i_first = std::max(w.i_lo, node.cross_lo);
       const int i_last = std::min(w.i_hi, node.cross_hi);
+      if (arrival_depth >= 0) {
+        // Drained node (the arrival depth is known): it enqueues nothing,
+        // so its only possible effect is the one target-track crossing.
+        // Probe it directly instead of looping over every crossing. The
+        // root is never drained, so its degenerate-turn skip cannot apply.
+        if (i_first <= i_b && i_b <= i_last) {
+          try_target_h(n, Point{x, grid.h_y(i_b)});
+        }
+        continue;
+      }
+      if (i_last >= i_first) ws.mbfs_crossings += i_last - i_first + 1;
       for (int i = i_first; i <= i_last; ++i) {
         const Coord y = grid.h_y(i);
         // Skip the root's degenerate turn at the terminal itself: that
@@ -246,7 +256,6 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
           if (arrival_depth < 0) arrival_depth = node.depth;
           continue;
         }
-        if (collect_only) continue;
         SearchWorkspace::VisitSlot& slot =
             ws.visited_h[static_cast<std::size_t>(i)];
         if (visited_contains(slot, ws.generation, x)) continue;
@@ -265,6 +274,13 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
       const Coord y = grid.h_y(i);
       const int j_first = std::max(w.j_lo, node.cross_lo);
       const int j_last = std::min(w.j_hi, node.cross_hi);
+      if (arrival_depth >= 0) {
+        if (j_first <= j_b && j_b <= j_last) {
+          try_target_v(n, Point{grid.v_x(j_b), y});
+        }
+        continue;
+      }
+      if (j_last >= j_first) ws.mbfs_crossings += j_last - j_first + 1;
       for (int j = j_first; j <= j_last; ++j) {
         const Coord x = grid.v_x(j);
         if (node.parent == -1 && x == a.x) continue;
@@ -273,7 +289,6 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
           if (arrival_depth < 0) arrival_depth = node.depth;
           continue;
         }
-        if (collect_only) continue;
         SearchWorkspace::VisitSlot& slot =
             ws.visited_v[static_cast<std::size_t>(j)];
         if (visited_contains(slot, ws.generation, y)) continue;

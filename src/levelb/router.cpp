@@ -29,7 +29,8 @@ LevelBResult LevelBRouter::route(const std::vector<BNet>& nets) {
   const std::vector<std::size_t> order = order_nets(nets, options_.ordering);
   const std::vector<std::vector<Point>> snapped =
       snap_and_reserve_terminals(grid_, nets);
-  const UnroutedSuffix unrouted(snapped, order);
+  const UnroutedSuffix unrouted(snapped, order,
+                                unrouted_bucket_edge(grid_, options_));
 
   // First pass, in the configured order. Results and committed extents are
   // kept per net (order position) so rip-up rounds can revisit them.
@@ -110,7 +111,7 @@ LevelBResult LevelBRouter::route(const std::vector<BNet>& nets) {
                             &workspace);
   }();
 
-  workspace.publish_arena_metrics();
+  workspace.publish_metrics();
   LevelBResult result = assemble_result(std::move(results), stats);
   result.ripup_recovered = recovered;
   return result;

@@ -21,8 +21,13 @@
 ///   Selection Trees, the arrival lists, the materialized candidate
 ///   polylines and their dedup hashes, all cleared-with-capacity between
 ///   passes.
-/// * **Net-level buffers** — the per-Prim-iteration target and dup-term
-///   vectors of route_single_net.
+/// * **Net-level buffers** — the per-Prim-iteration target list and the
+///   net's own-terminal dup list of route_single_net, plus the dup term's
+///   hit scratch.
+/// * **Work counters** — plain integers the search bumps as it goes
+///   (crossing-loop iterations, dup points tested), folded into the
+///   metrics registry once per run by publish_metrics(). They count work,
+///   never steer it.
 ///
 /// Thread contract: a workspace belongs to exactly one thread at a time
 /// (the serial router, one engine worker, or the committer's fallback
@@ -85,7 +90,13 @@ struct SearchWorkspace {
   std::vector<int> chain;             ///< build_path parent walk
 
   std::vector<geom::Point> targets;     ///< route_single_net attachment list
-  std::vector<geom::Point> dup_points;  ///< route_single_net dup-term list
+  std::vector<geom::Point> own_terminals;  ///< the net's unattached terminals
+  std::vector<PointBuckets::Hit> dup_hits;  ///< corner_dup scratch
+
+  /// Crossing-loop iterations of run_mbfs (`levelb.mbfs_crossings`).
+  long long mbfs_crossings = 0;
+  /// Points whose distance corner_dup computed (`levelb.dup_points_tested`).
+  long long dup_points_tested = 0;
 
   /// Bump storage for the per-connect scratch (visited overflow lists).
   /// Reset at every connect entry: O(1), keeps its blocks, and bumps the
@@ -114,6 +125,19 @@ struct SearchWorkspace {
         .set_max(static_cast<long long>(arena.high_water_bytes()));
     reg.gauge("levelb.arena_reserved_bytes")
         .set_max(static_cast<long long>(arena.reserved_bytes()));
+  }
+
+  /// publish_arena_metrics() plus the work counters, added to the
+  /// `levelb.mbfs_crossings` / `levelb.dup_points_tested` registry
+  /// counters (summed over every workspace that reports) and zeroed, so a
+  /// workspace reused across runs reports each run once.
+  void publish_metrics() {
+    publish_arena_metrics();
+    util::MetricsRegistry& reg = util::MetricsRegistry::global();
+    reg.counter("levelb.mbfs_crossings").add(mbfs_crossings);
+    reg.counter("levelb.dup_points_tested").add(dup_points_tested);
+    mbfs_crossings = 0;
+    dup_points_tested = 0;
   }
 };
 
