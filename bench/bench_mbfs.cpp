@@ -336,7 +336,7 @@ ConnectRow connect_parallel(const Prepared& p,
 // ---- full route ---------------------------------------------------------
 
 struct RouteRow {
-  std::string mode;  ///< "serial", "engine" (speculative) or "sharded"
+  std::string mode;  ///< "serial" or "sharded"
   int threads = 1;
   int nets = 0;
   double wall_ms = 0.0;  ///< median across repeats
@@ -346,12 +346,10 @@ struct RouteRow {
   // Engine work metrics (zero for the serial row). These are
   // hardware-independent: they gate scaling regressions even on hosts
   // where wall-clock speedup is noise (e.g. single-core CI runners).
-  long long speculation_aborts = 0;
-  long long wasted_vertices = 0;
-  long long grid_copies = 0;
+  long long wasted_vertices = 0;  ///< discarded escape searches
   long long batches = 0;        ///< sharded rows: batches dispatched
   long long boundary_nets = 0;  ///< sharded rows: escapes re-routed
-  double speedup_vs_1t = 0.0;  ///< same-mode-1-thread wall / this wall
+  double speedup_vs_1t = 0.0;  ///< 1-thread engine wall / this wall
   // Deterministic work counters of one route (engine rows include the
   // work of re-routed searches).
   long long mbfs_crossings = 0;
@@ -397,17 +395,14 @@ RouteRow route_serial(const Instance& inst, int repeat,
   return row;
 }
 
-RouteRow route_engine(const Instance& inst, engine::EngineMode mode,
-                      int threads, int repeat,
+RouteRow route_engine(const Instance& inst, int threads, int repeat,
                       const levelb::LevelBResult& expected) {
-  RouteRow row{mode == engine::EngineMode::kSharded ? "sharded" : "engine",
-               threads, static_cast<int>(inst.nets.size())};
+  RouteRow row{"sharded", threads, static_cast<int>(inst.nets.size())};
   std::vector<double> walls;
   for (int r = 0; r <= repeat; ++r) {
     tig::TrackGrid grid = inst.grid;
     engine::EngineOptions options;
     options.threads = threads;
-    options.mode = mode;
     engine::RoutingEngine router(grid, options);
     const auto t0 = std::chrono::steady_clock::now();
     const levelb::LevelBResult result =
@@ -418,10 +413,7 @@ RouteRow route_engine(const Instance& inst, engine::EngineMode mode,
     row.routed = result.routed_nets;
     row.vertices = result.vertices_examined;
     const engine::EngineStats& stats = router.stats();
-    row.speculation_aborts = stats.speculation_aborts;
-    row.wasted_vertices =
-        stats.wasted_vertices + stats.sharded_wasted_vertices;
-    row.grid_copies = stats.grid_copies;
+    row.wasted_vertices = stats.sharded_wasted_vertices;
     row.batches = stats.batches;
     row.boundary_nets = stats.boundary_nets;
     row.grid_bytes = static_cast<long long>(grid.grid_bytes());
@@ -442,11 +434,10 @@ struct Config {
   bool connect_only = false;  ///< skip full-route rows (profiling aid)
 };
 
-/// Full-route comparison: serial baseline, then the speculative and
-/// sharded engine dispatches across the thread sweep. Every engine run is
-/// identity-checked against the serial result; speedup_vs_1t is relative
-/// to the same mode at 1 thread (= serial dispatch), which is what the CI
-/// scaling gate reads.
+/// Full-route comparison: serial baseline, then the sharded engine across
+/// the thread sweep. Every engine run is identity-checked against the
+/// serial result; speedup_vs_1t is relative to the engine at 1 thread
+/// (= serial dispatch), which is what the CI scaling gate reads.
 void run_route_rows(const Instance& inst, const Config& cfg,
                     util::TraceSink* json) {
   util::TextTable route_table;
@@ -458,33 +449,27 @@ void run_route_rows(const Instance& inst, const Config& cfg,
                        "1.00x", "-", util::format("%d", serial.routed), "-",
                        "-"});
   std::vector<RouteRow> rows{serial};
-  const std::vector<engine::EngineMode> modes =
-      inst.serial_only ? std::vector<engine::EngineMode>{}
-                       : std::vector<engine::EngineMode>{
-                             engine::EngineMode::kSpeculative,
-                             engine::EngineMode::kSharded};
   // Quick mode keeps the 1-thread engine run so speedup_vs_1t is always
   // derivable from a single JSON capture (the CI smoke gate reads it).
   const std::vector<int> route_threads =
-      cfg.quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-  for (const engine::EngineMode mode : modes) {
-    double mode_1t_ms = 0.0;
-    for (const int threads : route_threads) {
-      RouteRow row = route_engine(inst, mode, threads, cfg.repeat, expected);
-      if (threads == 1) mode_1t_ms = row.wall_ms;
-      row.speedup_vs_1t =
-          row.wall_ms > 0.0 && mode_1t_ms > 0.0 ? mode_1t_ms / row.wall_ms
-                                                : 0.0;
-      const bool sharded = mode == engine::EngineMode::kSharded;
-      route_table.add_row(
-          {row.mode, util::format("%d", threads),
-           util::format("%.1f", row.wall_ms),
-           util::format("%.2fx", serial.wall_ms / row.wall_ms),
-           row.identical ? "yes" : "NO", util::format("%d", row.routed),
-           sharded ? util::format("%lld", row.batches) : "-",
-           sharded ? util::format("%lld", row.boundary_nets) : "-"});
-      rows.push_back(row);
-    }
+      inst.serial_only ? std::vector<int>{}
+      : cfg.quick      ? std::vector<int>{1, 4}
+                       : std::vector<int>{1, 2, 4, 8};
+  double engine_1t_ms = 0.0;
+  for (const int threads : route_threads) {
+    RouteRow row = route_engine(inst, threads, cfg.repeat, expected);
+    if (threads == 1) engine_1t_ms = row.wall_ms;
+    row.speedup_vs_1t = row.wall_ms > 0.0 && engine_1t_ms > 0.0
+                            ? engine_1t_ms / row.wall_ms
+                            : 0.0;
+    route_table.add_row(
+        {row.mode, util::format("%d", threads),
+         util::format("%.1f", row.wall_ms),
+         util::format("%.2fx", serial.wall_ms / row.wall_ms),
+         row.identical ? "yes" : "NO", util::format("%d", row.routed),
+         util::format("%lld", row.batches),
+         util::format("%lld", row.boundary_nets)});
+    rows.push_back(row);
   }
   std::printf("Full route (%d repeats, median)\n", cfg.repeat);
   std::fputs(route_table.render().c_str(), stdout);
@@ -504,11 +489,9 @@ void run_route_rows(const Instance& inst, const Config& cfg,
           .add("mbfs_crossings", row.mbfs_crossings)
           .add("dup_points_tested", row.dup_points_tested)
           .add("speedup_vs_1t", row.speedup_vs_1t)
-          .add("speculation_aborts", row.speculation_aborts)
           .add("wasted_vertices", row.wasted_vertices)
           .add("batches", row.batches)
           .add("boundary_nets", row.boundary_nets)
-          .add("grid_copies", row.grid_copies)
           .add("grid_bytes", row.grid_bytes)
           .add("peak_rss_kb", row.peak_rss_kb)
           .add("gap_cache", cfg.gap_cache);

@@ -1,15 +1,10 @@
 #pragma once
 /// \file partition.hpp
-/// \brief Conflict-graph spatial sharding: the engine's zero-speculation
-/// batch planner.
+/// \brief Conflict-graph spatial sharding: the engine's batch planner.
 ///
-/// The speculative engine pays for parallelism with aborts: workers race
-/// the committer, and every footprint collision discards a finished
-/// search. Most of those collisions are predictable from geometry alone —
-/// two nets whose search regions are far apart cannot invalidate each
-/// other, so racing them was never necessary.
-///
-/// The shard planner turns that observation into a schedule. Each ordering
+/// Two nets whose search regions are far apart cannot read each other's
+/// wiring, so they can route at the same time. The shard planner turns
+/// that observation into a schedule. Each ordering
 /// position gets a *declared region*: its terminal bounding box inflated
 /// by the expected search halo (window growth + congestion-window reads).
 /// Scanning positions in the serial ordering, a batch is the maximal run

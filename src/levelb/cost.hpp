@@ -129,8 +129,8 @@ struct CostContext {
   /// Committed sensitive wiring for the w24 parallel-run term (optional).
   const SensitiveRuns* sensitive = nullptr;
   /// When set, every occupancy read the cost terms make is recorded here
-  /// as a (track, interval) dependency. The engine validates speculative
-  /// searches against it; serial callers leave it null.
+  /// as a (track, interval) dependency. The engine checks batch searches
+  /// against it; serial callers leave it null.
   SearchFootprint* footprint = nullptr;
   /// When set, the dup term uses its scratch and counts its work there
   /// (`dup_points_tested`); null uses throwaway scratch.

@@ -7,7 +7,7 @@
 /// fractions for the acf term — depends on the blocked state of one track
 /// interval. The footprint is the union of those intervals, per track.
 ///
-/// The engine validates speculative results with it: a block-only commit
+/// The engine checks parallel batch results with it: a block-only commit
 /// whose extents intersect no footprint interval cannot change the value
 /// of any read the search performed, and therefore cannot change the
 /// search's (deterministic) outcome. This is the segment-level refinement

@@ -57,9 +57,9 @@ struct SearchStats {
 };
 
 /// Inclusive track-index rectangle covering every track a search examined
-/// (horizontal tracks [i_lo, i_hi], vertical tracks [j_lo, j_hi]). The
-/// engine validates speculative results with it: a commit that touches
-/// none of the examined tracks cannot change the search outcome, because
+/// (horizontal tracks [i_lo, i_hi], vertical tracks [j_lo, j_hi]). A
+/// commit that touches none of the examined tracks cannot change the
+/// search outcome, because
 /// reachability and every cost term read only those tracks' occupancy.
 /// Default-constructed windows are empty.
 struct SearchWindow {
@@ -122,7 +122,7 @@ class PathFinder {
 
   /// \p grid is captured as a view; serial callers pass their TrackGrid
   /// (implicitly converted) and mutate it between connect() calls as nets
-  /// commit, engine workers pass a GridOverlay over an immutable snapshot.
+  /// commit, engine workers pass a GridOverlay over the batch-start grid.
   /// Whatever the view references must outlive the finder.
   explicit PathFinder(tig::GridView grid,
                       Options options = PathFinderOptions());

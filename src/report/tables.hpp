@@ -40,7 +40,7 @@ struct Table3Row {
 std::string render_table3(const std::vector<Table3Row>& rows);
 
 /// Engine summary: level-B routing-engine effort per flow run (worker
-/// threads, MBFS vertices, speculation accepted/re-routed, completion).
+/// threads, MBFS vertices, batch commits/escape re-routes, completion).
 /// Rows without level-B nets are skipped.
 std::string render_engine_summary(const std::vector<flow::FlowMetrics>& rows);
 

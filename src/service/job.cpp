@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "bench_data/synthetic.hpp"
+#include "engine/engine.hpp"
 #include "io/layout_io.hpp"
 #include "util/str.hpp"
 
@@ -59,13 +60,12 @@ StatusOr<JobSpec> spec_from_request(const io::JobRequest& request) {
   if (request.threads < 0) {
     return Status::invalid_argument("threads must be >= 0").with_stage("job");
   }
-  if (request.engine_mode != "speculative" &&
-      request.engine_mode != "sharded" && request.engine_mode != "auto") {
+  engine::EngineMode mode{};
+  if (!engine::parse_engine_mode(request.engine_mode, &mode)) {
     return Status::invalid_argument("unknown engine mode '" +
                                     request.engine_mode + "'")
         .with_stage("job");
   }
-  spec.engine_mode = request.engine_mode;
   if (request.deadline_ms < 0 || request.net_effort < 0) {
     return Status::invalid_argument("deadline_ms / net_effort must be >= 0")
         .with_stage("job");
@@ -160,7 +160,6 @@ flow::RunOptions job_run_options(const RoutingJob& job) {
   flow::RunOptions options;
   options.kind = job.spec.kind;
   options.flow.levelb_threads = job.spec.threads;
-  options.flow.levelb_engine_mode = job.spec.engine_mode;
   options.fail_policy = job.spec.fail_policy;
   options.deadline_ms = job.spec.deadline_ms;
   options.net_effort = job.spec.net_effort;

@@ -41,9 +41,6 @@ struct JobSpec {
   flow::FlowKind kind = flow::FlowKind::kOverCell;
   std::string partition = "class";
   int threads = 1;
-  /// Parallel dispatch strategy when threads > 1: "speculative",
-  /// "sharded" or "auto" (serial-exact either way).
-  std::string engine_mode = "speculative";
   flow::FailPolicy fail_policy = flow::FailPolicy::kDegrade;
   long long deadline_ms = 0;
   long long net_effort = 0;

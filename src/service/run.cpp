@@ -128,16 +128,6 @@ void publish_metrics(const FlowMetrics& m, util::MetricsRegistry& registry) {
   // Cumulative effort and degradation counts: accumulate across runs in
   // one process (counters).
   registry.counter("flow.levelb_vertices").add(m.levelb_vertices);
-  registry.counter("flow.levelb_speculative_commits")
-      .add(m.levelb_speculative_commits);
-  registry.counter("flow.levelb_speculation_aborts")
-      .add(m.levelb_speculation_aborts);
-  registry.counter("flow.levelb_wasted_vertices")
-      .add(m.levelb_wasted_vertices);
-  registry.counter("flow.levelb_wasted_search_us")
-      .add(m.levelb_wasted_search_us);
-  registry.counter("flow.levelb_queue_wait_us").add(m.levelb_queue_wait_us);
-  registry.counter("flow.levelb_grid_copies").add(m.levelb_grid_copies);
   registry.counter("flow.levelb_batches").add(m.levelb_batches);
   registry.counter("flow.levelb_boundary_nets").add(m.levelb_boundary_nets);
   registry.counter("flow.levelb_sharded_commits")

@@ -15,9 +15,9 @@
 /// observationally identical to a dense vector initialized to the default,
 /// while untouched regions cost one null pointer.
 ///
-/// Copying copies only the present chunks (the GridSnapshot publication
-/// path: a worker's grid copy inherits exactly the occupied part of the
-/// die). The container never shrinks short of reset().
+/// Copying copies only the present chunks (a TrackGrid copy inherits
+/// exactly the occupied part of the die). The container never shrinks
+/// short of reset().
 ///
 /// Thread contract: same as std::vector — const access is a pure read
 /// (at()/find() never materialize), any mutation (touch()) follows the

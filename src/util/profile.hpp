@@ -10,7 +10,7 @@
 /// hot-ish paths (per net, per stage; not per MBFS vertex).
 ///
 ///   OCR_SPAN("flow.levelB");                  // rest of scope
-///   { util::Span s("engine.claim"); ... }     // explicit scope
+///   { util::Span s("engine.commit"); ... }    // explicit scope
 ///
 /// Records are kept in fixed-capacity per-thread rings (oldest records
 /// are overwritten past capacity and counted as dropped), merged at

@@ -2,8 +2,8 @@
 /// \file thread_pool.hpp
 /// \brief A fixed-size worker pool with a FIFO task queue.
 ///
-/// The routing engine's ParallelSearch submits one long-running speculation
-/// loop per worker; other callers can use it as a conventional task pool.
+/// The routing engine submits one BatchSearch worker loop per thread for
+/// each shard batch; other callers can use it as a conventional task pool.
 /// Tasks are std::function<void()>. An exception escaping a task is caught
 /// at the task boundary and surfaced as a util::Status through
 /// task_failures() — it never terminates the process, and the pool keeps

@@ -1,23 +1,23 @@
 /// \file engine_stress_test.cpp
-/// \brief Threaded stress for the engine: many workers, tight lookahead,
-/// repeated runs. Primarily a ThreadSanitizer target (the CI TSan job
-/// runs exactly this binary); the assertions double as a determinism
-/// check under contention.
+/// \brief Threaded stress for the engine: many workers, wide batches,
+/// frequent region escapes, repeated runs. Primarily a ThreadSanitizer
+/// target (the CI TSan job runs exactly this binary); the assertions
+/// double as a determinism check under contention.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
+#include "clustered_nets.hpp"
 #include "engine/engine.hpp"
 #include "levelb/router.hpp"
-#include "util/rng.hpp"
 
 namespace ocr::engine {
 namespace {
 
-using geom::Point;
 using geom::Rect;
 using levelb::BNet;
+using test::clustered_nets;
 
 /// Worker count for the contended cases: OCR_STRESS_THREADS overrides the
 /// default (the CI TSan job runs the binary once per matrix entry).
@@ -30,79 +30,72 @@ int stress_threads(int fallback) {
   return fallback;
 }
 
-std::vector<BNet> dense_nets(std::uint64_t seed, geom::Coord size,
-                             int count) {
-  util::Rng rng(seed);
-  std::vector<BNet> nets;
-  for (int n = 0; n < count; ++n) {
-    BNet net{n, {}};
-    const int degree = static_cast<int>(rng.uniform_int(2, 3));
-    for (int t = 0; t < degree; ++t) {
-      net.terminals.push_back(
-          Point{rng.uniform_int(0, size - 1), rng.uniform_int(0, size - 1)});
-    }
-    net.sensitive = n % 7 == 3;
-    nets.push_back(std::move(net));
-  }
-  return nets;
+tig::TrackGrid make_grid(geom::Coord size) {
+  return tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
+}
+
+/// Routes \p nets on a fresh \p size die with a 1-pitch shard halo: the
+/// planner under-declares regions, so batches run several nets in
+/// parallel AND some of them escape — TSan then covers both the parallel
+/// batch reads and the serial escape re-routes between them.
+levelb::LevelBResult stress_route(const std::vector<BNet>& nets,
+                                  geom::Coord size, int threads,
+                                  EngineStats* stats) {
+  tig::TrackGrid grid = make_grid(size);
+  EngineOptions options;
+  options.threads = threads;
+  options.shard_halo_pitches = 1;
+  RoutingEngine engine(grid, options);
+  levelb::LevelBResult result = engine.route(nets);
+  *stats = engine.stats();
+  return result;
+}
+
+levelb::LevelBResult serial_route(const std::vector<BNet>& nets,
+                                  geom::Coord size) {
+  tig::TrackGrid grid = make_grid(size);
+  levelb::LevelBRouter serial(grid);
+  return serial.route(nets);
+}
+
+/// Every position lands in exactly one of batch commit, boundary
+/// re-route, worker failure and fault re-route; and the run really had
+/// both parallel batches and escapes.
+void expect_contended(const EngineStats& stats, std::size_t n) {
+  EXPECT_EQ(stats.sharded_commits + stats.boundary_nets +
+                stats.worker_failures + stats.fault_reroutes,
+            static_cast<long long>(n));
+  EXPECT_GT(stats.max_batch_size, 1);
+  EXPECT_GT(stats.boundary_nets, 0);
 }
 
 TEST(EngineStress, RepeatedContendedRunsStayDeterministic) {
-  // Small grid + many nets = dense occupancy = frequent speculation
-  // conflicts. Every run must still reproduce the serial answer.
-  const std::vector<BNet> nets = dense_nets(21, 260, 40);
-  tig::TrackGrid serial_grid =
-      tig::TrackGrid::uniform(Rect(0, 0, 260, 260), 9, 11);
-  levelb::LevelBRouter serial(serial_grid);
-  const levelb::LevelBResult expected = serial.route(nets);
-
+  const std::vector<BNet> nets = clustered_nets(9, 900, 60, 80, true);
+  const levelb::LevelBResult expected = serial_route(nets, 900);
   for (int iteration = 0; iteration < 3; ++iteration) {
-    tig::TrackGrid grid =
-        tig::TrackGrid::uniform(Rect(0, 0, 260, 260), 9, 11);
-    EngineOptions options;
-    options.threads = stress_threads(8);
-    options.lookahead = 3;  // tight window keeps commits racing searches
-    RoutingEngine engine(grid, options);
-    EXPECT_EQ(engine.route(nets), expected) << "iteration " << iteration;
-    const EngineStats& stats = engine.stats();
-    EXPECT_EQ(stats.speculative_commits + stats.speculation_aborts,
-              static_cast<long long>(nets.size()));
+    EngineStats stats;
+    EXPECT_EQ(stress_route(nets, 900, stress_threads(8), &stats), expected)
+        << "iteration " << iteration;
+    expect_contended(stats, nets.size());
   }
 }
 
 TEST(EngineStress, WideLookaheadManyThreads) {
-  const std::vector<BNet> nets = dense_nets(33, 400, 30);
-  tig::TrackGrid serial_grid =
-      tig::TrackGrid::uniform(Rect(0, 0, 400, 400), 9, 11);
-  levelb::LevelBRouter serial(serial_grid);
-  const levelb::LevelBResult expected = serial.route(nets);
-
-  tig::TrackGrid grid = tig::TrackGrid::uniform(Rect(0, 0, 400, 400), 9, 11);
-  EngineOptions options;
-  options.threads = stress_threads(8);
-  options.lookahead = 64;  // deep speculation: most nets race many commits
-  RoutingEngine engine(grid, options);
-  EXPECT_EQ(engine.route(nets), expected);
+  const std::vector<BNet> nets = clustered_nets(33, 1200, 80, 80, true);
+  EngineStats stats;
+  EXPECT_EQ(stress_route(nets, 1200, stress_threads(8), &stats),
+            serial_route(nets, 1200));
+  expect_contended(stats, nets.size());
 }
 
 TEST(EngineStress, SixteenWorkersWithOverlaysMatchSerial) {
-  // More workers than positions in the adaptive window: overlays rebase
-  // and catch up from the commit log constantly, and the per-slot atomics
-  // see maximum publish/take concurrency.
-  const std::vector<BNet> nets = dense_nets(55, 320, 48);
-  tig::TrackGrid serial_grid =
-      tig::TrackGrid::uniform(Rect(0, 0, 320, 320), 9, 11);
-  levelb::LevelBRouter serial(serial_grid);
-  const levelb::LevelBResult expected = serial.route(nets);
-
-  tig::TrackGrid grid = tig::TrackGrid::uniform(Rect(0, 0, 320, 320), 9, 11);
-  EngineOptions options;
-  options.threads = stress_threads(16);
-  RoutingEngine engine(grid, options);
-  EXPECT_EQ(engine.route(nets), expected);
-  const EngineStats& stats = engine.stats();
-  // Incremental publication: far fewer grid copies than commits.
-  EXPECT_LT(stats.grid_copies, static_cast<long long>(nets.size()));
+  // More workers than most batches have members: every worker's overlay
+  // braces terminals over the shared live grid while the others read it.
+  const std::vector<BNet> nets = clustered_nets(55, 900, 60, 80, true);
+  EngineStats stats;
+  EXPECT_EQ(stress_route(nets, 900, stress_threads(16), &stats),
+            serial_route(nets, 900));
+  expect_contended(stats, nets.size());
 }
 
 }  // namespace

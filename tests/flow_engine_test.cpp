@@ -50,8 +50,12 @@ TEST(FlowEngine, Ami33OverCellIsThreadCountInvariant) {
         run_over_cell_flow(ml, partition, options, &artifacts);
     expect_same_metrics(serial, parallel);
     EXPECT_EQ(parallel.levelb_threads, threads);
-    EXPECT_EQ(parallel.levelb_speculative_commits +
-                  parallel.levelb_speculation_aborts,
+    EXPECT_EQ(parallel.levelb_engine_mode, "sharded");
+    // Every ordering position lands in exactly one of batch commit,
+    // boundary re-route and fault/worker re-route.
+    EXPECT_EQ(parallel.levelb_sharded_commits +
+                  parallel.levelb_boundary_nets +
+                  parallel.degrade_fault_reroutes,
               static_cast<long long>(parallel.levelb_nets));
     // The committed level-B wiring itself must be bit-identical.
     EXPECT_EQ(artifacts.levelb, serial_artifacts.levelb)

@@ -2,7 +2,7 @@
 /// \brief GapCache correctness: the cached free-gap lists — including the
 /// incremental block/unblock patching — must answer every free-segment
 /// query exactly like the cache-off IntervalSet scan, through arbitrary
-/// block/unblock/rip-up histories; snapshots must serve concurrent
+/// block/unblock/rip-up histories; a warmed grid must serve concurrent
 /// readers without data races; and routing results must be byte-identical
 /// with the cache on or off, serially and under the parallel engine.
 
@@ -16,7 +16,6 @@
 #include "engine/engine.hpp"
 #include "levelb/router.hpp"
 #include "tig/gap_cache.hpp"
-#include "tig/snapshot.hpp"
 #include "tig/track_grid.hpp"
 #include "util/rng.hpp"
 
@@ -133,28 +132,29 @@ TEST(GapCache, RandomizedHistoryMatchesCacheOff) {
 }
 
 TEST(GapCache, WarmSnapshotServesConcurrentReaders) {
-  // A warmed snapshot's gap cache is frozen: any number of threads may
-  // query it concurrently with no writes anywhere. Run under TSan (the CI
-  // tsan-engine job includes this binary) to prove the absence of races.
+  // A warmed grid's gap cache is frozen: any number of threads may query
+  // it through a const reference with no writes anywhere — the contract a
+  // sharded batch's workers rely on. Run under TSan (the CI tsan-engine
+  // job includes this binary) to prove the absence of races.
   TrackGrid grid = make_grid();
   grid.block_h(4, Interval(25, 75));
   grid.block_v(6, Interval(10, 50));
-  VersionedGrid versioned(grid);
-  const auto snap = versioned.snapshot();
+  grid.warm_gap_cache();
+  const TrackGrid& shared = grid;
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 8; ++t) {
-    readers.emplace_back([&snap, t] {
+    readers.emplace_back([&shared, t] {
       util::Rng rng(static_cast<std::uint64_t>(t) + 1);
       for (int k = 0; k < 2000; ++k) {
         const int i =
-            static_cast<int>(rng.uniform_int(0, snap->grid.num_h() - 1));
+            static_cast<int>(rng.uniform_int(0, shared.num_h() - 1));
         const int j =
-            static_cast<int>(rng.uniform_int(0, snap->grid.num_v() - 1));
+            static_cast<int>(rng.uniform_int(0, shared.num_v() - 1));
         const geom::Coord q = rng.uniform_int(0, 100);
         int lo = 0, hi = -1;
-        (void)snap->grid.h_free_segment_span(i, q, &lo, &hi);
-        (void)snap->grid.v_free_segment_span(j, q, &lo, &hi);
+        (void)shared.h_free_segment_span(i, q, &lo, &hi);
+        (void)shared.v_free_segment_span(j, q, &lo, &hi);
       }
     });
   }

@@ -6,8 +6,8 @@
 /// the MBFS vertex count and an FNV-1a hash of every path point for the
 /// three paper examples through `flow::run`, the sparse-5000 locality
 /// instance with sensitive nets, and four seeds of a congested instance
-/// that exercises failures and rip-up. A sharded 4-thread engine route
-/// must reproduce the same values. A PR whose stated purpose is to
+/// that exercises failures and rip-up. Sharded engine routes (4 threads;
+/// 2, 4 and 8 for the congested seeds) must reproduce the same values. A PR whose stated purpose is to
 /// change routes updates the table below.
 
 #include <gtest/gtest.h>
@@ -74,7 +74,6 @@ levelb::LevelBResult paper_levelb(const bench_data::SyntheticSpec& spec,
   options.faults = "-";
   options.artifacts = &artifacts;
   options.flow.levelb_threads = threads;
-  options.flow.levelb_engine_mode = "sharded";
   const flow::RunReport report = flow::run(ml, part, options);
   EXPECT_NE(report.status, flow::RunStatus::kFailed);
   return artifacts.levelb;
@@ -89,7 +88,6 @@ levelb::LevelBResult levelb_route(const bench_data::LevelBSpec& spec,
   }
   engine::EngineOptions options;
   options.threads = threads;
-  options.mode = engine::EngineMode::kSharded;
   engine::RoutingEngine router(inst.grid, options);
   return router.route(inst.nets);
 }
@@ -146,8 +144,11 @@ TEST(LevelBPin, Sparse5000WithSensitiveNets) {
 TEST(LevelBPin, CongestedSeeds) {
   for (std::uint64_t s = 0; s < 4; ++s) {
     SCOPED_TRACE("seed " + std::to_string(s + 1));
-    EXPECT_EQ(pin_of(levelb_route(congested_spec(s + 1), 1)), kCongested[s]);
-    EXPECT_EQ(pin_of(levelb_route(congested_spec(s + 1), 4)), kCongested[s]);
+    for (int threads : {1, 2, 4, 8}) {
+      EXPECT_EQ(pin_of(levelb_route(congested_spec(s + 1), threads)),
+                kCongested[s])
+          << "threads=" << threads;
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "engine/engine.hpp"
 #include "levelb/router.hpp"
 
 namespace ocr::levelb {
@@ -19,7 +20,9 @@ struct Scenario {
                                                 10, 10);
 };
 
-Scenario run(double w24) {
+/// Routes the scenario serially, or through the sharded engine when
+/// \p threads > 1 (which must give the same answer).
+Scenario run(double w24, int threads = 1) {
   Scenario s;
   s.sensitive_track = s.grid.nearest_h(205);
 
@@ -38,7 +41,10 @@ Scenario run(double w24) {
   options.finder.weights.w23 = 0.0;
   options.finder.weights.w24 = w24;
   options.ordering = NetOrdering::kAsGiven;
-  LevelBRouter router(s.grid, options);
+  engine::EngineOptions eopt;
+  eopt.levelb = options;
+  eopt.threads = threads;
+  engine::RoutingEngine router(s.grid, eopt);
   s.result = router.route({shield, aggressor});
   return s;
 }
@@ -70,11 +76,15 @@ TEST(SensitiveNets, PenaltyPushesAggressorAway) {
 }
 
 TEST(SensitiveNets, PenaltyNeverIncreasesParallelRun) {
-  const Scenario without = run(0.0);
-  const Scenario with = run(50.0);
-  ASSERT_EQ(without.result.failed_nets, 0);
-  ASSERT_EQ(with.result.failed_nets, 0);
-  EXPECT_LE(parallel_run_length(with), parallel_run_length(without));
+  for (int threads : {1, 4}) {
+    const Scenario without = run(0.0, threads);
+    const Scenario with = run(50.0, threads);
+    ASSERT_EQ(without.result.failed_nets, 0) << "threads=" << threads;
+    ASSERT_EQ(with.result.failed_nets, 0) << "threads=" << threads;
+    EXPECT_LE(parallel_run_length(with), parallel_run_length(without))
+        << "threads=" << threads;
+    EXPECT_EQ(with.result, run(50.0, 1).result) << "threads=" << threads;
+  }
 }
 
 TEST(SensitiveNets, PenaltyDoesNotBreakCompletion) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdio>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "service/admission.hpp"
 #include "service/executor.hpp"
 #include "service/job.hpp"
+#include "service/journal.hpp"
 #include "service/queue.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
@@ -78,6 +80,21 @@ TEST(JobSpecValidation, RejectsBadKnobs) {
   request = ami33_request("a");
   request.deadline_ms = -5;
   EXPECT_FALSE(spec_from_request(request).ok());
+  request = ami33_request("a");
+  request.engine_mode = "bogus";
+  const auto bad_mode = spec_from_request(request);
+  ASSERT_FALSE(bad_mode.ok());
+  EXPECT_EQ(bad_mode.status().kind(), util::StatusKind::kInvalidArgument);
+  EXPECT_NE(bad_mode.status().message().find("unknown engine mode 'bogus'"),
+            std::string::npos);
+}
+
+TEST(JobSpecValidation, RetiredEngineModesAreAliasesOfSharded) {
+  io::JobRequest request = ami33_request("a");
+  for (const char* mode : {"sharded", "speculative", "auto"}) {
+    request.engine_mode = mode;
+    EXPECT_TRUE(spec_from_request(request).ok()) << mode;
+  }
 }
 
 TEST(JobSpecValidation, RequiresExactlyOneInstanceSource) {
@@ -456,6 +473,62 @@ TEST(Executor, SupervisorRestartsHungWorkerAndRetryCompletes) {
   EXPECT_EQ(seen.attempts, 2);
   EXPECT_GE(registry.counter("service.worker_restarts").value(),
             restarts_before + 1);
+}
+
+/// ocr_served --recover replays journaled request lines verbatim, and
+/// journals written before the engine had one parallel mode carry
+/// "engine_mode":"speculative". Such a job must recover and route exactly
+/// like a fresh sharded job.
+TEST(JournalReplay, SpeculativeRequestRecoversLikeFreshShardedJob) {
+  const std::string path = "service_test_replay.jsonl";
+  std::remove(path.c_str());
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.open(path).ok());
+    io::JournalRecord accepted;
+    accepted.event = io::JournalEvent::kAccepted;
+    accepted.id = "old";
+    accepted.request =
+        R"({"id":"old","example":"ami33","threads":4,)"
+        R"("engine_mode":"speculative"})";
+    ASSERT_TRUE(journal.append(accepted).ok());
+    io::JournalRecord started;
+    started.event = io::JournalEvent::kStarted;
+    started.id = "old";
+    ASSERT_TRUE(journal.append(started).ok());
+    journal.close();
+  }
+  const auto plan = recover_journal(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  ASSERT_EQ(plan->unfinished, 1);
+  ASSERT_EQ(plan->jobs.size(), 1u);
+  ASSERT_FALSE(plan->jobs[0].has_terminal);
+
+  // The replay path of ocr_served: parse, validate, materialize, run.
+  const auto run_line = [](const std::string& line) {
+    const auto request = io::parse_job_request(line);
+    EXPECT_TRUE(request.ok()) << request.status().to_string();
+    const auto spec = spec_from_request(*request);
+    EXPECT_TRUE(spec.ok()) << spec.status().to_string();
+    JobExecutor executor(JobExecutor::Options{});
+    return executor.run_inline(materialized(*spec));
+  };
+  const JobResult recovered = run_line(plan->jobs[0].request);
+  const JobResult fresh = run_line(
+      R"({"id":"new","example":"ami33","threads":4,"engine_mode":"sharded"})");
+
+  EXPECT_EQ(recovered.exit_class(), 0);
+  EXPECT_EQ(recovered.exit_class(), fresh.exit_class());
+  EXPECT_EQ(recovered.report.metrics.levelb_engine_mode, "sharded");
+  EXPECT_EQ(recovered.report.metrics.levelb_threads, 4);
+  EXPECT_EQ(recovered.report.metrics.wire_length,
+            fresh.report.metrics.wire_length);
+  EXPECT_EQ(recovered.report.metrics.vias, fresh.report.metrics.vias);
+  EXPECT_EQ(recovered.report.metrics.levelb_vertices,
+            fresh.report.metrics.levelb_vertices);
+  EXPECT_EQ(recovered.report.metrics.unrouted_nets,
+            fresh.report.metrics.unrouted_nets);
 }
 
 TEST(Responses, ResultMapsToWireFormat) {

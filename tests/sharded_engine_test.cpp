@@ -1,55 +1,25 @@
 /// \file sharded_engine_test.cpp
-/// \brief The sharded engine mode's contract: bit-identical to the serial
-/// router at any thread count, with ZERO speculation — no aborts, no
-/// rebase, no wasted work for intra-batch nets. Region escapes surface as
-/// boundary_nets and are recovered serially, never as wrong wiring.
+/// \brief The sharded engine's contract: bit-identical to the serial
+/// router at any thread count, with no wasted work for intra-batch nets.
+/// Region escapes surface as boundary_nets and are recovered serially,
+/// never as wrong wiring.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
+#include "clustered_nets.hpp"
 #include "engine/engine.hpp"
 #include "levelb/router.hpp"
-#include "util/rng.hpp"
 
 namespace ocr::engine {
 namespace {
 
-using geom::Point;
 using geom::Rect;
 using levelb::BNet;
 using levelb::LevelBResult;
+using test::clustered_nets;
 
 tig::TrackGrid make_grid(geom::Coord size) {
   return tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
-}
-
-/// Local nets scattered over a large die — the workload sharding targets.
-/// Every seventh net is sensitive when requested (exercising the
-/// batch-closing rule and the w24 registry handoff).
-std::vector<BNet> clustered_nets(std::uint64_t seed, geom::Coord size,
-                                 int count, geom::Coord locality,
-                                 bool with_sensitive) {
-  util::Rng rng(seed);
-  std::vector<BNet> nets;
-  for (int n = 0; n < count; ++n) {
-    BNet net{n, {}};
-    const Point center{rng.uniform_int(0, size - 1),
-                       rng.uniform_int(0, size - 1)};
-    const int degree = static_cast<int>(rng.uniform_int(2, 4));
-    for (int t = 0; t < degree; ++t) {
-      const geom::Coord x = std::clamp<geom::Coord>(
-          center.x + rng.uniform_int(0, 2 * locality) - locality, 0,
-          size - 1);
-      const geom::Coord y = std::clamp<geom::Coord>(
-          center.y + rng.uniform_int(0, 2 * locality) - locality, 0,
-          size - 1);
-      net.terminals.push_back(Point{x, y});
-    }
-    net.sensitive = with_sensitive && n % 7 == 3;
-    nets.push_back(std::move(net));
-  }
-  return nets;
 }
 
 LevelBResult serial_route(tig::TrackGrid grid,
@@ -63,24 +33,18 @@ LevelBResult sharded_route(tig::TrackGrid grid,
                            EngineStats* stats = nullptr,
                            EngineOptions options = {}) {
   options.threads = threads;
-  options.mode = EngineMode::kSharded;
   RoutingEngine engine(grid, options);
   LevelBResult result = engine.route(nets);
   if (stats != nullptr) *stats = engine.stats();
   return result;
 }
 
-/// The zero-speculation claim plus the per-position accounting: every
-/// position lands in exactly one of {batch commit, boundary re-route} on
-/// a fault-free run, and the speculative machinery never engages.
+/// The per-position accounting: every position lands in exactly one of
+/// {batch commit, boundary re-route} on a fault-free run.
 void expect_sharded_accounting(const EngineStats& stats, std::size_t n) {
   EXPECT_STREQ(stats.mode, "sharded");
-  EXPECT_EQ(stats.speculation_aborts, 0);
-  EXPECT_EQ(stats.speculative_commits, 0);
-  EXPECT_EQ(stats.wasted_vertices, 0);
-  EXPECT_EQ(stats.wasted_search_us, 0);
-  EXPECT_EQ(stats.queue_wait_us, 0);
   EXPECT_EQ(stats.worker_failures, 0);
+  EXPECT_EQ(stats.fault_reroutes, 0);
   EXPECT_EQ(stats.sharded_commits + stats.boundary_nets,
             static_cast<long long>(n));
   EXPECT_GE(stats.batches, 1);
@@ -109,9 +73,6 @@ TEST(ShardedEngine, ClusteredPlanExposesParallelism) {
   expect_sharded_accounting(stats, nets.size());
   EXPECT_LT(stats.batches, static_cast<long long>(nets.size()));
   EXPECT_GT(stats.max_batch_size, 1);
-  // The zero-copy contract: workers share the live grid between commit
-  // phases, so the sharded path never copies the grid at all.
-  EXPECT_EQ(stats.grid_copies, 0);
 }
 
 TEST(ShardedEngine, SensitiveNetsMatchSerial) {
@@ -154,10 +115,11 @@ TEST(ShardedEngine, DenseOverlapDegradesGracefully) {
 }
 
 TEST(ShardedEngine, AutoPicksShardedOnLocalWorkload) {
+  // "auto" survives only as an accepted alias of the sharded engine.
   const std::vector<BNet> nets = clustered_nets(13, 3000, 80, 40, false);
   EngineOptions options;
   options.threads = 4;
-  options.mode = EngineMode::kAuto;
+  ASSERT_TRUE(parse_engine_mode("auto", &options.mode));
   tig::TrackGrid grid = make_grid(3000);
   RoutingEngine engine(grid, options);
   const LevelBResult result = engine.route(nets);
@@ -165,26 +127,8 @@ TEST(ShardedEngine, AutoPicksShardedOnLocalWorkload) {
   EXPECT_EQ(result, serial_route(make_grid(3000), nets));
 }
 
-TEST(ShardedEngine, AutoFallsBackToSpeculativeOnOverlap) {
-  // Die-spanning nets give a degenerate plan (mean batch ~1); auto must
-  // keep the speculative engine, and the answer is still serial-exact.
-  std::vector<BNet> nets = clustered_nets(15, 400, 20, 400, false);
-  for (BNet& net : nets) {
-    net.terminals.front() = Point{0, 0};
-    net.terminals.back() = Point{399, 399};
-  }
-  EngineOptions options;
-  options.threads = 4;
-  options.mode = EngineMode::kAuto;
-  tig::TrackGrid grid = make_grid(400);
-  RoutingEngine engine(grid, options);
-  const LevelBResult result = engine.route(nets);
-  EXPECT_STREQ(engine.stats().mode, "speculative");
-  EXPECT_EQ(result, serial_route(make_grid(400), nets));
-}
-
 TEST(ShardedEngine, SingleThreadIsTheSerialRouter) {
-  // threads == 1 bypasses dispatch modes entirely.
+  // threads == 1 bypasses the batch dispatch entirely.
   const std::vector<BNet> nets = clustered_nets(17, 600, 20, 60, true);
   EngineStats stats;
   EXPECT_EQ(sharded_route(make_grid(600), nets, 1, &stats),
@@ -201,7 +145,6 @@ TEST(ShardedEngine, GridCarriesIdenticalWiring) {
   router.route(nets);
   EngineOptions options;
   options.threads = 4;
-  options.mode = EngineMode::kSharded;
   RoutingEngine engine(sharded_grid, options);
   engine.route(nets);
   for (int i = 0; i < serial_grid.num_h(); ++i) {
@@ -227,26 +170,35 @@ TEST(ShardedEngine, TraceRecordsEveryNetWithBatchFields) {
   options.levelb.trace = &trace;
   EXPECT_EQ(sharded_route(make_grid(1200), nets, 4, nullptr, options),
             serial_route(make_grid(1200), nets));
+  // One "net" event per net plus the run-level "engine" totals event.
   EXPECT_EQ(trace.size(), nets.size() + 1);
   const std::string json = trace.to_json();
   EXPECT_NE(json.find("\"mode\":\"sharded\""), std::string::npos);
   EXPECT_NE(json.find("\"engine_mode\":\"sharded\""), std::string::npos);
+  EXPECT_NE(json.find("\"order\""), std::string::npos);
   EXPECT_NE(json.find("\"batch\""), std::string::npos);
   EXPECT_NE(json.find("\"escaped\""), std::string::npos);
   EXPECT_NE(json.find("\"boundary_nets\""), std::string::npos);
   EXPECT_NE(json.find("\"sharded_commits\""), std::string::npos);
+  // Fields of the retired speculative engine are gone.
+  EXPECT_EQ(json.find("\"speculative\""), std::string::npos);
+  EXPECT_EQ(json.find("\"queue_wait_us\""), std::string::npos);
+  EXPECT_EQ(json.find("\"grid_copies\""), std::string::npos);
 }
 
 TEST(ShardedEngine, ModeNamesRoundTrip) {
-  EngineMode mode = EngineMode::kSpeculative;
-  for (EngineMode m : {EngineMode::kSpeculative, EngineMode::kSharded,
-                       EngineMode::kAuto}) {
-    ASSERT_TRUE(parse_engine_mode(engine_mode_name(m), &mode));
-    EXPECT_EQ(mode, m);
+  EngineMode mode = EngineMode::kSharded;
+  ASSERT_TRUE(parse_engine_mode(engine_mode_name(mode), &mode));
+  EXPECT_EQ(mode, EngineMode::kSharded);
+  // The retired mode names stay accepted as aliases, so old request lines
+  // and journals keep replaying.
+  for (const char* alias : {"speculative", "auto"}) {
+    EXPECT_TRUE(parse_engine_mode(alias, &mode)) << alias;
+    EXPECT_EQ(mode, EngineMode::kSharded) << alias;
   }
-  mode = EngineMode::kAuto;
   EXPECT_FALSE(parse_engine_mode("bogus", &mode));
-  EXPECT_EQ(mode, EngineMode::kAuto);  // untouched on failure
+  EXPECT_FALSE(parse_engine_mode("", &mode));
+  EXPECT_FALSE(parse_engine_mode("Sharded", &mode));
 }
 
 }  // namespace
