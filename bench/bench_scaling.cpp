@@ -255,7 +255,7 @@ void print_engine_comparison(util::TraceSink* json, int repeat) {
     if (json != nullptr) {
       util::TraceEvent ev("engine_compare");
       ev.add("mode", mode_name)
-          .add("engine_mode", stats.mode)
+          .add("engine_mode", threads > 1 ? "sharded" : "serial")
           .add("threads", threads)
           .add("wall_ms", ms)
           .add("serial_ms", serial_ms)

@@ -30,33 +30,6 @@ long long micros_since(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
-/// Folds the run's EngineStats into the global registry (`engine.*`
-/// counters accumulate across route() calls in one process; the thread
-/// count is a gauge). One call per route(), never in the hot loop.
-void publish_engine_metrics(const EngineStats& s) {
-  util::MetricsRegistry& reg = util::MetricsRegistry::global();
-  reg.counter("engine.routes").add();
-  reg.gauge("engine.threads").set(s.threads);
-  reg.counter("engine.batches").add(s.batches);
-  reg.counter("engine.sharded_commits").add(s.sharded_commits);
-  reg.counter("engine.boundary_nets").add(s.boundary_nets);
-  reg.counter("engine.sharded_wasted_vertices")
-      .add(s.sharded_wasted_vertices);
-  reg.counter("engine.sharded_wasted_search_us")
-      .add(s.sharded_wasted_search_us);
-  reg.counter("engine.fault_reroutes").add(s.fault_reroutes);
-  reg.counter("engine.fault_drops").add(s.fault_drops);
-  reg.counter("engine.worker_failures").add(s.worker_failures);
-  reg.counter("engine.pool_task_failures").add(s.pool_task_failures);
-  reg.counter("engine.ripup_recovered").add(s.ripup_recovered);
-}
-
-util::Histogram& net_search_us_histogram() {
-  return util::MetricsRegistry::global().histogram(
-      "engine.net_search_us",
-      {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000});
-}
-
 /// Largest track pitch of the grid — the unit the shard halo scales with.
 geom::Coord grid_pitch(const tig::TrackGrid& grid) {
   geom::Coord pitch = 1;
@@ -70,8 +43,6 @@ geom::Coord grid_pitch(const tig::TrackGrid& grid) {
 }
 
 }  // namespace
-
-const char* engine_mode_name(EngineMode) { return "sharded"; }
 
 bool parse_engine_mode(const std::string& name, EngineMode* mode) {
   if (name != "sharded" && name != "speculative" && name != "auto") {
@@ -93,21 +64,12 @@ LevelBResult RoutingEngine::route(const std::vector<BNet>& nets) {
   const int threads = resolve_threads(options_.threads);
   stats_ = EngineStats{};
   stats_.threads = threads;
-  LevelBResult result;
-  if (threads <= 1) {
-    levelb::LevelBRouter serial(grid_, options_.levelb);
-    result = serial.route(nets);
-    stats_.ripup_recovered = result.ripup_recovered;
-  } else {
-    result = route_sharded(nets, threads);
-  }
-  publish_engine_metrics(stats_);
-  return result;
+  if (threads > 1) return route_sharded(nets, threads);
+  return levelb::LevelBRouter(grid_, options_.levelb).route(nets);
 }
 
 LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
                                           int threads) {
-  stats_.mode = "sharded";
   // The serial router's prologue: the ordering, the snapped terminal
   // reservations and the unrouted-suffix index fix everything a net's
   // search depends on besides grid occupancy. Terminal reservation
@@ -158,13 +120,13 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
   // member inside its batch).
   auto sensitive = std::make_shared<const levelb::SensitiveRuns>();
 
-  util::Histogram& search_us_hist = net_search_us_histogram();
+  const util::NetSearchHistograms net_hists = util::net_search_histograms();
   util::Histogram& batch_hist = util::MetricsRegistry::global().histogram(
       "engine.batch_size", {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 64});
 
   for (std::size_t b = 0; b < plan.batches.size(); ++b) {
     const ShardBatch& batch = plan.batches[b];
-    batch_hist.observe(static_cast<double>(batch.size()));
+    batch_hist.observe(batch.size());
     search.start_batch(&grid_, batch.begin, batch.end, sensitive);
     const int workers = static_cast<int>(
         std::min<std::size_t>(static_cast<std::size_t>(threads),
@@ -282,7 +244,8 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
         net_committed[k].clear();
       }
 
-      search_us_hist.observe(static_cast<double>(item.search_us));
+      net_hists.search_us.observe(item.search_us);
+      net_hists.vertices.observe(item.stats.vertices_examined);
       {
         // Direct live-grid commit: gap-cache entries are patched in
         // place by each block, so the next batch's warm is incremental.
@@ -324,22 +287,6 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
     }
   }
 
-  if (options_.levelb.trace != nullptr) {
-    util::TraceEvent ev("engine");
-    ev.add("threads", stats_.threads)
-        .add("engine_mode", stats_.mode)
-        .add("batches", stats_.batches)
-        .add("max_batch_size", stats_.max_batch_size)
-        .add("sharded_commits", stats_.sharded_commits)
-        .add("boundary_nets", stats_.boundary_nets)
-        .add("worker_failures", stats_.worker_failures)
-        .add("sharded_wasted_vertices", stats_.sharded_wasted_vertices)
-        .add("sharded_wasted_search_us", stats_.sharded_wasted_search_us)
-        .add("fault_reroutes", stats_.fault_reroutes)
-        .add("fault_drops", stats_.fault_drops);
-    options_.levelb.trace->record(std::move(ev));
-  }
-
   // Single-threaded epilogue on the live grid, same as the serial router.
   std::vector<std::vector<Point>> snapped_by_order(n);
   std::vector<BNet> nets_by_order(n);
@@ -353,7 +300,6 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
         grid_, options_.levelb, nets_by_order, snapped_by_order, results,
         net_committed, stats, &workspace);
   }();
-  stats_.ripup_recovered = recovered;
   stats_.pool_task_failures =
       static_cast<long long>(pool.task_failures().size());
   workspace.publish_metrics();

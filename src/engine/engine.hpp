@@ -26,8 +26,6 @@ namespace ocr::engine {
 /// only one; the enum stays so callers can name it.
 enum class EngineMode { kSharded };
 
-/// "sharded".
-const char* engine_mode_name(EngineMode mode);
 /// Parses a mode name: "sharded", and the retired "speculative" and
 /// "auto", which old request lines and scripts still carry, all mean
 /// kSharded. False (and *mode untouched) on any other name.
@@ -44,12 +42,10 @@ struct EngineOptions {
   int shard_halo_pitches = 16;
 };
 
-/// Counters from the last route() call (sharded runs only; a serial run
-/// reports zero batches).
+/// Counters from the last route() call (a serial run reports zero
+/// batches). The engine only counts; flow::run publishes `engine.*`.
 struct EngineStats {
-  int threads = 1;
-  /// The dispatch that actually ran: "serial" or "sharded".
-  const char* mode = "serial";
+  int threads = 1;  ///< resolved worker count; > 1 means sharded
   long long batches = 0;          ///< shard batches dispatched
   long long max_batch_size = 0;   ///< widest batch (parallelism ceiling)
   long long sharded_commits = 0;  ///< batch results committed untouched
@@ -68,7 +64,6 @@ struct EngineStats {
   long long worker_failures = 0;  ///< batch positions a worker left
                                   ///  unrouted, recovered serially
   long long pool_task_failures = 0;  ///< worker tasks that threw
-  int ripup_recovered = 0;        ///< rung 2: nets rescued by rip-up
 };
 
 class RoutingEngine {

@@ -195,25 +195,14 @@ FlowMetrics run_over_cell_flow(const MacroLayout& ml,
     OCR_SPAN("flow.optimize");
     levelb::straighten_corners(grid, b);
   }
-  m.levelb_threads = router.stats().threads;
-  m.levelb_engine_mode = router.stats().mode;
   m.levelb_vertices = b.vertices_examined;
-  m.levelb_batches = router.stats().batches;
-  m.levelb_boundary_nets = router.stats().boundary_nets;
-  m.levelb_sharded_commits = router.stats().sharded_commits;
-  m.levelb_sharded_wasted_vertices = router.stats().sharded_wasted_vertices;
-  m.levelb_sharded_wasted_search_us =
-      router.stats().sharded_wasted_search_us;
+  m.engine = router.stats();
   m.peak_rss_kb = util::peak_rss_kb();
   m.tig_grid_bytes = static_cast<long long>(grid.grid_bytes());
-  m.degrade_fault_reroutes =
-      router.stats().fault_reroutes + router.stats().worker_failures;
   m.degrade_ripup_recovered = b.ripup_recovered;
-  m.degrade_fault_drops = router.stats().fault_drops;
   m.unrouted_nets = b.failed_nets;
   m.cancelled_nets = b.cancelled_nets;
   m.budget_nets = b.budget_nets;
-  m.pool_task_failures = router.stats().pool_task_failures;
 
   m.wire_length += b.total_wire_length;
   int b_terminals = 0;

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "channel/greedy.hpp"
+#include "engine/engine.hpp"
 #include "floorplan/macro_layout.hpp"
 #include "global/global_router.hpp"
 #include "levelb/router.hpp"
@@ -75,16 +76,9 @@ struct FlowMetrics {
   int levelb_nets = 0;
   double levelb_completion = 1.0;
 
-  // Level-B engine observability (over-cell flow only).
-  int levelb_threads = 1;                    ///< resolved worker count
-  std::string levelb_engine_mode = "serial"; ///< dispatch that ran:
-                                             ///  serial/sharded
-  long long levelb_vertices = 0;             ///< MBFS vertices examined
-  long long levelb_batches = 0;              ///< shard batches dispatched
-  long long levelb_boundary_nets = 0;        ///< shard escapes re-routed
-  long long levelb_sharded_commits = 0;      ///< batch results committed
-  long long levelb_sharded_wasted_vertices = 0;   ///< escape search waste
-  long long levelb_sharded_wasted_search_us = 0;  ///< escape search time
+  // Level-B effort and engine counters (over-cell flow only).
+  long long levelb_vertices = 0;  ///< MBFS vertices examined
+  engine::EngineStats engine;     ///< incl. degradation rungs 1 and 3
 
   // Memory observability (over-cell flow only).
   long long peak_rss_kb = 0;      ///< process ru_maxrss after routing
@@ -93,16 +87,10 @@ struct FlowMetrics {
 
   // Degradation-ladder counters (see DESIGN.md "Failure model"). All
   // zero on a healthy run without deadline/budget limits.
-  long long degrade_fault_reroutes = 0;   ///< rung 1: serial re-routes of
-                                          ///  faulted commits and failed
-                                          ///  batch searches
-  int degrade_ripup_recovered = 0;        ///< rung 2: rip-up rescues
-  long long degrade_fault_drops = 0;      ///< rung 3: nets dropped by an
-                                          ///  apply fault
+  int degrade_ripup_recovered = 0;  ///< rung 2: rip-up rescues
   int unrouted_nets = 0;     ///< level-B nets left incomplete
   int cancelled_nets = 0;    ///< of those, stopped by deadline/cancel
   int budget_nets = 0;       ///< of those, stopped by the effort budget
-  long long pool_task_failures = 0;  ///< engine worker tasks that threw
   long long faults_injected = 0;     ///< registered faults that fired
 };
 

@@ -16,14 +16,14 @@
 ///
 /// The degradation ladder (policy `degrade`) is: failed batch search or
 /// commit fault -> serial re-route on the live grid -> rip-up round ->
-/// mark the net unrouted and continue. Every downgrade is counted in
-/// FlowMetrics and, when a TraceSink is attached, emitted as a
-/// "degrade" trace event.
+/// mark the net unrouted and continue. The engine counts rungs 1 and 3
+/// (FlowMetrics::engine), the flow counts rung 2 and the unrouted nets;
+/// the run publishes both under `engine.*` and `flow.*` and, when a
+/// TraceSink is attached, emits one "degrade" trace event.
 
 #include <string>
 
 #include "flow/flow.hpp"
-#include "util/metrics.hpp"
 #include "util/status.hpp"
 #include "util/trace.hpp"
 
@@ -95,14 +95,5 @@ struct RunReport {
 RunReport run(const floorplan::MacroLayout& ml,
               const partition::NetPartition& partition,
               const RunOptions& options);
-
-/// Publishes every FlowMetrics quantity into \p registry under `flow.*`
-/// names (gauges for per-run results, counters for cumulative event
-/// counts — see docs/OBSERVABILITY.md for the catalog). flow::run calls
-/// this on every report; exposed so tests and tools can publish metrics
-/// they computed through the flow functions directly.
-void publish_metrics(const FlowMetrics& metrics,
-                     util::MetricsRegistry& registry =
-                         util::MetricsRegistry::global());
 
 }  // namespace ocr::flow

@@ -39,13 +39,7 @@ LevelBResult LevelBRouter::route(const std::vector<BNet>& nets) {
   SearchStats stats;
   SensitiveRuns sensitive;
   SearchWorkspace workspace;  // reused by every search of this run
-  util::MetricsRegistry& metrics = util::MetricsRegistry::global();
-  util::Histogram& search_us_hist = metrics.histogram(
-      "levelb.net_search_us",
-      {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000});
-  util::Histogram& vertices_hist = metrics.histogram(
-      "levelb.net_vertices",
-      {16, 64, 256, 1024, 4096, 16384, 65536, 262144});
+  const util::NetSearchHistograms net_hists = util::net_search_histograms();
   for (std::size_t k = 0; k < order.size(); ++k) {
     OCR_SPAN("levelb.net");
     const BNet& net = nets[order[k]];
@@ -73,9 +67,9 @@ LevelBResult LevelBRouter::route(const std::vector<BNet>& nets) {
       }
     }
 
-    search_us_hist.observe(micros_since(start));
-    vertices_hist.observe(stats.vertices_examined -
-                          before.vertices_examined);
+    net_hists.search_us.observe(micros_since(start));
+    net_hists.vertices.observe(stats.vertices_examined -
+                               before.vertices_examined);
     if (options_.trace != nullptr) {
       util::TraceEvent ev("net");
       ev.add("net", net.id)

@@ -70,24 +70,6 @@ std::string render_table3(const std::vector<Table3Row>& rows) {
          t.render();
 }
 
-std::string render_engine_summary(const std::vector<flow::FlowMetrics>& rows) {
-  TextTable t;
-  t.set_header({"Example", "Threads", "Mode", "Vertices", "Committed",
-                "Re-routed", "Wasted vtx", "B completion %"});
-  for (const flow::FlowMetrics& m : rows) {
-    if (m.levelb_nets == 0) continue;
-    // Committed as searched vs. re-routed serially (boundary escapes).
-    t.add_row({m.example_name, format("%d", m.levelb_threads),
-               m.levelb_engine_mode, with_commas(m.levelb_vertices),
-               format("%lld", m.levelb_sharded_commits),
-               format("%lld", m.levelb_boundary_nets),
-               with_commas(m.levelb_sharded_wasted_vertices),
-               format("%.1f", 100.0 * m.levelb_completion)});
-  }
-  return "Engine summary: level-B routing effort and batch escapes\n" +
-         t.render();
-}
-
 std::string render_metrics_summary(const util::MetricsSnapshot& snapshot) {
   std::string out = "Metrics registry snapshot\n";
   {

@@ -39,11 +39,6 @@ struct Table3Row {
 };
 std::string render_table3(const std::vector<Table3Row>& rows);
 
-/// Engine summary: level-B routing-engine effort per flow run (worker
-/// threads, MBFS vertices, batch commits/escape re-routes, completion).
-/// Rows without level-B nets are skipped.
-std::string render_engine_summary(const std::vector<flow::FlowMetrics>& rows);
-
 /// Human-readable dump of a metrics snapshot: counters and gauges as
 /// name/value rows, histograms as name/count/sum plus a compact
 /// per-bucket breakdown. `ocr_route --verbose` prints this after a run.

@@ -434,7 +434,8 @@ JobResult JobExecutor::execute_job(RoutingJob& job, int slot) {
     global.counter("service.jobs_downtiered").add();
   }
 
-  // Per-job metrics scope: flow.* quantities for this job alone.
+  // Per-job metrics scope: flow.* and engine.* quantities for this job
+  // alone.
   util::MetricsRegistry job_registry;
   {
     // The fault registry is process-global, so jobs that arm it run

@@ -30,9 +30,9 @@
 ///  * every job gets its own CancelSource and deadline watchdog — one
 ///    job's cancellation can never leak into another; every retry
 ///    attempt gets a *fresh* CancelSource (cancellation is sticky);
-///  * every job gets its own MetricsRegistry scope; `flow.*` metrics in
-///    a JobResult describe that job alone (the global registry still
-///    accumulates totals across jobs);
+///  * every job gets its own MetricsRegistry scope; the `flow.*` and
+///    `engine.*` metrics in a JobResult describe that job alone (the
+///    global registry still accumulates totals across jobs);
 ///  * jobs that arm fault injection run *exclusively* (the registry is
 ///    process-global), serialized behind all concurrently running clean
 ///    jobs — a faulted job can never poison a clean one. Service-layer
@@ -69,8 +69,9 @@ namespace ocr::service {
 /// starts the per-run deadline watchdog against \p cancel, dispatches
 /// the flow, and classifies the outcome. This is the single code path
 /// behind both `flow::run` (CLI) and the executor workers (daemon).
-/// When \p job_registry is non-null, every flow.* metric is published
-/// there as well as to the global registry.
+/// When \p job_registry is non-null, every flow.* metric (and, for an
+/// over-cell run, every engine.* counter) is published there as well as
+/// to the global registry.
 flow::RunReport execute_run(const floorplan::MacroLayout& ml,
                             const partition::NetPartition& partition,
                             const flow::RunOptions& options,

@@ -111,8 +111,8 @@ struct JobResult {
   long long run_ms = 0;
   /// Execution attempts consumed (1 unless the retry policy re-ran it).
   int attempts = 1;
-  /// Per-job metrics scope: the flow.* instruments this job alone
-  /// produced (the global registry still accumulates across jobs).
+  /// Per-job metrics scope: the flow.* and engine.* instruments this job
+  /// alone produced (the global registry still accumulates across jobs).
   util::MetricsSnapshot metrics;
   /// Non-empty when a per-job manifest was written.
   std::string manifest_path;

@@ -1,13 +1,10 @@
 /// \file run.cpp
-/// \brief The single-job execution path (service::execute_run) and the
-/// thin flow::run wrapper over it.
+/// \brief The single-job execution path (service::execute_run), the thin
+/// flow::run wrapper over it, and the one publisher of a run's metrics.
 ///
-/// This used to be src/flow/run.cpp, a monolithic orchestrator only the
-/// CLI could call. The body now lives in service::execute_run with the
-/// CancelSource and metrics scope injected, so the JobExecutor workers
-/// (daemon) and flow::run (CLI, tests) execute jobs through one code
-/// path; flow::run is a wrapper that owns a fresh CancelSource and skips
-/// the per-job metrics scope.
+/// The JobExecutor workers (daemon) and flow::run (CLI, tests) execute
+/// jobs through one code path; flow::run owns a fresh CancelSource and
+/// skips the per-job metrics scope.
 
 #include "flow/run.hpp"
 
@@ -39,6 +36,63 @@ Status arm_faults(const flow::RunOptions& options, long long& baseline) {
   }
   baseline = registry.fired_count();
   return status;
+}
+
+/// Publishes one run into \p registry: FlowMetrics under `flow.*` and,
+/// for over-cell runs only, FlowMetrics::engine under `engine.*` (see
+/// docs/OBSERVABILITY.md for the catalogue).
+void publish_metrics(const flow::RunReport& report, flow::FlowKind kind,
+                     util::MetricsRegistry& registry) {
+  const flow::FlowMetrics& m = report.metrics;
+  registry.counter("flow.runs").add();
+
+  // Per-run results: last run wins (gauges).
+  registry.gauge("flow.status").set(static_cast<long long>(report.status));
+  registry.gauge("flow.success").set(m.success ? 1 : 0);
+  registry.gauge("flow.die_width").set(m.die_width);
+  registry.gauge("flow.die_height").set(m.die_height);
+  registry.gauge("flow.layout_area").set(m.layout_area);
+  registry.gauge("flow.wire_length").set(m.wire_length);
+  registry.gauge("flow.vias").set(m.vias);
+  registry.gauge("flow.total_channel_tracks").set(m.total_channel_tracks);
+  registry.gauge("flow.levela_nets").set(m.levela_nets);
+  registry.gauge("flow.levelb_nets").set(m.levelb_nets);
+  registry.gauge("flow.levelb_completion_permille")
+      .set(static_cast<long long>(m.levelb_completion * 1000.0 + 0.5));
+  registry.gauge("flow.problems").set(
+      static_cast<long long>(m.problems.size()));
+  // Memory high-water marks: both gauges by nature (ru_maxrss is already
+  // monotonic over the process; grid bytes describe the last run's grid).
+  registry.gauge("flow.peak_rss_kb").set(m.peak_rss_kb);
+  registry.gauge("tig.grid_bytes").set(m.tig_grid_bytes);
+
+  // Cumulative effort and degradation counts: accumulate across runs in
+  // one process (counters).
+  registry.counter("flow.levelb_vertices").add(m.levelb_vertices);
+  registry.counter("flow.degrade_ripup_recovered")
+      .add(m.degrade_ripup_recovered);
+  registry.counter("flow.unrouted_nets").add(m.unrouted_nets);
+  registry.counter("flow.cancelled_nets").add(m.cancelled_nets);
+  registry.counter("flow.budget_nets").add(m.budget_nets);
+  registry.counter("flow.faults_injected").add(m.faults_injected);
+  if (report.deadline_fired) registry.counter("flow.deadline_fired").add();
+
+  if (kind != flow::FlowKind::kOverCell) return;
+  const engine::EngineStats& e = m.engine;
+  registry.counter("engine.routes").add();
+  registry.gauge("engine.threads").set(e.threads);
+  registry.gauge("engine.max_batch_size").set(e.max_batch_size);
+  registry.counter("engine.batches").add(e.batches);
+  registry.counter("engine.sharded_commits").add(e.sharded_commits);
+  registry.counter("engine.boundary_nets").add(e.boundary_nets);
+  registry.counter("engine.sharded_wasted_vertices")
+      .add(e.sharded_wasted_vertices);
+  registry.counter("engine.sharded_wasted_search_us")
+      .add(e.sharded_wasted_search_us);
+  registry.counter("engine.fault_reroutes").add(e.fault_reroutes);
+  registry.counter("engine.fault_drops").add(e.fault_drops);
+  registry.counter("engine.worker_failures").add(e.worker_failures);
+  registry.counter("engine.pool_task_failures").add(e.pool_task_failures);
 }
 
 }  // namespace
@@ -100,52 +154,6 @@ RunReport run(const floorplan::MacroLayout& ml,
               const RunOptions& options) {
   util::CancelSource source;
   return service::execute_run(ml, partition, options, source);
-}
-
-void publish_metrics(const FlowMetrics& m, util::MetricsRegistry& registry) {
-  registry.counter("flow.runs").add();
-
-  // Per-run results: last run wins (gauges).
-  registry.gauge("flow.success").set(m.success ? 1 : 0);
-  registry.gauge("flow.die_width").set(m.die_width);
-  registry.gauge("flow.die_height").set(m.die_height);
-  registry.gauge("flow.layout_area").set(m.layout_area);
-  registry.gauge("flow.wire_length").set(m.wire_length);
-  registry.gauge("flow.vias").set(m.vias);
-  registry.gauge("flow.total_channel_tracks").set(m.total_channel_tracks);
-  registry.gauge("flow.levela_nets").set(m.levela_nets);
-  registry.gauge("flow.levelb_nets").set(m.levelb_nets);
-  registry.gauge("flow.levelb_completion_permille")
-      .set(static_cast<long long>(m.levelb_completion * 1000.0 + 0.5));
-  registry.gauge("flow.levelb_threads").set(m.levelb_threads);
-  registry.gauge("flow.problems").set(
-      static_cast<long long>(m.problems.size()));
-  // Memory high-water marks: both gauges by nature (ru_maxrss is already
-  // monotonic over the process; grid bytes describe the last run's grid).
-  registry.gauge("flow.peak_rss_kb").set(m.peak_rss_kb);
-  registry.gauge("tig.grid_bytes").set(m.tig_grid_bytes);
-
-  // Cumulative effort and degradation counts: accumulate across runs in
-  // one process (counters).
-  registry.counter("flow.levelb_vertices").add(m.levelb_vertices);
-  registry.counter("flow.levelb_batches").add(m.levelb_batches);
-  registry.counter("flow.levelb_boundary_nets").add(m.levelb_boundary_nets);
-  registry.counter("flow.levelb_sharded_commits")
-      .add(m.levelb_sharded_commits);
-  registry.counter("flow.levelb_sharded_wasted_vertices")
-      .add(m.levelb_sharded_wasted_vertices);
-  registry.counter("flow.levelb_sharded_wasted_search_us")
-      .add(m.levelb_sharded_wasted_search_us);
-  registry.counter("flow.degrade_fault_reroutes")
-      .add(m.degrade_fault_reroutes);
-  registry.counter("flow.degrade_ripup_recovered")
-      .add(m.degrade_ripup_recovered);
-  registry.counter("flow.degrade_fault_drops").add(m.degrade_fault_drops);
-  registry.counter("flow.unrouted_nets").add(m.unrouted_nets);
-  registry.counter("flow.cancelled_nets").add(m.cancelled_nets);
-  registry.counter("flow.budget_nets").add(m.budget_nets);
-  registry.counter("flow.pool_task_failures").add(m.pool_task_failures);
-  registry.counter("flow.faults_injected").add(m.faults_injected);
 }
 
 }  // namespace flow
@@ -220,7 +228,7 @@ flow::RunReport execute_run(const floorplan::MacroLayout& ml,
 
   // Classify. "Degraded but usable" means level A hard-failed nothing
   // and the only problems are unrouted/cancelled/dropped level-B nets.
-  const bool degraded = m.unrouted_nets > 0 || m.degrade_fault_drops > 0 ||
+  const bool degraded = m.unrouted_nets > 0 || m.engine.fault_drops > 0 ||
                         source.cancelled();
   if (!m.success) {
     report.status = RunStatus::kFailed;
@@ -251,13 +259,14 @@ flow::RunReport execute_run(const floorplan::MacroLayout& ml,
     util::TraceEvent ev("degrade");
     ev.add("status", flow::run_status_name(report.status))
         .add("fail_policy", flow::fail_policy_name(options.fail_policy))
-        .add("fault_reroutes", m.degrade_fault_reroutes)
+        .add("fault_reroutes",
+             m.engine.fault_reroutes + m.engine.worker_failures)
         .add("ripup_recovered", m.degrade_ripup_recovered)
-        .add("fault_drops", m.degrade_fault_drops)
+        .add("fault_drops", m.engine.fault_drops)
         .add("unrouted_nets", m.unrouted_nets)
         .add("cancelled_nets", m.cancelled_nets)
         .add("budget_nets", m.budget_nets)
-        .add("pool_task_failures", m.pool_task_failures)
+        .add("pool_task_failures", m.engine.pool_task_failures)
         .add("faults_injected", m.faults_injected)
         .add("deadline_fired", report.deadline_fired);
     options.trace->record(std::move(ev));
@@ -269,13 +278,10 @@ flow::RunReport execute_run(const floorplan::MacroLayout& ml,
 
   // Publish into the global registry (cross-job totals) and, when the
   // executor provided one, into the per-job scope as well.
-  const auto publish_to = [&](util::MetricsRegistry& registry) {
-    flow::publish_metrics(report.metrics, registry);
-    registry.gauge("flow.status").set(static_cast<long long>(report.status));
-    if (report.deadline_fired) registry.counter("flow.deadline_fired").add();
-  };
-  publish_to(util::MetricsRegistry::global());
-  if (job_registry != nullptr) publish_to(*job_registry);
+  for (util::MetricsRegistry* registry :
+       {&util::MetricsRegistry::global(), job_registry}) {
+    if (registry != nullptr) publish_metrics(report, options.kind, *registry);
+  }
 
   return report;
 }

@@ -243,20 +243,19 @@ void print_metrics(const flow::RunReport& report) {
                 m.levelb_nets);
     std::printf("level B complete:  %.1f%%\n",
                 100.0 * m.levelb_completion);
-    std::printf("engine threads:    %d (%s)\n", m.levelb_threads,
-                m.levelb_engine_mode.c_str());
+    const engine::EngineStats& e = m.engine;
+    std::printf("engine threads:    %d (%s)\n", e.threads,
+                e.threads > 1 ? "sharded" : "serial");
     std::printf("engine vertices:   %s\n",
                 util::with_commas(m.levelb_vertices).c_str());
-    if (m.levelb_engine_mode == "sharded") {
+    if (e.threads > 1) {
       std::printf("engine batches:    %lld (%lld batch commits, "
                   "%lld boundary re-routes)\n",
-                  m.levelb_batches, m.levelb_sharded_commits,
-                  m.levelb_boundary_nets);
+                  e.batches, e.sharded_commits, e.boundary_nets);
       std::printf("engine waste:      %s vertices, %.1f ms search "
                   "(boundary escapes)\n",
-                  util::with_commas(m.levelb_sharded_wasted_vertices)
-                      .c_str(),
-                  m.levelb_sharded_wasted_search_us / 1000.0);
+                  util::with_commas(e.sharded_wasted_vertices).c_str(),
+                  e.sharded_wasted_search_us / 1000.0);
     }
   }
   if (m.peak_rss_kb > 0 || m.tig_grid_bytes > 0) {
@@ -264,22 +263,24 @@ void print_metrics(const flow::RunReport& report) {
                 util::with_commas(m.peak_rss_kb).c_str(),
                 util::with_commas(m.tig_grid_bytes).c_str());
   }
-  if (m.degrade_fault_reroutes > 0 || m.degrade_ripup_recovered > 0 ||
-      m.degrade_fault_drops > 0 || m.unrouted_nets > 0 ||
+  const long long serial_reroutes =
+      m.engine.fault_reroutes + m.engine.worker_failures;
+  if (serial_reroutes > 0 || m.degrade_ripup_recovered > 0 ||
+      m.engine.fault_drops > 0 || m.unrouted_nets > 0 ||
       m.cancelled_nets > 0 || m.budget_nets > 0 ||
-      m.pool_task_failures > 0 || m.faults_injected > 0 ||
+      m.engine.pool_task_failures > 0 || m.faults_injected > 0 ||
       report.deadline_fired) {
     std::printf("degradation:       %lld serial re-routes, %d recovered "
                 "by rip-up, %lld dropped\n",
-                m.degrade_fault_reroutes, m.degrade_ripup_recovered,
-                m.degrade_fault_drops);
+                serial_reroutes, m.degrade_ripup_recovered,
+                m.engine.fault_drops);
     std::printf("  unrouted nets:   %d (%d cancelled, %d out of budget)\n",
                 m.unrouted_nets, m.cancelled_nets, m.budget_nets);
     if (m.faults_injected > 0) {
       std::printf("  faults injected: %lld\n", m.faults_injected);
     }
-    if (m.pool_task_failures > 0) {
-      std::printf("  task failures:   %lld\n", m.pool_task_failures);
+    if (m.engine.pool_task_failures > 0) {
+      std::printf("  task failures:   %lld\n", m.engine.pool_task_failures);
     }
     if (report.deadline_fired) std::puts("  deadline:        fired");
   }

@@ -174,4 +174,14 @@ void MetricsRegistry::reset() {
   for (auto& e : histograms_) e.instrument->reset();
 }
 
+NetSearchHistograms net_search_histograms() {
+  MetricsRegistry& registry = MetricsRegistry::global();
+  return {registry.histogram(
+              "levelb.net_search_us",
+              {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000}),
+          registry.histogram(
+              "levelb.net_vertices",
+              {16, 64, 256, 1024, 4096, 16384, 65536, 262144})};
+}
+
 }  // namespace ocr::util

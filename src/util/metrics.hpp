@@ -3,11 +3,11 @@
 /// \brief Thread-safe metrics registry: named counters, gauges and
 /// fixed-bucket histograms with cheap atomic hot-path updates.
 ///
-/// This is the single accumulation point for run-level observability —
-/// the counters that used to be hand-threaded through EngineStats and
-/// FlowMetrics all land here as well, so one snapshot serializes every
-/// number a run produced (`ocr_route --metrics-json`, the bench
-/// manifests, the run manifest).
+/// This is the single accumulation point for run-level observability:
+/// each layer counts into its own plain struct (SearchWorkspace,
+/// EngineStats, FlowMetrics) and publishes it here once per run, so one
+/// snapshot serializes every number a run produced (`ocr_route
+/// --metrics-json`, the bench manifests, the run manifest).
 ///
 /// Usage pattern: resolve instruments once (registration takes a mutex),
 /// update them lock-free from any thread (relaxed atomics — totals are
@@ -158,5 +158,13 @@ class MetricsRegistry {
   std::vector<Entry<Gauge>> gauges_;
   std::vector<Entry<Histogram>> histograms_;
 };
+
+/// The global per-net level-B pair, observed once per net by the serial
+/// router or the sharded engine's commit loop, whichever commits it.
+struct NetSearchHistograms {
+  Histogram& search_us;  ///< `levelb.net_search_us`: search time (µs)
+  Histogram& vertices;   ///< `levelb.net_vertices`: MBFS expansions
+};
+NetSearchHistograms net_search_histograms();
 
 }  // namespace ocr::util

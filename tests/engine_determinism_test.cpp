@@ -102,7 +102,6 @@ TEST(EngineDeterminism, SingleThreadIsTheSerialRouter) {
   EXPECT_EQ(engine_route(make_grid(300), nets, 1, &stats),
             serial_route(make_grid(300), nets));
   EXPECT_EQ(stats.threads, 1);
-  EXPECT_STREQ(stats.mode, "serial");
   EXPECT_EQ(stats.batches, 0);
   EXPECT_EQ(stats.sharded_commits, 0);
 }
@@ -142,16 +141,13 @@ TEST(EngineDeterminism, TraceRecordsEveryNet) {
 
   EXPECT_EQ(engine_route(grid, nets, 4, nullptr, options),
             serial_route(make_grid(300), nets));
-  // One "net" event per net plus the run-level "engine" totals event.
-  EXPECT_EQ(trace.size(), nets.size() + 1);
+  // Exactly one "net" event per net; run totals live in EngineStats.
+  EXPECT_EQ(trace.size(), nets.size());
   const std::string json = trace.to_json();
   EXPECT_NE(json.find("\"mode\":\"sharded\""), std::string::npos);
   EXPECT_NE(json.find("\"order\""), std::string::npos);
   EXPECT_NE(json.find("\"escaped\""), std::string::npos);
   EXPECT_NE(json.find("\"search_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"sharded_wasted_vertices\""), std::string::npos);
-  EXPECT_NE(json.find("\"sharded_wasted_search_us\""), std::string::npos);
-  EXPECT_NE(json.find("\"worker_failures\""), std::string::npos);
 }
 
 }  // namespace

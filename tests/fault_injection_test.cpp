@@ -203,12 +203,12 @@ TEST_F(FlowFaults, DroppedNetsDegradeToPartialWithCleanLayout) {
       "engine.committer.apply=~0.05;seed=2", flow::FailPolicy::kDegrade,
       &artifacts);
   const flow::FlowMetrics& m = report.metrics;
-  ASSERT_GT(m.degrade_fault_drops, 0);
+  ASSERT_GT(m.engine.fault_drops, 0);
   EXPECT_EQ(report.status, flow::RunStatus::kPartial);
   EXPECT_EQ(report.exit_code(), 3);
   EXPECT_GE(m.unrouted_nets,
-            static_cast<int>(m.degrade_fault_drops) - m.degrade_ripup_recovered);
-  EXPECT_EQ(m.faults_injected, m.degrade_fault_drops);
+            static_cast<int>(m.engine.fault_drops) - m.degrade_ripup_recovered);
+  EXPECT_EQ(m.faults_injected, m.engine.fault_drops);
 
   // The surviving layout stays consistent: every routed net connected,
   // no overlaps — the dropped nets' wiring is gone, not half-applied.
@@ -227,7 +227,7 @@ TEST_F(FlowFaults, AbortPolicyTurnsDegradationIntoFailure) {
   const flow::RunReport report = run_ami33(
       "engine.committer.apply=~0.05;seed=2", flow::FailPolicy::kAbort,
       &artifacts);
-  ASSERT_GT(report.metrics.degrade_fault_drops, 0);
+  ASSERT_GT(report.metrics.engine.fault_drops, 0);
   EXPECT_EQ(report.status, flow::RunStatus::kFailed);
   EXPECT_EQ(report.exit_code(), 1);
   EXPECT_FALSE(report.error.ok());
@@ -257,7 +257,7 @@ TEST_F(FlowFaults, RungOneFaultsKeepTheFlowClean) {
   const flow::RunReport report = run_ami33(
       "engine.committer.commit=~0.2;seed=4", flow::FailPolicy::kDegrade,
       &artifacts);
-  ASSERT_GT(report.metrics.degrade_fault_reroutes, 0);
+  ASSERT_GT(report.metrics.engine.fault_reroutes, 0);
   EXPECT_EQ(report.status, flow::RunStatus::kClean);
   EXPECT_EQ(report.exit_code(), 0);
   EXPECT_EQ(artifacts.levelb, clean_artifacts.levelb);

@@ -520,8 +520,14 @@ TEST(JournalReplay, SpeculativeRequestRecoversLikeFreshShardedJob) {
 
   EXPECT_EQ(recovered.exit_class(), 0);
   EXPECT_EQ(recovered.exit_class(), fresh.exit_class());
-  EXPECT_EQ(recovered.report.metrics.levelb_engine_mode, "sharded");
-  EXPECT_EQ(recovered.report.metrics.levelb_threads, 4);
+  const engine::EngineStats& e = recovered.report.metrics.engine;
+  EXPECT_EQ(e.threads, 4);
+  EXPECT_EQ(e.sharded_commits + e.boundary_nets + e.worker_failures +
+                e.fault_reroutes,
+            static_cast<long long>(recovered.report.metrics.levelb_nets));
+  // The job's own metrics scope carries the engine counters too.
+  EXPECT_GT(e.batches, 0);
+  EXPECT_EQ(recovered.metrics.counter_value("engine.batches"), e.batches);
   EXPECT_EQ(recovered.report.metrics.wire_length,
             fresh.report.metrics.wire_length);
   EXPECT_EQ(recovered.report.metrics.vias, fresh.report.metrics.vias);

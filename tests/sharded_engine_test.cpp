@@ -9,6 +9,7 @@
 #include "clustered_nets.hpp"
 #include "engine/engine.hpp"
 #include "levelb/router.hpp"
+#include "util/metrics.hpp"
 
 namespace ocr::engine {
 namespace {
@@ -42,7 +43,7 @@ LevelBResult sharded_route(tig::TrackGrid grid,
 /// The per-position accounting: every position lands in exactly one of
 /// {batch commit, boundary re-route} on a fault-free run.
 void expect_sharded_accounting(const EngineStats& stats, std::size_t n) {
-  EXPECT_STREQ(stats.mode, "sharded");
+  EXPECT_GT(stats.threads, 1);
   EXPECT_EQ(stats.worker_failures, 0);
   EXPECT_EQ(stats.fault_reroutes, 0);
   EXPECT_EQ(stats.sharded_commits + stats.boundary_nets,
@@ -123,7 +124,8 @@ TEST(ShardedEngine, AutoPicksShardedOnLocalWorkload) {
   tig::TrackGrid grid = make_grid(3000);
   RoutingEngine engine(grid, options);
   const LevelBResult result = engine.route(nets);
-  EXPECT_STREQ(engine.stats().mode, "sharded");
+  EXPECT_EQ(engine.stats().threads, 4);
+  expect_sharded_accounting(engine.stats(), nets.size());
   EXPECT_EQ(result, serial_route(make_grid(3000), nets));
 }
 
@@ -133,7 +135,7 @@ TEST(ShardedEngine, SingleThreadIsTheSerialRouter) {
   EngineStats stats;
   EXPECT_EQ(sharded_route(make_grid(600), nets, 1, &stats),
             serial_route(make_grid(600), nets));
-  EXPECT_STREQ(stats.mode, "serial");
+  EXPECT_EQ(stats.threads, 1);
   EXPECT_EQ(stats.batches, 0);
 }
 
@@ -170,25 +172,44 @@ TEST(ShardedEngine, TraceRecordsEveryNetWithBatchFields) {
   options.levelb.trace = &trace;
   EXPECT_EQ(sharded_route(make_grid(1200), nets, 4, nullptr, options),
             serial_route(make_grid(1200), nets));
-  // One "net" event per net plus the run-level "engine" totals event.
-  EXPECT_EQ(trace.size(), nets.size() + 1);
+  // Exactly one "net" event per net; run totals live in EngineStats.
+  EXPECT_EQ(trace.size(), nets.size());
   const std::string json = trace.to_json();
   EXPECT_NE(json.find("\"mode\":\"sharded\""), std::string::npos);
-  EXPECT_NE(json.find("\"engine_mode\":\"sharded\""), std::string::npos);
   EXPECT_NE(json.find("\"order\""), std::string::npos);
   EXPECT_NE(json.find("\"batch\""), std::string::npos);
   EXPECT_NE(json.find("\"escaped\""), std::string::npos);
-  EXPECT_NE(json.find("\"boundary_nets\""), std::string::npos);
-  EXPECT_NE(json.find("\"sharded_commits\""), std::string::npos);
   // Fields of the retired speculative engine are gone.
   EXPECT_EQ(json.find("\"speculative\""), std::string::npos);
   EXPECT_EQ(json.find("\"queue_wait_us\""), std::string::npos);
   EXPECT_EQ(json.find("\"grid_copies\""), std::string::npos);
 }
 
+TEST(ShardedEngine, ObservesTheSerialPerNetHistograms) {
+  // One levelb.net_* observation per net on both paths; per-net vertex
+  // counts are deterministic, so the vertex buckets match too.
+  const std::vector<BNet> nets = clustered_nets(21, 1200, 25, 50, false);
+  const util::NetSearchHistograms hists = util::net_search_histograms();
+  const auto filled_by = [&](int threads) {
+    std::vector<long long> filled{-hists.search_us.count()};
+    for (std::size_t i = 0; i <= hists.vertices.bounds().size(); ++i) {
+      filled.push_back(-hists.vertices.bucket_count(i));
+    }
+    sharded_route(make_grid(1200), nets, threads);
+    filled[0] += hists.search_us.count();
+    for (std::size_t i = 1; i < filled.size(); ++i) {
+      filled[i] += hists.vertices.bucket_count(i - 1);
+    }
+    return filled;
+  };
+  const std::vector<long long> serial = filled_by(1);
+  EXPECT_EQ(serial[0], static_cast<long long>(nets.size()));
+  EXPECT_EQ(filled_by(4), serial);
+}
+
 TEST(ShardedEngine, ModeNamesRoundTrip) {
   EngineMode mode = EngineMode::kSharded;
-  ASSERT_TRUE(parse_engine_mode(engine_mode_name(mode), &mode));
+  ASSERT_TRUE(parse_engine_mode("sharded", &mode));
   EXPECT_EQ(mode, EngineMode::kSharded);
   // The retired mode names stay accepted as aliases, so old request lines
   // and journals keep replaying.
