@@ -24,7 +24,6 @@
 /// warm-up and reports the median. `--quick` shrinks the instance set and
 /// repeats for CI smoke use. `--json` writes BENCH_mbfs.json. `--label S`
 /// tags every JSON record (used to distinguish before/after captures).
-/// `--gap-cache on|off` toggles the free-gap cache for A/B runs.
 
 #include <algorithm>
 #include <chrono>
@@ -430,7 +429,6 @@ struct Config {
   bool json = false;
   int repeat = 3;
   std::string label = "current";
-  bool gap_cache = true;
   bool connect_only = false;  ///< skip full-route rows (profiling aid)
 };
 
@@ -493,8 +491,7 @@ void run_route_rows(const Instance& inst, const Config& cfg,
           .add("batches", row.batches)
           .add("boundary_nets", row.boundary_nets)
           .add("grid_bytes", row.grid_bytes)
-          .add("peak_rss_kb", row.peak_rss_kb)
-          .add("gap_cache", cfg.gap_cache);
+          .add("peak_rss_kb", row.peak_rss_kb);
       json->record(std::move(ev));
     }
   }
@@ -551,8 +548,7 @@ void bench_instance(const Instance& inst, const Config& cfg,
           .add("vertices_per_sec", row.vertices_per_sec)
           .add("p50_us", row.p50_us)
           .add("p95_us", row.p95_us)
-          .add("speedup_vs_1t", speedup_vs_1t)
-          .add("gap_cache", cfg.gap_cache);
+          .add("speedup_vs_1t", speedup_vs_1t);
       json->record(std::move(ev));
     }
   }
@@ -578,19 +574,15 @@ int main(int argc, char** argv) {
       cfg.repeat = std::max(1, std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
       cfg.label = argv[++i];
-    } else if (std::strcmp(argv[i], "--gap-cache") == 0 && i + 1 < argc) {
-      cfg.gap_cache = std::strcmp(argv[++i], "off") != 0;
     } else if (std::strcmp(argv[i], "--connect-only") == 0) {
       cfg.connect_only = true;
     } else {
       std::fprintf(stderr,
                    "usage: bench_mbfs [--quick] [--json] [--repeat N] "
-                   "[--label S] [--gap-cache on|off] [--connect-only]\n");
+                   "[--label S] [--connect-only]\n");
       return 2;
     }
   }
-
-  tig::GapCache::set_enabled(cfg.gap_cache);
 
   util::TraceSink json;
   util::TraceSink* sink = cfg.json ? &json : nullptr;
@@ -598,8 +590,7 @@ int main(int argc, char** argv) {
     util::TraceEvent meta("mbfs_meta");
     meta.add("label", cfg.label)
         .add("quick", cfg.quick)
-        .add("repeat", cfg.repeat)
-        .add("gap_cache", cfg.gap_cache);
+        .add("repeat", cfg.repeat);
     sink->record(std::move(meta));
   }
 
@@ -664,7 +655,6 @@ int main(int argc, char** argv) {
     manifest.add_config("quick", cfg.quick);
     manifest.add_config("repeat", cfg.repeat);
     manifest.add_config("label", cfg.label);
-    manifest.add_config("gap_cache", cfg.gap_cache);
     manifest.add_config("connect_only", cfg.connect_only);
     manifest.add_outcome("records", static_cast<long long>(json.size()));
     manifest.capture_metrics(util::MetricsRegistry::global());

@@ -8,11 +8,12 @@
 /// consecutive ordering positions with disjoint search regions into
 /// batches, each batch routes in parallel against the live grid at its
 /// start (the exact serial prefix), and this thread commits the results in
-/// position order. A member whose recorded reads touch wiring an earlier
-/// member of its batch committed escaped its region and is re-routed
-/// serially on the live grid. Results are bit-identical to the serial
-/// router for a fixed ordering (see DESIGN.md "Engine architecture" for
-/// the argument).
+/// position order through the serial router's own commit step
+/// (levelb::RouteRun). A member whose recorded reads touch wiring an
+/// earlier member of its batch committed escaped its region and takes the
+/// serial step on the live grid instead. Results are bit-identical to the
+/// serial router for a fixed ordering (see DESIGN.md "Engine architecture"
+/// for the argument).
 
 #include <string>
 #include <vector>

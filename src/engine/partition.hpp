@@ -69,7 +69,7 @@ struct ShardPlan {
   }
   std::size_t max_batch() const;
   /// Mean batch length — the planner's parallelism estimate (an upper
-  /// bound on achievable speedup; the auto engine mode thresholds on it).
+  /// bound on achievable speedup).
   double mean_batch() const;
 };
 

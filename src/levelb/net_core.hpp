@@ -1,8 +1,10 @@
 #pragma once
 /// \file net_core.hpp
 /// \brief Level-B routing types plus the order-independent core of net
-/// routing, shared by the serial LevelBRouter and the parallel engine
-/// (src/engine/).
+/// routing. The one level-B run loop that strings these steps together —
+/// prologue, per-net step, commit, rip-up — is levelb::RouteRun
+/// (router.hpp), driven by the serial LevelBRouter and by the parallel
+/// engine (src/engine/) alike.
 ///
 /// Everything here is a pure function of its inputs: given the same grid
 /// occupancy, options and terminal lists, each function produces the same

@@ -2,113 +2,116 @@
 
 #include <chrono>
 
-#include "levelb/net_core.hpp"
-#include "levelb/workspace.hpp"
-#include "util/metrics.hpp"
 #include "util/profile.hpp"
 
 namespace ocr::levelb {
-namespace {
 
 using geom::Orientation;
 using geom::Point;
 
-long long micros_since(
-    const std::chrono::steady_clock::time_point& start) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+RouteRun::RouteRun(tig::TrackGrid& grid, const LevelBOptions& options,
+                   const std::vector<BNet>& nets, const char* mode)
+    : grid_(grid),
+      options_(options),
+      mode_(mode),
+      order_(order_nets(nets, options.ordering)),
+      snapped_(snap_and_reserve_terminals(grid, nets)),
+      unrouted_(snapped_, order_, unrouted_bucket_edge(grid, options)),
+      nets_(order_.size()),
+      terminals_(order_.size()),
+      results_(order_.size()),
+      committed_(order_.size()),
+      hists_(util::net_search_histograms()) {
+  for (std::size_t k = 0; k < order_.size(); ++k) {
+    nets_[k] = &nets[order_[k]];
+    terminals_[k] = &snapped_[order_[k]];
+  }
 }
 
-}  // namespace
+RoutedNet RouteRun::route_serial(std::size_t k) {
+  OCR_SPAN("levelb.net");
+  RoutedNet routed;
+  for (const Point& p : *terminals_[k]) unblock_terminal(grid_, p);
+  const auto start = std::chrono::steady_clock::now();
+  routed.result = route_single_net(grid_, options_, request(k),
+                                   routed.committed, routed.stats, nullptr,
+                                   &workspace_);
+  routed.search_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  for (const Point& p : *terminals_[k]) block_terminal(grid_, p);
+  return routed;
+}
+
+void RouteRun::commit(std::size_t k, RoutedNet routed, TraceFields extra) {
+  {
+    OCR_SPAN("levelb.commit");
+    commit_extents(grid_, routed.committed);
+  }
+  if (nets_[k]->sensitive) {
+    for (const Committed& c : routed.committed) {
+      if (c.track.orient == Orientation::kHorizontal) {
+        sensitive_.add_h(c.track.index, c.extent);
+      } else {
+        sensitive_.add_v(c.track.index, c.extent);
+      }
+    }
+  }
+  stats_.vertices_examined += routed.stats.vertices_examined;
+  stats_.window_growths += routed.stats.window_growths;
+  stats_.candidates += routed.stats.candidates;
+  hists_.search_us.observe(routed.search_us);
+  hists_.vertices.observe(routed.stats.vertices_examined);
+
+  if (options_.trace != nullptr) {
+    util::TraceEvent ev("net");
+    ev.add("net", nets_[k]->id)
+        .add("order", static_cast<long long>(k))
+        .add("mode", mode_)
+        .add("complete", routed.result.complete)
+        .add("wire_length", static_cast<long long>(routed.result.wire_length))
+        .add("corners", routed.result.corners)
+        .add("vertices_examined", routed.stats.vertices_examined)
+        .add("window_growths", routed.stats.window_growths)
+        .add("candidates", routed.stats.candidates)
+        .add("search_us", routed.search_us);
+    for (const auto& [key, value] : extra) ev.add(key, value);
+    options_.trace->record(std::move(ev));
+  }
+  results_[k] = std::move(routed.result);
+  committed_[k] = std::move(routed.committed);
+}
+
+LevelBResult RouteRun::finish() {
+  // Rip-up and reroute rounds (extension; see LevelBOptions), over the
+  // per-position results and extents the commits kept.
+  std::vector<std::vector<Point>> snapped_by_order(size());
+  std::vector<BNet> nets_by_order(size());
+  for (std::size_t k = 0; k < size(); ++k) {
+    snapped_by_order[k] = *terminals_[k];
+    nets_by_order[k] = *nets_[k];
+  }
+  const int recovered = [&] {
+    OCR_SPAN("levelb.ripup");
+    return run_ripup_rounds(grid_, options_, nets_by_order, snapped_by_order,
+                            results_, committed_, stats_, &workspace_);
+  }();
+
+  workspace_.publish_metrics();
+  LevelBResult result = assemble_result(std::move(results_), stats_);
+  result.ripup_recovered = recovered;
+  return result;
+}
 
 LevelBRouter::LevelBRouter(tig::TrackGrid& grid, LevelBOptions options)
     : grid_(grid), options_(options) {}
 
 LevelBResult LevelBRouter::route(const std::vector<BNet>& nets) {
-  const std::vector<std::size_t> order = order_nets(nets, options_.ordering);
-  const std::vector<std::vector<Point>> snapped =
-      snap_and_reserve_terminals(grid_, nets);
-  const UnroutedSuffix unrouted(snapped, order,
-                                unrouted_bucket_edge(grid_, options_));
-
-  // First pass, in the configured order. Results and committed extents are
-  // kept per net (order position) so rip-up rounds can revisit them.
-  std::vector<NetResult> results(order.size());
-  std::vector<std::vector<Committed>> net_committed(order.size());
-  SearchStats stats;
-  SensitiveRuns sensitive;
-  SearchWorkspace workspace;  // reused by every search of this run
-  const util::NetSearchHistograms net_hists = util::net_search_histograms();
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    OCR_SPAN("levelb.net");
-    const BNet& net = nets[order[k]];
-    const SearchStats before = stats;
-    const auto start = std::chrono::steady_clock::now();
-
-    for (const Point& p : snapped[order[k]]) unblock_terminal(grid_, p);
-    results[k] = route_single_net(
-        grid_, options_,
-        NetRouteRequest{net.id, &snapped[order[k]], unrouted.suffix(k),
-                        &sensitive},
-        net_committed[k], stats, nullptr, &workspace);
-    for (const Point& p : snapped[order[k]]) block_terminal(grid_, p);
-
-    // Commit the finished net: its extents become obstacles for the nets
-    // that follow (the paper's per-connection array update).
-    commit_extents(grid_, net_committed[k]);
-    if (net.sensitive) {
-      for (const Committed& c : net_committed[k]) {
-        if (c.track.orient == Orientation::kHorizontal) {
-          sensitive.add_h(c.track.index, c.extent);
-        } else {
-          sensitive.add_v(c.track.index, c.extent);
-        }
-      }
-    }
-
-    net_hists.search_us.observe(micros_since(start));
-    net_hists.vertices.observe(stats.vertices_examined -
-                               before.vertices_examined);
-    if (options_.trace != nullptr) {
-      util::TraceEvent ev("net");
-      ev.add("net", net.id)
-          .add("order", static_cast<long long>(k))
-          .add("mode", "serial")
-          .add("complete", results[k].complete)
-          .add("wire_length",
-               static_cast<long long>(results[k].wire_length))
-          .add("corners", results[k].corners)
-          .add("vertices_examined",
-               stats.vertices_examined - before.vertices_examined)
-          .add("window_growths",
-               stats.window_growths - before.window_growths)
-          .add("candidates", stats.candidates - before.candidates)
-          .add("search_us", micros_since(start));
-      options_.trace->record(std::move(ev));
-    }
+  RouteRun run(grid_, options_, nets);
+  for (std::size_t k = 0; k < run.size(); ++k) {
+    run.commit(k, run.route_serial(k));
   }
-
-  // Rip-up and reroute rounds (extension; see LevelBOptions).
-  std::vector<std::vector<Point>> snapped_by_order(order.size());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    snapped_by_order[k] = snapped[order[k]];
-  }
-  std::vector<BNet> nets_by_order(order.size());
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    nets_by_order[k] = nets[order[k]];
-  }
-  const int recovered = [&] {
-    OCR_SPAN("levelb.ripup");
-    return run_ripup_rounds(grid_, options_, nets_by_order,
-                            snapped_by_order, results, net_committed, stats,
-                            &workspace);
-  }();
-
-  workspace.publish_metrics();
-  LevelBResult result = assemble_result(std::move(results), stats);
-  result.ripup_recovered = recovered;
-  return result;
+  return run.finish();
 }
 
 }  // namespace ocr::levelb

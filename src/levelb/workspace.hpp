@@ -30,10 +30,10 @@
 ///   never steer it.
 ///
 /// Thread contract: a workspace belongs to exactly one thread at a time
-/// (the serial router, one engine worker, or the committer's fallback
-/// path). It never influences routing *results* — only where the
-/// intermediate state lives — so runs with fresh, reused, or shared-
-/// across-nets workspaces are bit-identical.
+/// (a level-B run's serial step, or one engine worker slot). It never
+/// influences routing *results* — only where the intermediate state lives
+/// — so runs with fresh, reused, or shared-across-nets workspaces are
+/// bit-identical.
 
 #include <cstdint>
 #include <vector>
@@ -117,7 +117,7 @@ struct SearchWorkspace {
 
   /// Folds this workspace's arena high-water marks into the global
   /// registry (`levelb.arena_*` gauges, atomic-max across every workspace
-  /// that reports — serial router, engine workers, committer fallback).
+  /// that reports — a run's serial step and each engine worker slot).
   /// Called once when the owner finishes a run, never per connect.
   void publish_arena_metrics() const {
     util::MetricsRegistry& reg = util::MetricsRegistry::global();

@@ -22,8 +22,8 @@
 /// mutated (block/unblock), and rebuilt lazily on the next query — so a
 /// cache entry is always either absent or exactly
 /// `IntervalSet::free_gaps(universe)` for the track's current occupancy.
-/// Invalidation runs even while the global toggle is off, which makes the
-/// toggle safe to flip between routing runs (A/B benchmarking).
+/// The cache is always on: TrackGrid answers every free-segment query
+/// through it (gap_cache_test checks it against the IntervalSet scan).
 ///
 /// Thread contract: lazy rebuilds mutate the cache under a const grid
 /// query, so they follow the grid's own single-writer rules. Before a grid
@@ -33,7 +33,6 @@
 /// perform pure reads.
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -47,16 +46,6 @@ namespace ocr::tig {
 /// Free-gap memo for one grid (one entry per track and orientation).
 class GapCache {
  public:
-  /// Process-wide enable toggle (default on). Flip only between routing
-  /// runs — entries stay consistent either way, but a run should see one
-  /// setting throughout so its cost probes are comparable.
-  static bool enabled() {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  static void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
   /// Sizes the cache for a grid with the given track counts; all entries
   /// start invalid (and unmaterialized).
   void reset(std::size_t h_tracks, std::size_t v_tracks) {
@@ -369,8 +358,6 @@ class GapCache {
     *last = s.second;
     return *it;
   }
-
-  static std::atomic<bool> enabled_;
 
   util::ChunkedVector<Entry> h_;
   util::ChunkedVector<Entry> v_;

@@ -4,13 +4,13 @@
 /// single read surface over either a plain TrackGrid or a TrackGrid seen
 /// through a GridOverlay.
 ///
-/// The serial router searches a mutable grid; an engine worker searches an
-/// immutable snapshot plus its private overlay (commit deltas + terminal
-/// braces). Both call the same MBFS/cost code, so that code takes a
-/// GridView: geometry queries always come from the base grid (overlays
-/// never change geometry), occupancy queries branch once on the overlay
-/// pointer. GridView converts implicitly from `const TrackGrid&`, so every
-/// pre-overlay call site compiles unchanged.
+/// The serial step searches the live grid; an engine worker searches the
+/// live grid, frozen for the batch, through its private overlay (its own
+/// net's terminal braces). Both call the same MBFS/cost code, so that code
+/// takes a GridView: geometry queries always come from the base grid
+/// (overlays never change geometry), occupancy queries branch once on the
+/// overlay pointer. GridView converts implicitly from `const TrackGrid&`,
+/// so every pre-overlay call site compiles unchanged.
 ///
 /// A view is two pointers — pass it by value. It does not own anything;
 /// both targets must outlive it.

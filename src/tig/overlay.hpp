@@ -14,10 +14,11 @@
 ///
 /// Identity argument: a touched track's IntervalSet is the base set with
 /// the same block/unblock ops a full grid copy would have applied, and the
-/// overlay computes its queries with the same IntervalSet primitives the
-/// TrackGrid uses when its gap cache is off — a path the gap-cache tests
-/// prove equivalent to the cached one. So (base + overlay) answers every
-/// query exactly as the mutated deep copy did, bit for bit.
+/// overlay computes its queries with the IntervalSet primitives
+/// (free_gap_containing, first/last crossing index) that the gap-cache
+/// tests prove equivalent to the TrackGrid's cached answers. So (base +
+/// overlay) answers every query exactly as the mutated deep copy did, bit
+/// for bit.
 ///
 /// Thread contract: an overlay belongs to one thread. The base grid must
 /// be immutable with a warmed gap cache while any overlay on another

@@ -139,53 +139,30 @@ bool TrackGrid::v_is_free(int j, const geom::Interval& span) const {
 std::optional<geom::Interval> TrackGrid::h_free_segment(
     int i, geom::Coord x) const {
   const auto idx = static_cast<std::size_t>(i);
-  if (GapCache::enabled()) {
-    return gap_cache_.h_gap(idx, h_blocked_.at(idx), h_span(), x);
-  }
-  return h_blocked_.at(idx).free_gap_containing(h_span(), x);
+  return gap_cache_.h_gap(idx, h_blocked_.at(idx), h_span(), x);
 }
 
 std::optional<geom::Interval> TrackGrid::v_free_segment(
     int j, geom::Coord y) const {
   const auto idx = static_cast<std::size_t>(j);
-  if (GapCache::enabled()) {
-    return gap_cache_.v_gap(idx, v_blocked_.at(idx), v_span(), y);
-  }
-  return v_blocked_.at(idx).free_gap_containing(v_span(), y);
+  return gap_cache_.v_gap(idx, v_blocked_.at(idx), v_span(), y);
 }
 
 std::optional<geom::Interval> TrackGrid::h_free_segment_span(
     int i, geom::Coord x, int* j_first, int* j_last) const {
   const auto idx = static_cast<std::size_t>(i);
-  if (GapCache::enabled()) {
-    return gap_cache_.h_gap_span(idx, h_blocked_.at(idx), h_span(), v_xs_, x,
-                                 j_first, j_last);
-  }
-  const auto gap = h_blocked_.at(idx).free_gap_containing(h_span(), x);
-  if (gap) {
-    *j_first = first_v_at_or_above(gap->lo);
-    *j_last = last_v_at_or_below(gap->hi);
-  }
-  return gap;
+  return gap_cache_.h_gap_span(idx, h_blocked_.at(idx), h_span(), v_xs_, x,
+                               j_first, j_last);
 }
 
 std::optional<geom::Interval> TrackGrid::v_free_segment_span(
     int j, geom::Coord y, int* i_first, int* i_last) const {
   const auto idx = static_cast<std::size_t>(j);
-  if (GapCache::enabled()) {
-    return gap_cache_.v_gap_span(idx, v_blocked_.at(idx), v_span(), h_ys_, y,
-                                 i_first, i_last);
-  }
-  const auto gap = v_blocked_.at(idx).free_gap_containing(v_span(), y);
-  if (gap) {
-    *i_first = first_h_at_or_above(gap->lo);
-    *i_last = last_h_at_or_below(gap->hi);
-  }
-  return gap;
+  return gap_cache_.v_gap_span(idx, v_blocked_.at(idx), v_span(), h_ys_, y,
+                               i_first, i_last);
 }
 
 void TrackGrid::warm_gap_cache() const {
-  if (!GapCache::enabled()) return;
   // Only blocked tracks need a materialized entry: queries on empty
   // tracks take the cache's universe fast path, which is already a pure
   // read. Walking present chunks keeps warming O(touched), not O(grid).

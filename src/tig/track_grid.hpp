@@ -105,8 +105,8 @@ class TrackGrid {
   /// crossing (perpendicular) tracks whose coordinate lies inside the
   /// gap: [*j_first, *j_last], empty when j_first > j_last. Untouched on
   /// a miss. Exactly first_v_at_or_above(gap.lo) / last_v_at_or_below(
-  /// gap.hi), but memoized per gap when the gap cache is on — the MBFS
-  /// expansion loop's iteration bounds without per-node binary searches.
+  /// gap.hi), but memoized per gap in the gap cache — the MBFS expansion
+  /// loop's iteration bounds without per-node binary searches.
   std::optional<geom::Interval> h_free_segment_span(int i, geom::Coord x,
                                                     int* j_first,
                                                     int* j_last) const;
@@ -145,7 +145,7 @@ class TrackGrid {
   /// subsequent free-segment queries are pure reads (untouched tracks are
   /// answered by the cache's universe fast path, also a pure read).
   /// Required before sharing a const grid across threads (a parallel
-  /// shard batch); a no-op when the cache is globally disabled.
+  /// shard batch).
   void warm_gap_cache() const;
 
   /// Heap bytes of the occupancy state: blocked-set chunk storage, the
@@ -167,7 +167,7 @@ class TrackGrid {
   util::ChunkedVector<geom::IntervalSet> v_blocked_;
   /// Free-gap memo, one entry per track; mutable because it back-fills
   /// under const queries (see GapCache's thread contract). Copies carry
-  /// their warm entries with them, so worker-local grid copies start hot.
+  /// their warm entries with them.
   mutable GapCache gap_cache_;
 };
 

@@ -2,7 +2,7 @@
 /// \file thread_pool.hpp
 /// \brief A fixed-size worker pool with a FIFO task queue.
 ///
-/// The routing engine submits one BatchSearch worker loop per thread for
+/// The routing engine submits one batch-search worker loop per thread for
 /// each shard batch; other callers can use it as a conventional task pool.
 /// Tasks are std::function<void()>. An exception escaping a task is caught
 /// at the task boundary and surfaced as a util::Status through

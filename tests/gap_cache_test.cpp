@@ -1,10 +1,9 @@
 /// \file gap_cache_test.cpp
 /// \brief GapCache correctness: the cached free-gap lists — including the
 /// incremental block/unblock patching — must answer every free-segment
-/// query exactly like the cache-off IntervalSet scan, through arbitrary
-/// block/unblock/rip-up histories; a warmed grid must serve concurrent
-/// readers without data races; and routing results must be byte-identical
-/// with the cache on or off, serially and under the parallel engine.
+/// query exactly like the IntervalSet scan they memoize, through arbitrary
+/// block/unblock/rip-up histories; and a warmed grid must serve concurrent
+/// readers without data races.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/engine.hpp"
-#include "levelb/router.hpp"
 #include "tig/gap_cache.hpp"
 #include "tig/track_grid.hpp"
 #include "util/rng.hpp"
@@ -23,56 +20,46 @@ namespace ocr::tig {
 namespace {
 
 using geom::Interval;
-using geom::Point;
 using geom::Rect;
-
-/// Restores the process-wide cache toggle on scope exit so a failing
-/// assertion cannot leak a disabled cache into later tests.
-struct CacheToggle {
-  explicit CacheToggle(bool on) { GapCache::set_enabled(on); }
-  ~CacheToggle() { GapCache::set_enabled(true); }
-};
 
 TrackGrid make_grid() {
   return TrackGrid::uniform(Rect(0, 0, 100, 100), 10, 10);
 }
 
-/// Queries one horizontal track at \p x with the cache on and off and
-/// expects identical gap and crossing-index-range answers.
+/// Queries one horizontal track at \p x through the grid (the gap cache)
+/// and through the IntervalSet primitives the cache memoizes, and expects
+/// identical gap and crossing-index-range answers.
 void expect_h_consistent(const TrackGrid& grid, int i, geom::Coord x) {
-  int al = 0, ah = -1, bl = 0, bh = -1;
-  GapCache::set_enabled(true);
+  int al = 0, ah = -1;
   const std::optional<Interval> a = grid.h_free_segment_span(i, x, &al, &ah);
-  GapCache::set_enabled(false);
-  const std::optional<Interval> b = grid.h_free_segment_span(i, x, &bl, &bh);
-  GapCache::set_enabled(true);
+  const std::optional<Interval> b =
+      grid.h_blocked(i).free_gap_containing(grid.h_span(), x);
   ASSERT_EQ(a.has_value(), b.has_value()) << "i=" << i << " x=" << x;
   if (a.has_value()) {
     EXPECT_EQ(a->lo, b->lo) << "i=" << i << " x=" << x;
     EXPECT_EQ(a->hi, b->hi) << "i=" << i << " x=" << x;
-    EXPECT_EQ(al, bl) << "i=" << i << " x=" << x;
-    EXPECT_EQ(ah, bh) << "i=" << i << " x=" << x;
+    EXPECT_EQ(al, grid.first_v_at_or_above(b->lo)) << "i=" << i << " x=" << x;
+    EXPECT_EQ(ah, grid.last_v_at_or_below(b->hi)) << "i=" << i << " x=" << x;
+    EXPECT_EQ(grid.h_free_segment(i, x), a) << "i=" << i << " x=" << x;
   }
 }
 
 void expect_v_consistent(const TrackGrid& grid, int j, geom::Coord y) {
-  int al = 0, ah = -1, bl = 0, bh = -1;
-  GapCache::set_enabled(true);
+  int al = 0, ah = -1;
   const std::optional<Interval> a = grid.v_free_segment_span(j, y, &al, &ah);
-  GapCache::set_enabled(false);
-  const std::optional<Interval> b = grid.v_free_segment_span(j, y, &bl, &bh);
-  GapCache::set_enabled(true);
+  const std::optional<Interval> b =
+      grid.v_blocked(j).free_gap_containing(grid.v_span(), y);
   ASSERT_EQ(a.has_value(), b.has_value()) << "j=" << j << " y=" << y;
   if (a.has_value()) {
     EXPECT_EQ(a->lo, b->lo) << "j=" << j << " y=" << y;
     EXPECT_EQ(a->hi, b->hi) << "j=" << j << " y=" << y;
-    EXPECT_EQ(al, bl) << "j=" << j << " y=" << y;
-    EXPECT_EQ(ah, bh) << "j=" << j << " y=" << y;
+    EXPECT_EQ(al, grid.first_h_at_or_above(b->lo)) << "j=" << j << " y=" << y;
+    EXPECT_EQ(ah, grid.last_h_at_or_below(b->hi)) << "j=" << j << " y=" << y;
+    EXPECT_EQ(grid.v_free_segment(j, y), a) << "j=" << j << " y=" << y;
   }
 }
 
 TEST(GapCache, BlockUnblockSequencesMatchCacheOff) {
-  CacheToggle toggle(true);
   TrackGrid grid = make_grid();
   // A scripted history exercising every patch shape: split a gap in two,
   // trim its ends, erase it, re-open it, and merge across boundaries.
@@ -94,7 +81,6 @@ TEST(GapCache, BlockUnblockSequencesMatchCacheOff) {
 }
 
 TEST(GapCache, AlreadyBlockedAndAlreadyFreeSpansAreNoOps) {
-  CacheToggle toggle(true);
   TrackGrid grid = make_grid();
   grid.block_h(2, Interval(30, 70));
   (void)grid.h_free_segment(2, 0);  // populate the cache entry
@@ -104,7 +90,6 @@ TEST(GapCache, AlreadyBlockedAndAlreadyFreeSpansAreNoOps) {
 }
 
 TEST(GapCache, RandomizedHistoryMatchesCacheOff) {
-  CacheToggle toggle(true);
   util::Rng rng(2026);
   for (int trial = 0; trial < 20; ++trial) {
     TrackGrid grid = make_grid();
@@ -161,63 +146,13 @@ TEST(GapCache, WarmSnapshotServesConcurrentReaders) {
   for (std::thread& r : readers) r.join();
 }
 
-/// Same random-net recipe as the engine determinism tests.
-std::vector<levelb::BNet> random_nets(std::uint64_t seed, geom::Coord size,
-                                      int count) {
-  util::Rng rng(seed);
-  std::vector<levelb::BNet> nets;
-  for (int n = 0; n < count; ++n) {
-    levelb::BNet net{n, {}};
-    const int degree = static_cast<int>(rng.uniform_int(2, 4));
-    for (int t = 0; t < degree; ++t) {
-      net.terminals.push_back(
-          Point{rng.uniform_int(0, size - 1), rng.uniform_int(0, size - 1)});
-    }
-    nets.push_back(std::move(net));
-  }
-  return nets;
-}
-
-TEST(GapCache, RoutingIsIdenticalWithCacheOnOrOff) {
-  // The cache is a pure lookup structure: serial routing and the
-  // 8-thread engine must produce byte-identical results either way.
-  const std::vector<levelb::BNet> nets = random_nets(42, 500, 25);
-  const auto make = [] {
-    return TrackGrid::uniform(Rect(0, 0, 500, 500), 9, 11);
-  };
-
-  levelb::LevelBResult serial_on, serial_off, engine_on, engine_off;
-  {
-    CacheToggle toggle(true);
-    TrackGrid g1 = make();
-    levelb::LevelBRouter router(g1);
-    serial_on = router.route(nets);
-    TrackGrid g2 = make();
-    engine::RoutingEngine engine(g2, engine::EngineOptions{.threads = 8});
-    engine_on = engine.route(nets);
-  }
-  {
-    CacheToggle toggle(false);
-    TrackGrid g1 = make();
-    levelb::LevelBRouter router(g1);
-    serial_off = router.route(nets);
-    TrackGrid g2 = make();
-    engine::RoutingEngine engine(g2, engine::EngineOptions{.threads = 8});
-    engine_off = engine.route(nets);
-  }
-  EXPECT_EQ(serial_on, serial_off);
-  EXPECT_EQ(engine_on, serial_on);
-  EXPECT_EQ(engine_off, serial_on);
-}
-
 TEST(GapCache, IncrementalPatchingAtHundredThousandTracks) {
   // The chunked cache at production scale: a 1M-dbu die at pitch 10
   // carries ~100k tracks per orientation. Sparse block/unblock histories
-  // must stay consistent with the cache-off scan, entries must
+  // must stay consistent with the IntervalSet scan, entries must
   // materialize only where blocking happened, and the whole exercise
   // must run in test time (i.e. nothing iterates all 100k tracks per
   // update).
-  CacheToggle toggle(true);
   TrackGrid grid =
       TrackGrid::uniform(Rect(0, 0, 1000000, 1000000), 10, 10);
   ASSERT_GE(grid.num_h(), 99999);

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "clustered_nets.hpp"
 #include "engine/engine.hpp"
 #include "levelb/router.hpp"
@@ -77,8 +81,10 @@ TEST(ShardedEngine, ClusteredPlanExposesParallelism) {
 }
 
 TEST(ShardedEngine, SensitiveNetsMatchSerial) {
-  // Sensitive nets close their batches; the copy-on-write registry
-  // handoff must reproduce the serial w24 penalties exactly.
+  // Sensitive nets close their batches, so workers read the in-place
+  // registry only before any same-batch commit updates it; the serial
+  // w24 penalties must come out exactly. Under TSan this is the race
+  // check for that registry.
   const std::vector<BNet> nets = clustered_nets(7, 1500, 50, 60, true);
   const LevelBResult serial = serial_route(make_grid(1500), nets);
   for (int threads : {2, 4}) {
@@ -183,6 +189,72 @@ TEST(ShardedEngine, TraceRecordsEveryNetWithBatchFields) {
   EXPECT_EQ(json.find("\"speculative\""), std::string::npos);
   EXPECT_EQ(json.find("\"queue_wait_us\""), std::string::npos);
   EXPECT_EQ(json.find("\"grid_copies\""), std::string::npos);
+}
+
+/// The `net` events of a traced run, indexed by their `order` field.
+std::vector<util::TraceEvent> net_events_by_order(
+    const util::TraceSink& trace) {
+  std::vector<util::TraceEvent> events;
+  for (const util::TraceEvent& ev : trace.events()) {
+    if (ev.kind == "net") events.push_back(ev);
+  }
+  const auto order = [](const util::TraceEvent& ev) {
+    for (const auto& [key, value] : ev.fields) {
+      if (key == "order") return std::stoll(value.to_json());
+    }
+    return -1LL;
+  };
+  std::stable_sort(events.begin(), events.end(),
+                   [&](const util::TraceEvent& a, const util::TraceEvent& b) {
+                     return order(a) < order(b);
+                   });
+  return events;
+}
+
+/// Field \p key of \p ev rendered as JSON ("" when absent).
+std::string field(const util::TraceEvent& ev, const std::string& key) {
+  for (const auto& [k, value] : ev.fields) {
+    if (k == key) return value.to_json();
+  }
+  return "";
+}
+
+TEST(ShardedEngine, NetEventsMatchSerialFieldForField) {
+  // Both paths build their `net` event in the one commit step, so the
+  // routing fields agree position by position; only the sharded events
+  // carry the batch fields.
+  const std::vector<BNet> nets = clustered_nets(21, 1200, 25, 50, false);
+  util::TraceSink serial_trace;
+  util::TraceSink sharded_trace;
+  EngineOptions options;
+  options.levelb.trace = &serial_trace;
+  sharded_route(make_grid(1200), nets, 1, nullptr, options);
+  options.levelb.trace = &sharded_trace;
+  sharded_route(make_grid(1200), nets, 4, nullptr, options);
+
+  const std::vector<util::TraceEvent> serial =
+      net_events_by_order(serial_trace);
+  const std::vector<util::TraceEvent> sharded =
+      net_events_by_order(sharded_trace);
+  ASSERT_EQ(serial.size(), nets.size());
+  ASSERT_EQ(sharded.size(), nets.size());
+  const std::vector<std::string> batch_fields = {
+      "batch", "batch_size", "escaped", "footprint_tracks"};
+  for (std::size_t k = 0; k < nets.size(); ++k) {
+    EXPECT_EQ(field(serial[k], "order"), std::to_string(k));
+    for (const char* key :
+         {"net", "order", "complete", "wire_length", "corners",
+          "vertices_examined", "window_growths", "candidates"}) {
+      EXPECT_EQ(field(sharded[k], key), field(serial[k], key))
+          << "order=" << k << " field=" << key;
+    }
+    EXPECT_EQ(field(serial[k], "mode"), "\"serial\"");
+    EXPECT_EQ(field(sharded[k], "mode"), "\"sharded\"");
+    for (const std::string& key : batch_fields) {
+      EXPECT_EQ(field(serial[k], key), "") << "order=" << k << " " << key;
+      EXPECT_NE(field(sharded[k], key), "") << "order=" << k << " " << key;
+    }
+  }
 }
 
 TEST(ShardedEngine, ObservesTheSerialPerNetHistograms) {
