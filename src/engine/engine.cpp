@@ -122,10 +122,8 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
   // barrier — so the live grid at batch start IS the exact serial prefix,
   // with no snapshot, no commit log, and no replay. The same barrier lets
   // workers read the run's sensitive registry while commits update it in
-  // place. The only subtlety is the gap cache's lazy memos: mutations
-  // patch entries in place (so they stay valid), and warm_gap_cache()
-  // below materializes anything still pending before each multi-worker
-  // batch, making concurrent const reads pure.
+  // place. Occupancy reads never write (block/unblock keep every track
+  // record's gaps current), so concurrent const reads are pure.
   std::vector<WorkerSlot> slots(static_cast<std::size_t>(threads));
   std::vector<BatchItem> items;
   std::size_t begin = 0;
@@ -185,15 +183,6 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
     const std::size_t workers =
         std::min(static_cast<std::size_t>(threads), batch.size());
     if (workers > 1) {
-      {
-        // Materialize the gap cache's lazy memos so the parallel phase's
-        // concurrent const reads never race on them. Entries stay valid
-        // across commits (mutations patch in place), so this re-warms
-        // only what the previous batch's commits touched — near O(tracks)
-        // of predictable skips, not a grid copy.
-        OCR_SPAN("engine.warm");
-        grid_.warm_gap_cache();
-      }
       for (std::size_t t = 0; t < workers; ++t) {
         pool.submit([&search, &slot = slots[t]] { search(slot); });
       }
@@ -201,8 +190,7 @@ LevelBResult RoutingEngine::route_sharded(const std::vector<BNet>& nets,
       // only read after the pool quiesces.
       pool.wait_idle();
     } else {
-      // Singleton batches skip the pool round-trip (and the warm: a
-      // single-threaded read may fill memos safely).
+      // Singleton batches skip the pool round-trip.
       search(slots[0]);
     }
 

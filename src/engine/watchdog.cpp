@@ -3,22 +3,52 @@
 #include "util/str.hpp"
 
 namespace ocr::engine {
+namespace {
+std::atomic<Watchdog::ProgressClock> g_test_clock{nullptr};
+}  // namespace
+
+void Watchdog::set_test_clock(ProgressClock clock) {
+  g_test_clock.store(clock);
+}
 
 Watchdog::Watchdog(util::CancelSource& source, Options options)
-    : source_(source), options_(options),
+    : source_(source), options_(options), clock_(g_test_clock.load()),
       start_(std::chrono::steady_clock::now()) {
   if (options_.deadline.count() > 0 || options_.stall.count() > 0) {
     thread_ = std::thread([this] { monitor(); });
   }
 }
 
-Watchdog::~Watchdog() {
+Watchdog::~Watchdog() { stop(); }
+
+void Watchdog::stop() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stop_.store(true, std::memory_order_relaxed);
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
+  if (!source_.cancelled() && deadline_passed()) fire_deadline();
+}
+
+bool Watchdog::deadline_passed() const {
+  if (options_.deadline.count() <= 0) return false;
+  const auto elapsed = clock_ == nullptr
+                           ? std::chrono::steady_clock::now() - start_
+                           : clock_(source_.progress());
+  return elapsed >= options_.deadline;
+}
+
+void Watchdog::fire_deadline() {
+  fire(util::Status::deadline_exceeded(
+      util::format("deadline of %lld ms exceeded",
+                   static_cast<long long>(options_.deadline.count()))));
+}
+
+void Watchdog::fire(util::Status reason) {
+  fired_.store(true, std::memory_order_relaxed);
+  reason.with_stage("watchdog");
+  source_.cancel(std::move(reason));
 }
 
 void Watchdog::monitor() {
@@ -33,28 +63,20 @@ void Watchdog::monitor() {
     if (stop_.load(std::memory_order_relaxed)) return;
     if (source_.cancelled()) return;  // someone else fired; done watching
 
-    const auto now = std::chrono::steady_clock::now();
-    if (options_.deadline.count() > 0 && now - start_ >= options_.deadline) {
-      fired_.store(true, std::memory_order_relaxed);
-      source_.cancel(util::Status::deadline_exceeded(
-                         util::format("deadline of %lld ms exceeded",
-                                      static_cast<long long>(
-                                          options_.deadline.count())))
-                         .with_stage("watchdog"));
+    if (deadline_passed()) {
+      fire_deadline();
       return;
     }
     if (options_.stall.count() > 0) {
+      const auto now = std::chrono::steady_clock::now();
       const long long progress = source_.progress();
       if (progress != last_progress) {
         last_progress = progress;
         last_advance = now;
       } else if (now - last_advance >= options_.stall) {
-        fired_.store(true, std::memory_order_relaxed);
-        source_.cancel(util::Status::cancelled(
-                           util::format("no progress for %lld ms",
-                                        static_cast<long long>(
-                                            options_.stall.count())))
-                           .with_stage("watchdog"));
+        fire(util::Status::cancelled(
+            util::format("no progress for %lld ms",
+                         static_cast<long long>(options_.stall.count()))));
         return;
       }
     }

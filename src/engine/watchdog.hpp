@@ -6,7 +6,9 @@
 /// when either limit trips:
 ///
 /// * **deadline** — wall clock since construction exceeds the limit
-///   (`StatusKind::kDeadlineExceeded`);
+///   (`StatusKind::kDeadlineExceeded`), checked every poll and once more
+///   by stop(), so a run that ends past its deadline between two polls
+///   still reports it;
 /// * **stall** — the cancel token's progress counter (bumped by the MBFS
 ///   inner loops and the committer) has not advanced for the stall
 ///   window (`StatusKind::kCancelled`, "stalled"), which catches a stuck
@@ -41,8 +43,13 @@ class Watchdog {
   /// Starts monitoring \p source immediately (if any limit is set).
   Watchdog(util::CancelSource& source, Options options);
 
-  /// Stops the monitor thread. Does not un-cancel the source.
+  /// stop(). Does not un-cancel the source.
   ~Watchdog();
+
+  /// Joins the monitor thread, then fires the deadline if it has passed
+  /// and nothing cancelled the source yet. Idempotent; read fired() after
+  /// it for the run's final answer.
+  void stop();
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
@@ -50,11 +57,26 @@ class Watchdog {
   /// Whether this watchdog fired the cancel (deadline or stall).
   bool fired() const { return fired_.load(std::memory_order_relaxed); }
 
+  /// Maps the source's progress counter to the elapsed time a deadline
+  /// is checked against.
+  using ProgressClock = std::chrono::nanoseconds (*)(long long progress);
+
+  /// Test seam: watchdogs constructed afterwards check their deadline
+  /// against \p clock instead of the wall clock (process-wide; nullptr
+  /// restores the wall clock). It lets a test place a deadline inside
+  /// level B's search, the only code that reports progress, on any
+  /// machine speed.
+  static void set_test_clock(ProgressClock clock);
+
  private:
   void monitor();
+  bool deadline_passed() const;
+  void fire_deadline();
+  void fire(util::Status reason);
 
   util::CancelSource& source_;
   Options options_;
+  ProgressClock clock_;  ///< nullptr: the wall clock
   std::chrono::steady_clock::time_point start_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> fired_{false};

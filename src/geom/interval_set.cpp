@@ -37,16 +37,19 @@ void IntervalSet::add(const Interval& iv) {
 }
 
 void IntervalSet::remove(const Interval& iv) {
-  auto first = first_reaching(runs_, iv.lo);
-  std::vector<Interval> replacement;
-  auto it = first;
-  while (it != runs_.end() && it->lo <= iv.hi) {
-    if (it->lo < iv.lo) replacement.emplace_back(it->lo, iv.lo - 1);
-    if (it->hi > iv.hi) replacement.emplace_back(iv.hi + 1, it->hi);
-    ++it;
-  }
-  const auto insert_pos = runs_.erase(first, it);
-  runs_.insert(insert_pos, replacement.begin(), replacement.end());
+  const auto first = first_reaching(runs_, iv.lo);
+  auto last = first;
+  while (last != runs_.end() && last->lo <= iv.hi) ++last;
+  if (first == last) return;  // nothing blocked inside iv
+  // Only the first run can leave a left remainder and only the last a
+  // right one.
+  Interval pieces[2];
+  std::size_t np = 0;
+  if (first->lo < iv.lo) pieces[np++] = Interval(first->lo, iv.lo - 1);
+  const Interval& back = *std::prev(last);
+  if (back.hi > iv.hi) pieces[np++] = Interval(iv.hi + 1, back.hi);
+  replace_range(runs_, static_cast<std::size_t>(first - runs_.begin()),
+                static_cast<std::size_t>(last - runs_.begin()), pieces, np);
 }
 
 bool IntervalSet::intersects(const Interval& iv) const {

@@ -7,12 +7,32 @@
 /// "is [a, b] fully free on this track?", which this structure answers in
 /// O(log k) for k maximal blocked runs.
 
+#include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <vector>
 
 #include "geom/interval.hpp"
 
 namespace ocr::geom {
+
+/// Replaces `v[first, last)` with `pieces[0, np)` in place: overwrites
+/// the common prefix, then erases or inserts the difference, so the tail
+/// shifts at most once.
+template <typename T>
+void replace_range(std::vector<T>& v, std::size_t first, std::size_t last,
+                   const T* pieces, std::size_t np) {
+  const std::size_t overwrite = std::min(np, last - first);
+  const auto at = [&v](std::size_t k) {
+    return v.begin() + static_cast<std::ptrdiff_t>(k);
+  };
+  std::copy(pieces, pieces + overwrite, at(first));
+  if (np < last - first) {
+    v.erase(at(first + np), at(last));
+  } else if (np > last - first) {
+    v.insert(at(last), pieces + overwrite, pieces + np);
+  }
+}
 
 /// Maintains a canonical (sorted, non-overlapping, non-adjacent-merged)
 /// list of blocked closed intervals over Coord.

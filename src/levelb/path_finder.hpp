@@ -34,8 +34,8 @@ struct TreeNode {
   int parent = -1;        ///< tree parent index (-1 = root)
   int depth = 0;          ///< corners so far (root = 0)
   /// Index range of the perpendicular tracks crossing the extent
-  /// (cross_lo > cross_hi = none). Captured from the gap cache at node
-  /// creation so expansion needs no per-node binary searches.
+  /// (cross_lo > cross_hi = none). Captured from the track record's gap
+  /// at node creation so expansion needs no per-node binary searches.
   int cross_lo = 0;
   int cross_hi = -1;
 };

@@ -219,8 +219,9 @@ flow::RunReport execute_run(const floorplan::MacroLayout& ml,
         report.metrics = flow::run_fifty_percent_model_flow(ml, flow_options);
         break;
     }
+    watchdog.stop();  // joins it and makes fired() final
     report.deadline_fired = watchdog.fired();
-  }  // joins the watchdog before classifying
+  }
 
   FlowMetrics& m = report.metrics;
   m.faults_injected =

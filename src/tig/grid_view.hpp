@@ -7,22 +7,22 @@
 /// The serial step searches the live grid; an engine worker searches the
 /// live grid, frozen for the batch, through its private overlay (its own
 /// net's terminal braces). Both call the same MBFS/cost code, so that code
-/// takes a GridView: geometry queries always come from the base grid
-/// (overlays never change geometry), occupancy queries branch once on the
-/// overlay pointer. GridView converts implicitly from `const TrackGrid&`,
-/// so every pre-overlay call site compiles unchanged.
+/// takes a GridView: geometry always comes from the base grid (overlays
+/// never change geometry), and the occupancy queries (OccupancyQueries,
+/// shared with TrackGrid) ask the record that `h_track`/`v_track` pick,
+/// branching once on the overlay pointer. GridView converts implicitly
+/// from `const TrackGrid&`, so every pre-overlay call site compiles
+/// unchanged.
 ///
 /// A view is two pointers — pass it by value. It does not own anything;
 /// both targets must outlive it.
-
-#include <optional>
 
 #include "tig/overlay.hpp"
 #include "tig/track_grid.hpp"
 
 namespace ocr::tig {
 
-class GridView {
+class GridView : public OccupancyQueries<GridView> {
  public:
   // Implicit by design: serial callers keep passing a TrackGrid.
   GridView(const TrackGrid& grid) : grid_(&grid) {}
@@ -60,63 +60,14 @@ class GridView {
 
   // ---- occupancy (dispatched to the overlay when present) -------------
 
-  bool h_is_free(int i, const geom::Interval& span) const {
-    return overlay_ != nullptr ? overlay_->h_is_free(i, span)
-                               : grid_->h_is_free(i, span);
+  const TrackRecord& h_track(int i) const {
+    return overlay_ != nullptr ? overlay_->h_track(i) : grid_->h_track(i);
   }
-  bool v_is_free(int j, const geom::Interval& span) const {
-    return overlay_ != nullptr ? overlay_->v_is_free(j, span)
-                               : grid_->v_is_free(j, span);
+  const TrackRecord& v_track(int j) const {
+    return overlay_ != nullptr ? overlay_->v_track(j) : grid_->v_track(j);
   }
-
-  std::optional<geom::Interval> h_free_segment(int i, geom::Coord x) const {
-    return overlay_ != nullptr ? overlay_->h_free_segment(i, x)
-                               : grid_->h_free_segment(i, x);
-  }
-  std::optional<geom::Interval> v_free_segment(int j, geom::Coord y) const {
-    return overlay_ != nullptr ? overlay_->v_free_segment(j, y)
-                               : grid_->v_free_segment(j, y);
-  }
-
-  std::optional<geom::Interval> h_free_segment_span(int i, geom::Coord x,
-                                                    int* j_first,
-                                                    int* j_last) const {
-    return overlay_ != nullptr
-               ? overlay_->h_free_segment_span(i, x, j_first, j_last)
-               : grid_->h_free_segment_span(i, x, j_first, j_last);
-  }
-  std::optional<geom::Interval> v_free_segment_span(int j, geom::Coord y,
-                                                    int* i_first,
-                                                    int* i_last) const {
-    return overlay_ != nullptr
-               ? overlay_->v_free_segment_span(j, y, i_first, i_last)
-               : grid_->v_free_segment_span(j, y, i_first, i_last);
-  }
-
-  bool crossing_free(int i, int j) const {
-    return overlay_ != nullptr ? overlay_->crossing_free(i, j)
-                               : grid_->crossing_free(i, j);
-  }
-
-  std::optional<geom::Coord> h_distance_to_blocked(int i,
-                                                   geom::Coord x) const {
-    return overlay_ != nullptr ? overlay_->h_distance_to_blocked(i, x)
-                               : grid_->h_distance_to_blocked(i, x);
-  }
-  std::optional<geom::Coord> v_distance_to_blocked(int j,
-                                                   geom::Coord y) const {
-    return overlay_ != nullptr ? overlay_->v_distance_to_blocked(j, y)
-                               : grid_->v_distance_to_blocked(j, y);
-  }
-
-  double h_blocked_fraction(int i, const geom::Interval& span) const {
-    return overlay_ != nullptr ? overlay_->h_blocked_fraction(i, span)
-                               : grid_->h_blocked_fraction(i, span);
-  }
-  double v_blocked_fraction(int j, const geom::Interval& span) const {
-    return overlay_ != nullptr ? overlay_->v_blocked_fraction(j, span)
-                               : grid_->v_blocked_fraction(j, span);
-  }
+  const Gap& h_whole() const { return grid_->h_whole(); }
+  const Gap& v_whole() const { return grid_->v_whole(); }
 
  private:
   const TrackGrid* grid_;

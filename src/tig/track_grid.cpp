@@ -25,7 +25,94 @@ int nearest_index(const std::vector<geom::Coord>& coords, geom::Coord v) {
   return static_cast<int>(it - coords.begin());
 }
 
+int lower_index(const std::vector<geom::Coord>& coords, geom::Coord v) {
+  return static_cast<int>(
+      std::lower_bound(coords.begin(), coords.end(), v) - coords.begin());
+}
+
+// The gap [lo, hi] with its crossing span over \p perp, given the span's
+// ends when a caller already knows them (kUnknown: binary-search them).
+constexpr int kUnknown = -2;
+Gap make_gap(geom::Coord lo, geom::Coord hi,
+             const std::vector<geom::Coord>& perp, int first = kUnknown,
+             int last = kUnknown) {
+  if (first == kUnknown) first = lower_index(perp, lo);
+  if (last == kUnknown) last = lower_index(perp, hi + 1) - 1;
+  return Gap{geom::Interval(lo, hi), first, last};
+}
+
 }  // namespace
+
+void TrackRecord::block(const geom::Interval& span, const Gap& whole,
+                        const std::vector<geom::Coord>& perp) {
+  if (blocked_.empty()) gaps_.assign(1, whole);
+  blocked_.add(span);
+  // Gaps intersecting the span lose the blocked part: the first may keep
+  // a left remainder (its lo and first crossing), the last a right one
+  // (its hi and last crossing), wholly covered gaps vanish.
+  const auto first = std::lower_bound(
+      gaps_.begin(), gaps_.end(), span.lo,
+      [](const Gap& gap, geom::Coord v) { return gap.iv.hi < v; });
+  if (first == gaps_.end() || first->iv.lo > span.hi) return;  // blocked
+  auto last = first;
+  while (last != gaps_.end() && last->iv.lo <= span.hi) ++last;
+  Gap pieces[2];
+  std::size_t np = 0;
+  if (first->iv.lo < span.lo) {
+    pieces[np++] = make_gap(first->iv.lo, span.lo - 1, perp, first->first);
+  }
+  const Gap& right = *std::prev(last);
+  if (right.iv.hi > span.hi) {
+    pieces[np++] =
+        make_gap(span.hi + 1, right.iv.hi, perp, kUnknown, right.last);
+  }
+  geom::replace_range(gaps_, static_cast<std::size_t>(first - gaps_.begin()),
+                      static_cast<std::size_t>(last - gaps_.begin()), pieces,
+                      np);
+}
+
+void TrackRecord::unblock(const geom::Interval& span, const Gap& whole,
+                          const std::vector<geom::Coord>& perp) {
+  if (blocked_.empty()) return;
+  blocked_.remove(span);
+  // The freed range, clamped to the universe, merges with every gap it
+  // touches or abuts. Only the first merged gap can reach further left
+  // and only the last further right; their span ends carry over.
+  const geom::Coord s_lo = std::max(span.lo, whole.iv.lo);
+  const geom::Coord s_hi = std::min(span.hi, whole.iv.hi);
+  if (s_lo > s_hi) return;  // entirely outside the universe
+  const auto first = std::lower_bound(
+      gaps_.begin(), gaps_.end(), s_lo - 1,
+      [](const Gap& gap, geom::Coord v) { return gap.iv.hi < v; });
+  auto last = first;
+  while (last != gaps_.end() && last->iv.lo <= s_hi + 1) ++last;
+  const bool left = first != last && first->iv.lo <= s_lo;
+  const bool right = first != last && std::prev(last)->iv.hi >= s_hi;
+  if (left && right && last - first == 1) return;  // already free
+  const Gap merged = make_gap(
+      left ? first->iv.lo : s_lo, right ? std::prev(last)->iv.hi : s_hi,
+      perp, left ? first->first : kUnknown,
+      right ? std::prev(last)->last : kUnknown);
+  geom::replace_range(gaps_, static_cast<std::size_t>(first - gaps_.begin()),
+                      static_cast<std::size_t>(last - gaps_.begin()),
+                      &merged, 1);
+}
+
+double TrackRecord::blocked_fraction(const geom::Interval& span) const {
+  if (span.length() == 0) return blocked_.contains(span.lo) ? 1.0 : 0.0;
+  geom::Coord covered = 0;
+  const std::vector<geom::Interval>& runs = blocked_.runs();
+  // Binary-search the first run reaching span.lo; runs before it cannot
+  // overlap, so congested tracks don't degrade to a full scan.
+  auto it = std::lower_bound(runs.begin(), runs.end(), span.lo,
+                             [](const geom::Interval& run, geom::Coord v) {
+                               return run.hi < v;
+                             });
+  for (; it != runs.end() && it->lo <= span.hi; ++it) {
+    covered += std::min(it->hi, span.hi) - std::max(it->lo, span.lo);
+  }
+  return static_cast<double>(covered) / static_cast<double>(span.length());
+}
 
 TrackGrid::TrackGrid(std::vector<geom::Coord> h_ys,
                      std::vector<geom::Coord> v_xs, const geom::Rect& extent)
@@ -38,9 +125,10 @@ TrackGrid::TrackGrid(std::vector<geom::Coord> h_ys,
              "horizontal tracks must lie inside the extent");
   OCR_ASSERT(v_xs_.front() >= extent_.xlo && v_xs_.back() <= extent_.xhi,
              "vertical tracks must lie inside the extent");
-  h_blocked_.reset(h_ys_.size());
-  v_blocked_.reset(v_xs_.size());
-  gap_cache_.reset(h_ys_.size(), v_xs_.size());
+  h_whole_ = make_gap(h_span().lo, h_span().hi, v_xs_);
+  v_whole_ = make_gap(v_span().lo, v_span().hi, h_ys_);
+  h_tracks_.reset(h_ys_.size());
+  v_tracks_.reset(v_xs_.size());
 }
 
 TrackGrid TrackGrid::uniform(const geom::Rect& extent, geom::Coord h_pitch,
@@ -68,13 +156,6 @@ int TrackGrid::nearest_v(geom::Coord x) const {
   return nearest_index(v_xs_, x);
 }
 
-namespace {
-int lower_index(const std::vector<geom::Coord>& coords, geom::Coord v) {
-  return static_cast<int>(
-      std::lower_bound(coords.begin(), coords.end(), v) - coords.begin());
-}
-}  // namespace
-
 int TrackGrid::first_h_at_or_above(geom::Coord y) const {
   return lower_index(h_ys_, y);
 }
@@ -92,25 +173,25 @@ int TrackGrid::last_v_at_or_below(geom::Coord x) const {
 }
 
 void TrackGrid::block_h(int i, const geom::Interval& span) {
-  h_blocked_.touch(static_cast<std::size_t>(i)).add(span);
-  gap_cache_.on_block_h(static_cast<std::size_t>(i), span);
+  h_tracks_.touch(static_cast<std::size_t>(i)).block(span, h_whole_, v_xs_);
 }
 
 void TrackGrid::block_v(int j, const geom::Interval& span) {
-  v_blocked_.touch(static_cast<std::size_t>(j)).add(span);
-  gap_cache_.on_block_v(static_cast<std::size_t>(j), span);
+  v_tracks_.touch(static_cast<std::size_t>(j)).block(span, v_whole_, h_ys_);
 }
 
 void TrackGrid::unblock_h(int i, const geom::Interval& span) {
   // An absent chunk means the track was never blocked — removing from an
   // empty set is a no-op, so skip the materialization entirely.
-  if (auto* s = h_blocked_.find(static_cast<std::size_t>(i))) s->remove(span);
-  gap_cache_.on_unblock_h(static_cast<std::size_t>(i), span, h_span());
+  if (auto* t = h_tracks_.find(static_cast<std::size_t>(i))) {
+    t->unblock(span, h_whole_, v_xs_);
+  }
 }
 
 void TrackGrid::unblock_v(int j, const geom::Interval& span) {
-  if (auto* s = v_blocked_.find(static_cast<std::size_t>(j))) s->remove(span);
-  gap_cache_.on_unblock_v(static_cast<std::size_t>(j), span, v_span());
+  if (auto* t = v_tracks_.find(static_cast<std::size_t>(j))) {
+    t->unblock(span, v_whole_, h_ys_);
+  }
 }
 
 void TrackGrid::block_region_h(const geom::Rect& region) {
@@ -128,110 +209,16 @@ void TrackGrid::block_region_v(const geom::Rect& region) {
   for (int j = first; j <= last; ++j) block_v(j, region.y_span());
 }
 
-bool TrackGrid::h_is_free(int i, const geom::Interval& span) const {
-  return h_blocked_.at(static_cast<std::size_t>(i)).is_free(span);
-}
-
-bool TrackGrid::v_is_free(int j, const geom::Interval& span) const {
-  return v_blocked_.at(static_cast<std::size_t>(j)).is_free(span);
-}
-
-std::optional<geom::Interval> TrackGrid::h_free_segment(
-    int i, geom::Coord x) const {
-  const auto idx = static_cast<std::size_t>(i);
-  return gap_cache_.h_gap(idx, h_blocked_.at(idx), h_span(), x);
-}
-
-std::optional<geom::Interval> TrackGrid::v_free_segment(
-    int j, geom::Coord y) const {
-  const auto idx = static_cast<std::size_t>(j);
-  return gap_cache_.v_gap(idx, v_blocked_.at(idx), v_span(), y);
-}
-
-std::optional<geom::Interval> TrackGrid::h_free_segment_span(
-    int i, geom::Coord x, int* j_first, int* j_last) const {
-  const auto idx = static_cast<std::size_t>(i);
-  return gap_cache_.h_gap_span(idx, h_blocked_.at(idx), h_span(), v_xs_, x,
-                               j_first, j_last);
-}
-
-std::optional<geom::Interval> TrackGrid::v_free_segment_span(
-    int j, geom::Coord y, int* i_first, int* i_last) const {
-  const auto idx = static_cast<std::size_t>(j);
-  return gap_cache_.v_gap_span(idx, v_blocked_.at(idx), v_span(), h_ys_, y,
-                               i_first, i_last);
-}
-
-void TrackGrid::warm_gap_cache() const {
-  // Only blocked tracks need a materialized entry: queries on empty
-  // tracks take the cache's universe fast path, which is already a pure
-  // read. Walking present chunks keeps warming O(touched), not O(grid).
-  h_blocked_.for_each_present([this](std::size_t i,
-                                     const geom::IntervalSet& blocked) {
-    if (!blocked.empty()) gap_cache_.warm_h(i, blocked, h_span(), v_xs_);
-  });
-  v_blocked_.for_each_present([this](std::size_t j,
-                                     const geom::IntervalSet& blocked) {
-    if (!blocked.empty()) gap_cache_.warm_v(j, blocked, v_span(), h_ys_);
-  });
-}
-
 std::size_t TrackGrid::grid_bytes() const {
   std::size_t bytes = (h_ys_.capacity() + v_xs_.capacity()) *
                       sizeof(geom::Coord);
-  bytes += h_blocked_.storage_bytes() + v_blocked_.storage_bytes();
-  const auto add_runs = [&bytes](std::size_t, const geom::IntervalSet& s) {
-    bytes += s.runs().capacity() * sizeof(geom::Interval);
+  bytes += h_tracks_.storage_bytes() + v_tracks_.storage_bytes();
+  const auto add_heap = [&bytes](std::size_t, const TrackRecord& t) {
+    bytes += t.heap_bytes();
   };
-  h_blocked_.for_each_present(add_runs);
-  v_blocked_.for_each_present(add_runs);
-  return bytes + gap_cache_.storage_bytes();
-}
-
-bool TrackGrid::crossing_free(int i, int j) const {
-  return !h_blocked_.at(static_cast<std::size_t>(i)).contains(v_x(j)) &&
-         !v_blocked_.at(static_cast<std::size_t>(j)).contains(h_y(i));
-}
-
-std::optional<geom::Coord> TrackGrid::h_distance_to_blocked(
-    int i, geom::Coord x) const {
-  return h_blocked_.at(static_cast<std::size_t>(i))
-      .distance_to_nearest_blocked(x);
-}
-
-std::optional<geom::Coord> TrackGrid::v_distance_to_blocked(
-    int j, geom::Coord y) const {
-  return v_blocked_.at(static_cast<std::size_t>(j))
-      .distance_to_nearest_blocked(y);
-}
-
-double blocked_fraction_of(const geom::IntervalSet& blocked,
-                           const geom::Interval& span) {
-  if (span.length() == 0) return blocked.contains(span.lo) ? 1.0 : 0.0;
-  geom::Coord covered = 0;
-  const std::vector<geom::Interval>& runs = blocked.runs();
-  // Binary-search the first run reaching span.lo; runs before it cannot
-  // overlap, so congested tracks don't degrade to a full scan.
-  auto it = std::lower_bound(runs.begin(), runs.end(), span.lo,
-                             [](const geom::Interval& run, geom::Coord v) {
-                               return run.hi < v;
-                             });
-  for (; it != runs.end() && it->lo <= span.hi; ++it) {
-    covered += std::min(it->hi, span.hi) - std::max(it->lo, span.lo);
-  }
-  return static_cast<double>(covered) / static_cast<double>(span.length());
-}
-
-double TrackGrid::h_blocked_fraction(int i,
-                                     const geom::Interval& span) const {
-  return blocked_fraction_of(h_blocked_.at(static_cast<std::size_t>(i)),
-                             span);
-}
-
-double TrackGrid::v_blocked_fraction(int j,
-                                     const geom::Interval& span) const {
-  return blocked_fraction_of(v_blocked_.at(static_cast<std::size_t>(j)),
-                             span);
+  h_tracks_.for_each_present(add_heap);
+  v_tracks_.for_each_present(add_heap);
+  return bytes;
 }
 
 }  // namespace ocr::tig

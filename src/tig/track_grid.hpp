@@ -7,9 +7,10 @@
 /// rectangular cells defined by horizontal and vertical routing tracks
 /// that can have different spacing" (§3). Horizontal tracks carry metal3,
 /// vertical tracks metal4. Obstacles (power straps, keep-outs, committed
-/// wires) block extents of tracks; the free structure of each track is an
-/// IntervalSet queried by the router.
+/// wires) block extents of tracks; each track keeps one TrackRecord that
+/// answers every occupancy query the router makes.
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "geom/interval_set.hpp"
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
-#include "tig/gap_cache.hpp"
 #include "util/chunked.hpp"
 
 namespace ocr::tig {
@@ -32,8 +32,163 @@ struct TrackRef {
       default;
 };
 
+/// A maximal free gap of a track with its crossing span: [first, last]
+/// are the indices of the perpendicular tracks whose coordinate lies
+/// inside the gap (empty when first > last).
+struct Gap {
+  geom::Interval iv;
+  int first = 0;
+  int last = -1;
+};
+
+/// The occupancy record of one track: its blocked runs plus, kept in step
+/// by every block/unblock, the sorted free gaps of the track's universe
+/// with their crossing spans. Queries are const and pure reads, so any
+/// number of threads may read a record nobody is mutating.
+///
+/// A record without blocked runs leaves its gap list unused: the whole
+/// universe is free, and the grid passes that one gap (`whole`, a constant
+/// per orientation) to the methods that need it.
+class TrackRecord {
+ public:
+  const geom::IntervalSet& blocked() const { return blocked_; }
+
+  /// Blocks \p span. A gap list patch replaces at most the gaps \p span
+  /// touches with their two remainders; \p perp are the crossing
+  /// coordinates the new spans index.
+  void block(const geom::Interval& span, const Gap& whole,
+             const std::vector<geom::Coord>& perp);
+  /// Unblocks \p span: the freed range merges with every gap it touches
+  /// or abuts into one.
+  void unblock(const geom::Interval& span, const Gap& whole,
+               const std::vector<geom::Coord>& perp);
+
+  std::optional<geom::Interval> free_segment(geom::Coord v,
+                                             const Gap& whole) const {
+    const Gap* gap = gap_containing(v, whole);
+    if (gap == nullptr) return std::nullopt;
+    return gap->iv;
+  }
+  /// free_segment, also reporting the gap's crossing span (untouched on
+  /// a miss).
+  std::optional<geom::Interval> free_segment_span(geom::Coord v,
+                                                  const Gap& whole,
+                                                  int* first,
+                                                  int* last) const {
+    const Gap* gap = gap_containing(v, whole);
+    if (gap == nullptr) return std::nullopt;
+    *first = gap->first;
+    *last = gap->last;
+    return gap->iv;
+  }
+
+  bool is_free(const geom::Interval& span) const {
+    return blocked_.is_free(span);
+  }
+  bool contains(geom::Coord v) const { return blocked_.contains(v); }
+  /// Distance from \p v to the nearest blocked coordinate (nullopt if the
+  /// track is completely free).
+  std::optional<geom::Coord> distance_to_blocked(geom::Coord v) const {
+    return blocked_.distance_to_nearest_blocked(v);
+  }
+  /// Fraction of \p span covered by blocked runs (0 = free, 1 = blocked).
+  double blocked_fraction(const geom::Interval& span) const;
+
+  /// Heap bytes of the runs and gaps (observability).
+  std::size_t heap_bytes() const {
+    return blocked_.runs().capacity() * sizeof(geom::Interval) +
+           gaps_.capacity() * sizeof(Gap);
+  }
+
+ private:
+  /// The free gap containing \p v, nullptr when \p v is blocked or
+  /// outside the universe.
+  const Gap* gap_containing(geom::Coord v, const Gap& whole) const {
+    if (blocked_.empty()) return whole.iv.contains(v) ? &whole : nullptr;
+    const auto it = std::lower_bound(
+        gaps_.begin(), gaps_.end(), v,
+        [](const Gap& gap, geom::Coord value) { return gap.iv.hi < value; });
+    if (it == gaps_.end() || it->iv.lo > v) return nullptr;
+    return &*it;
+  }
+
+  geom::IntervalSet blocked_;
+  std::vector<Gap> gaps_;  ///< free_gaps(universe) while blocked_ is set
+};
+
+/// The occupancy queries, written once over the accessors a grid type
+/// provides: `h_track(i)`/`v_track(j)` pick the record answering for a
+/// track, `h_whole()`/`v_whole()` are the gap of a never-blocked track,
+/// `h_y`/`v_x` the geometry. TrackGrid and GridView inherit them.
+template <typename Grid>
+class OccupancyQueries {
+ public:
+  bool h_is_free(int i, const geom::Interval& span) const {
+    return self().h_track(i).is_free(span);
+  }
+  bool v_is_free(int j, const geom::Interval& span) const {
+    return self().v_track(j).is_free(span);
+  }
+
+  /// Maximal free extent of track \p i containing x (nullopt: blocked).
+  std::optional<geom::Interval> h_free_segment(int i, geom::Coord x) const {
+    return self().h_track(i).free_segment(x, self().h_whole());
+  }
+  std::optional<geom::Interval> v_free_segment(int j, geom::Coord y) const {
+    return self().v_track(j).free_segment(y, self().v_whole());
+  }
+
+  /// h_free_segment, additionally reporting the index range of the
+  /// crossing (perpendicular) tracks whose coordinate lies inside the
+  /// gap: [*j_first, *j_last], empty when j_first > j_last. Untouched on
+  /// a miss. Exactly first_v_at_or_above(gap.lo) / last_v_at_or_below(
+  /// gap.hi), stored with the gap — the MBFS expansion loop's iteration
+  /// bounds without per-node binary searches.
+  std::optional<geom::Interval> h_free_segment_span(int i, geom::Coord x,
+                                                    int* j_first,
+                                                    int* j_last) const {
+    return self().h_track(i).free_segment_span(x, self().h_whole(),
+                                               j_first, j_last);
+  }
+  std::optional<geom::Interval> v_free_segment_span(int j, geom::Coord y,
+                                                    int* i_first,
+                                                    int* i_last) const {
+    return self().v_track(j).free_segment_span(y, self().v_whole(),
+                                               i_first, i_last);
+  }
+
+  /// Whether the crossing of tracks (i, j) is free on both tracks.
+  bool crossing_free(int i, int j) const {
+    return !self().h_track(i).contains(self().v_x(j)) &&
+           !self().v_track(j).contains(self().h_y(i));
+  }
+
+  /// Distance along track \p i from x to the nearest blocked coordinate
+  /// (nullopt if the track is completely free).
+  std::optional<geom::Coord> h_distance_to_blocked(int i,
+                                                   geom::Coord x) const {
+    return self().h_track(i).distance_to_blocked(x);
+  }
+  std::optional<geom::Coord> v_distance_to_blocked(int j,
+                                                   geom::Coord y) const {
+    return self().v_track(j).distance_to_blocked(y);
+  }
+
+  /// Fraction of blocked length on track \p i within the x-window \p span
+  /// (0 = fully free, 1 = fully blocked). Congestion estimation.
+  double h_blocked_fraction(int i, const geom::Interval& span) const {
+    return self().h_track(i).blocked_fraction(span);
+  }
+  double v_blocked_fraction(int j, const geom::Interval& span) const {
+    return self().v_track(j).blocked_fraction(span);
+  }
+
+ private:
+  const Grid& self() const { return static_cast<const Grid&>(*this); }
+};
+
 /// The level-B track grid.
-class TrackGrid {
+class TrackGrid : public OccupancyQueries<TrackGrid> {
  public:
   /// Builds a grid from explicit track coordinates (ascending, unique).
   /// \p h_ys are the y positions of horizontal tracks; \p v_xs the x
@@ -52,6 +207,8 @@ class TrackGrid {
 
   geom::Coord h_y(int i) const { return h_ys_[static_cast<std::size_t>(i)]; }
   geom::Coord v_x(int j) const { return v_xs_[static_cast<std::size_t>(j)]; }
+  const std::vector<geom::Coord>& h_ys() const { return h_ys_; }
+  const std::vector<geom::Coord>& v_xs() const { return v_xs_; }
 
   /// Index of the track nearest to the given coordinate (ties -> lower).
   int nearest_h(geom::Coord y) const;
@@ -92,89 +249,43 @@ class TrackGrid {
   /// Same for vertical tracks (metal4 obstacles).
   void block_region_v(const geom::Rect& region);
 
-  // ---- queries ----------------------------------------------------------
+  // ---- occupancy records (queries: OccupancyQueries) -------------------
 
-  bool h_is_free(int i, const geom::Interval& span) const;
-  bool v_is_free(int j, const geom::Interval& span) const;
-
-  /// Maximal free extent of track \p i containing x (nullopt: blocked).
-  std::optional<geom::Interval> h_free_segment(int i, geom::Coord x) const;
-  std::optional<geom::Interval> v_free_segment(int j, geom::Coord y) const;
-
-  /// h_free_segment, additionally reporting the index range of the
-  /// crossing (perpendicular) tracks whose coordinate lies inside the
-  /// gap: [*j_first, *j_last], empty when j_first > j_last. Untouched on
-  /// a miss. Exactly first_v_at_or_above(gap.lo) / last_v_at_or_below(
-  /// gap.hi), but memoized per gap in the gap cache — the MBFS expansion
-  /// loop's iteration bounds without per-node binary searches.
-  std::optional<geom::Interval> h_free_segment_span(int i, geom::Coord x,
-                                                    int* j_first,
-                                                    int* j_last) const;
-  std::optional<geom::Interval> v_free_segment_span(int j, geom::Coord y,
-                                                    int* i_first,
-                                                    int* i_last) const;
-
-  /// Whether the crossing of tracks (i, j) is free on both tracks.
-  bool crossing_free(int i, int j) const;
-
-  /// Distance along track \p i from x to the nearest blocked coordinate
-  /// (nullopt if the track is completely free).
-  std::optional<geom::Coord> h_distance_to_blocked(int i,
-                                                   geom::Coord x) const;
-  std::optional<geom::Coord> v_distance_to_blocked(int j,
-                                                   geom::Coord y) const;
-
-  /// Fraction of blocked length on track \p i within the x-window \p span
-  /// (0 = fully free, 1 = fully blocked). Congestion estimation.
-  double h_blocked_fraction(int i, const geom::Interval& span) const;
-  double v_blocked_fraction(int j, const geom::Interval& span) const;
-
-  /// The blocked set of track \p i. Never-touched tracks answer with a
-  /// shared empty set (chunked storage materializes on first block).
-  const geom::IntervalSet& h_blocked(int i) const {
-    return h_blocked_.at(static_cast<std::size_t>(i));
+  /// The record of track \p i. Never-touched tracks answer with a shared
+  /// empty record (chunked storage materializes on first block).
+  const TrackRecord& h_track(int i) const {
+    return h_tracks_.at(static_cast<std::size_t>(i));
   }
-  const geom::IntervalSet& v_blocked(int j) const {
-    return v_blocked_.at(static_cast<std::size_t>(j));
+  const TrackRecord& v_track(int j) const {
+    return v_tracks_.at(static_cast<std::size_t>(j));
   }
+  /// The free gap of a never-blocked track: the whole universe with the
+  /// crossing span of every perpendicular track.
+  const Gap& h_whole() const { return h_whole_; }
+  const Gap& v_whole() const { return v_whole_; }
 
   geom::Interval h_span() const { return extent_.x_span(); }
   geom::Interval v_span() const { return extent_.y_span(); }
 
-  /// Materializes the free-gap cache entry of every *blocked* track so
-  /// subsequent free-segment queries are pure reads (untouched tracks are
-  /// answered by the cache's universe fast path, also a pure read).
-  /// Required before sharing a const grid across threads (a parallel
-  /// shard batch).
-  void warm_gap_cache() const;
-
-  /// Heap bytes of the occupancy state: blocked-set chunk storage, the
-  /// IntervalSet runs inside it, the gap cache, and the track coordinate
-  /// arrays. The `tig.grid_bytes` observability gauge.
+  /// Heap bytes of the occupancy state: record chunk storage, the runs and
+  /// gaps inside it, and the track coordinate arrays. The
+  /// `tig.grid_bytes` observability gauge.
   std::size_t grid_bytes() const;
 
-  /// Materialized 64-track chunks across both blocked-set directories
+  /// Materialized 64-track chunks across both record directories
   /// (observability/tests: how sparse the occupancy really is).
   std::size_t blocked_chunks() const {
-    return h_blocked_.materialized_chunks() + v_blocked_.materialized_chunks();
+    return h_tracks_.materialized_chunks() + v_tracks_.materialized_chunks();
   }
 
  private:
   std::vector<geom::Coord> h_ys_;
   std::vector<geom::Coord> v_xs_;
   geom::Rect extent_;
-  util::ChunkedVector<geom::IntervalSet> h_blocked_;
-  util::ChunkedVector<geom::IntervalSet> v_blocked_;
-  /// Free-gap memo, one entry per track; mutable because it back-fills
-  /// under const queries (see GapCache's thread contract). Copies carry
-  /// their warm entries with them.
-  mutable GapCache gap_cache_;
+  Gap h_whole_;
+  Gap v_whole_;
+  util::ChunkedVector<TrackRecord> h_tracks_;
+  util::ChunkedVector<TrackRecord> v_tracks_;
 };
-
-/// Fraction of \p span covered by the blocked runs of \p blocked — the
-/// exact computation behind TrackGrid::h/v_blocked_fraction, shared with
-/// GridOverlay so both answer bit-identically.
-double blocked_fraction_of(const geom::IntervalSet& blocked,
-                           const geom::Interval& span);
 
 }  // namespace ocr::tig

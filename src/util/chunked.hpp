@@ -5,9 +5,9 @@
 ///
 /// The 100k-net instances put the dense per-track containers out of
 /// business: a TrackGrid over a 200k-dbu die carries ~40k tracks, and a
-/// dense `std::vector<IntervalSet>` (or GapCache entry array, or overlay
-/// slot array) pays construction, copy and cache-miss cost for every one
-/// of them even though a single net's search touches a few dozen. The
+/// dense per-track record array (or overlay slot array) pays
+/// construction, copy and cache-miss cost for every one of them even
+/// though a single net's search touches a few dozen. The
 /// ChunkedVector keeps only a directory of chunk pointers; a chunk
 /// (64 consecutive indices) exists once something in it has been written.
 /// Reads of absent indices answer with a shared default value, writes
@@ -143,7 +143,8 @@ class ChunkedVector {
 
   /// Bytes of directly-owned storage: the chunk directory plus every
   /// materialized chunk's element array. Heap owned *by* the elements
-  /// (e.g. IntervalSet runs) is the caller's to add via for_each_present.
+  /// (e.g. a track record's runs and gaps) is the caller's to add via
+  /// for_each_present.
   std::size_t storage_bytes() const {
     std::size_t bytes = chunks_.capacity() * sizeof(std::unique_ptr<Chunk>);
     for (const auto& chunk : chunks_) {

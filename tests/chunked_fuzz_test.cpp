@@ -43,7 +43,8 @@ struct DenseRef {
 void expect_h_equal(const TrackGrid& grid, const DenseRef& ref, int i,
                     geom::Coord x) {
   const IntervalSet& expect = ref.blocked[static_cast<std::size_t>(i)];
-  ASSERT_EQ(grid.h_blocked(i).runs(), expect.runs()) << "track " << i;
+  ASSERT_EQ(grid.h_track(i).blocked().runs(), expect.runs())
+      << "track " << i;
   const std::optional<Interval> gap =
       expect.free_gap_containing(grid.h_span(), x);
   const std::optional<Interval> got = grid.h_free_segment(i, x);
@@ -67,7 +68,8 @@ void expect_h_equal(const TrackGrid& grid, const DenseRef& ref, int i,
 void expect_v_equal(const TrackGrid& grid, const DenseRef& ref, int j,
                     geom::Coord y) {
   const IntervalSet& expect = ref.blocked[static_cast<std::size_t>(j)];
-  ASSERT_EQ(grid.v_blocked(j).runs(), expect.runs()) << "track " << j;
+  ASSERT_EQ(grid.v_track(j).blocked().runs(), expect.runs())
+      << "track " << j;
   const std::optional<Interval> gap =
       expect.free_gap_containing(grid.v_span(), y);
   const std::optional<Interval> got = grid.v_free_segment(j, y);

@@ -1,9 +1,10 @@
 /// \file gap_cache_test.cpp
-/// \brief GapCache correctness: the cached free-gap lists — including the
-/// incremental block/unblock patching — must answer every free-segment
-/// query exactly like the IntervalSet scan they memoize, through arbitrary
-/// block/unblock/rip-up histories; and a warmed grid must serve concurrent
-/// readers without data races.
+/// \brief Free-gap correctness of the per-track occupancy records: the
+/// gap lists and crossing spans that block/unblock patch eagerly must
+/// answer every free-segment query exactly like the reference primitives
+/// (IntervalSet::free_gap_containing plus first_*_at_or_above /
+/// last_*_at_or_below), through arbitrary block/unblock/rip-up histories;
+/// and a mutated grid must serve concurrent readers without data races.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "tig/gap_cache.hpp"
 #include "tig/track_grid.hpp"
 #include "util/rng.hpp"
 
@@ -26,14 +26,14 @@ TrackGrid make_grid() {
   return TrackGrid::uniform(Rect(0, 0, 100, 100), 10, 10);
 }
 
-/// Queries one horizontal track at \p x through the grid (the gap cache)
-/// and through the IntervalSet primitives the cache memoizes, and expects
+/// Queries one horizontal track at \p x through the grid (the record's
+/// gap list) and through the reference IntervalSet primitives, and expects
 /// identical gap and crossing-index-range answers.
 void expect_h_consistent(const TrackGrid& grid, int i, geom::Coord x) {
   int al = 0, ah = -1;
   const std::optional<Interval> a = grid.h_free_segment_span(i, x, &al, &ah);
   const std::optional<Interval> b =
-      grid.h_blocked(i).free_gap_containing(grid.h_span(), x);
+      grid.h_track(i).blocked().free_gap_containing(grid.h_span(), x);
   ASSERT_EQ(a.has_value(), b.has_value()) << "i=" << i << " x=" << x;
   if (a.has_value()) {
     EXPECT_EQ(a->lo, b->lo) << "i=" << i << " x=" << x;
@@ -48,7 +48,7 @@ void expect_v_consistent(const TrackGrid& grid, int j, geom::Coord y) {
   int al = 0, ah = -1;
   const std::optional<Interval> a = grid.v_free_segment_span(j, y, &al, &ah);
   const std::optional<Interval> b =
-      grid.v_blocked(j).free_gap_containing(grid.v_span(), y);
+      grid.v_track(j).blocked().free_gap_containing(grid.v_span(), y);
   ASSERT_EQ(a.has_value(), b.has_value()) << "j=" << j << " y=" << y;
   if (a.has_value()) {
     EXPECT_EQ(a->lo, b->lo) << "j=" << j << " y=" << y;
@@ -83,7 +83,6 @@ TEST(GapCache, BlockUnblockSequencesMatchCacheOff) {
 TEST(GapCache, AlreadyBlockedAndAlreadyFreeSpansAreNoOps) {
   TrackGrid grid = make_grid();
   grid.block_h(2, Interval(30, 70));
-  (void)grid.h_free_segment(2, 0);  // populate the cache entry
   grid.block_h(2, Interval(40, 50));    // inside an already-blocked run
   grid.unblock_h(2, Interval(80, 90));  // inside an already-free gap
   for (geom::Coord x = 0; x <= 100; ++x) expect_h_consistent(grid, 2, x);
@@ -116,15 +115,19 @@ TEST(GapCache, RandomizedHistoryMatchesCacheOff) {
   }
 }
 
-TEST(GapCache, WarmSnapshotServesConcurrentReaders) {
-  // A warmed grid's gap cache is frozen: any number of threads may query
-  // it through a const reference with no writes anywhere — the contract a
-  // sharded batch's workers rely on. Run under TSan (the CI tsan-engine
-  // job includes this binary) to prove the absence of races.
+TEST(GapCache, ConcurrentReadersNeedNoWarmUp) {
+  // Reads never write: right after a history of blocks and unblocks, any
+  // number of threads may query the grid through a const reference —
+  // the contract a sharded batch's workers rely on, with no warm-up step.
+  // Run under TSan (the CI tsan-engine job includes this binary) to prove
+  // the absence of races; every answer must also match the reference.
   TrackGrid grid = make_grid();
   grid.block_h(4, Interval(25, 75));
+  grid.block_h(4, Interval(90, 95));
+  grid.unblock_h(4, Interval(40, 50));
   grid.block_v(6, Interval(10, 50));
-  grid.warm_gap_cache();
+  grid.unblock_v(6, Interval(30, 30));
+  grid.block_v(2, Interval(0, 100));
   const TrackGrid& shared = grid;
 
   std::vector<std::thread> readers;
@@ -137,9 +140,8 @@ TEST(GapCache, WarmSnapshotServesConcurrentReaders) {
         const int j =
             static_cast<int>(rng.uniform_int(0, shared.num_v() - 1));
         const geom::Coord q = rng.uniform_int(0, 100);
-        int lo = 0, hi = -1;
-        (void)shared.h_free_segment_span(i, q, &lo, &hi);
-        (void)shared.v_free_segment_span(j, q, &lo, &hi);
+        expect_h_consistent(shared, i, q);
+        expect_v_consistent(shared, j, q);
       }
     });
   }
@@ -147,9 +149,9 @@ TEST(GapCache, WarmSnapshotServesConcurrentReaders) {
 }
 
 TEST(GapCache, IncrementalPatchingAtHundredThousandTracks) {
-  // The chunked cache at production scale: a 1M-dbu die at pitch 10
+  // The chunked records at production scale: a 1M-dbu die at pitch 10
   // carries ~100k tracks per orientation. Sparse block/unblock histories
-  // must stay consistent with the IntervalSet scan, entries must
+  // must stay consistent with the IntervalSet scan, records must
   // materialize only where blocking happened, and the whole exercise
   // must run in test time (i.e. nothing iterates all 100k tracks per
   // update).
@@ -167,8 +169,8 @@ TEST(GapCache, IncrementalPatchingAtHundredThousandTracks) {
     const geom::Coord y = rng.uniform_int(0, 999000);
     const Interval hs{x, x + rng.uniform_int(1, 900)};
     const Interval vs{y, y + rng.uniform_int(1, 900)};
-    // Warm the cache entry first so the block is an incremental patch of
-    // a valid entry, not a lazy rebuild.
+    // Probe before the block too: the track may already carry gaps from
+    // an earlier op, and the block then patches them.
     expect_h_consistent(grid, i, hs.lo);
     expect_v_consistent(grid, j, vs.lo);
     grid.block_h(i, hs);
@@ -190,8 +192,16 @@ TEST(GapCache, IncrementalPatchingAtHundredThousandTracks) {
   // chunks unmaterialized (64 tracks per chunk, ~3.1k chunk slots).
   EXPECT_LE(grid.blocked_chunks(), 2 * 1500u);
   EXPECT_GT(grid.grid_bytes(), 0u);
-  // Never-touched tracks answer through the universe fast path.
-  expect_h_consistent(grid, grid.num_h() / 2 + 1, 500000);
+  // Never-touched tracks answer through the universe fast path, whose
+  // crossing span (computed once per orientation) is every crossing track.
+  const int untouched = grid.num_h() / 2 + 1;
+  expect_h_consistent(grid, untouched, 500000);
+  ASSERT_TRUE(grid.h_track(untouched).blocked().empty());
+  int first = -7, last = -7;
+  ASSERT_EQ(grid.h_free_segment_span(untouched, 500000, &first, &last),
+            grid.h_span());
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(last, grid.num_v() - 1);
 }
 
 }  // namespace

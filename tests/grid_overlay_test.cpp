@@ -1,14 +1,16 @@
 /// \file grid_overlay_test.cpp
-/// \brief GridOverlay equivalence: a (base grid + overlay) pair must
-/// answer every occupancy query exactly as a mutated deep copy of the
-/// base — fuzzed over randomized block/unblock/brace sequences, plus
-/// targeted rebase cases mirroring the worker loop.
+/// \brief GridOverlay equivalence: a (base grid + overlay) pair, read
+/// through a GridView, must answer every occupancy query exactly as a
+/// mutated deep copy of the base and as the reference IntervalSet
+/// primitives — fuzzed over randomized block/unblock/brace sequences,
+/// plus targeted rebase cases mirroring the worker loop.
 
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <vector>
 
+#include "tig/grid_view.hpp"
 #include "tig/overlay.hpp"
 #include "util/rng.hpp"
 
@@ -29,17 +31,47 @@ Interval random_span(util::Rng& rng, Coord size) {
   return Interval(std::min(a, b), std::max(a, b));
 }
 
+/// Asserts the overlay's free-segment answer at \p x on horizontal track
+/// \p i equals the reference primitives over its effective blocked set:
+/// IntervalSet::free_gap_containing and the binary-searched crossing span.
+void expect_h_reference(const GridView& overlay, int i, Coord x) {
+  const auto expect = overlay.h_track(i).blocked().free_gap_containing(
+      overlay.h_span(), x);
+  int first = -7, last = -7;
+  ASSERT_EQ(overlay.h_free_segment_span(i, x, &first, &last), expect)
+      << "h track " << i << " x=" << x;
+  if (expect.has_value()) {
+    EXPECT_EQ(first, overlay.first_v_at_or_above(expect->lo));
+    EXPECT_EQ(last, overlay.last_v_at_or_below(expect->hi));
+  }
+}
+
+void expect_v_reference(const GridView& overlay, int j, Coord y) {
+  const auto expect = overlay.v_track(j).blocked().free_gap_containing(
+      overlay.v_span(), y);
+  int first = -7, last = -7;
+  ASSERT_EQ(overlay.v_free_segment_span(j, y, &first, &last), expect)
+      << "v track " << j << " y=" << y;
+  if (expect.has_value()) {
+    EXPECT_EQ(first, overlay.first_h_at_or_above(expect->lo));
+    EXPECT_EQ(last, overlay.last_h_at_or_below(expect->hi));
+  }
+}
+
 /// Asserts every query type answers identically on the overlay and the
-/// reference grid (the deep copy the overlay replaces).
-void expect_equivalent(const GridOverlay& overlay, const TrackGrid& ref,
+/// reference grid (the deep copy the overlay replaces), and that the
+/// overlay's free segments match the reference primitives.
+void expect_equivalent(const GridView& overlay, const TrackGrid& ref,
                        util::Rng& rng, Coord size) {
   for (int i = 0; i < ref.num_h(); ++i) {
-    ASSERT_EQ(overlay.h_blocked(i).runs(), ref.h_blocked(i).runs())
+    ASSERT_EQ(overlay.h_track(i).blocked().runs(),
+              ref.h_track(i).blocked().runs())
         << "h track " << i;
     for (int probe = 0; probe < 4; ++probe) {
       const Coord x = rng.uniform_int(0, size - 1);
       EXPECT_EQ(overlay.h_free_segment(i, x), ref.h_free_segment(i, x))
           << "h track " << i << " x=" << x;
+      expect_h_reference(overlay, i, x);
       int of = -7, ol = -7, rf = -7, rl = -7;
       const auto oseg = overlay.h_free_segment_span(i, x, &of, &ol);
       const auto rseg = ref.h_free_segment_span(i, x, &rf, &rl);
@@ -57,12 +89,14 @@ void expect_equivalent(const GridOverlay& overlay, const TrackGrid& ref,
     }
   }
   for (int j = 0; j < ref.num_v(); ++j) {
-    ASSERT_EQ(overlay.v_blocked(j).runs(), ref.v_blocked(j).runs())
+    ASSERT_EQ(overlay.v_track(j).blocked().runs(),
+              ref.v_track(j).blocked().runs())
         << "v track " << j;
     for (int probe = 0; probe < 4; ++probe) {
       const Coord y = rng.uniform_int(0, size - 1);
       EXPECT_EQ(overlay.v_free_segment(j, y), ref.v_free_segment(j, y))
           << "v track " << j << " y=" << y;
+      expect_v_reference(overlay, j, y);
       int of = -7, ol = -7, rf = -7, rl = -7;
       const auto oseg = overlay.v_free_segment_span(j, y, &of, &ol);
       const auto rseg = ref.v_free_segment_span(j, y, &rf, &rl);
@@ -99,7 +133,6 @@ TEST(GridOverlay, UntouchedOverlayMatchesBase) {
                    random_span(rng, size));
     }
   }
-  base.warm_gap_cache();
   GridOverlay overlay(&base);
   EXPECT_EQ(overlay.touched_tracks(), 0u);
   expect_equivalent(overlay, base, rng, size);
@@ -123,8 +156,7 @@ TEST(GridOverlay, FuzzMutationSequencesMatchDeepCopy) {
                      random_span(rng, size));
       }
     }
-    base.warm_gap_cache();
-
+  
     TrackGrid copy = base;  // the deep copy the overlay stands in for
     GridOverlay overlay(&base);
     for (int step = 0; step < 40; ++step) {
@@ -171,14 +203,13 @@ TEST(GridOverlay, BraceRoundTripLeavesQueriesAtBase) {
   TrackGrid base = make_grid(size);
   base.block_h(3, Interval(0, size));
   base.block_v(4, Interval(0, size));
-  base.warm_gap_cache();
   GridOverlay overlay(&base);
 
   const Coord x = base.v_x(4);
   const Coord y = base.h_y(3);
   overlay.unblock_h(3, Interval(x, x));
   overlay.unblock_v(4, Interval(y, y));
-  EXPECT_TRUE(overlay.crossing_free(3, 4));
+  EXPECT_TRUE(GridView(overlay).crossing_free(3, 4));
   overlay.block_h(3, Interval(x, x));
   overlay.block_v(4, Interval(y, y));
   expect_equivalent(overlay, base, rng, size);
@@ -188,16 +219,15 @@ TEST(GridOverlay, RebaseDropsDeltasInOTouched) {
   util::Rng rng(3);
   const Coord size = 200;
   TrackGrid base = make_grid(size);
-  base.warm_gap_cache();
   GridOverlay overlay(&base);
   overlay.block_h(2, Interval(10, 50));
   overlay.block_v(5, Interval(20, 80));
   EXPECT_EQ(overlay.touched_tracks(), 2u);
-  EXPECT_FALSE(overlay.h_is_free(2, Interval(10, 50)));
+  EXPECT_FALSE(GridView(overlay).h_is_free(2, Interval(10, 50)));
 
   overlay.rebase(&base);
   EXPECT_EQ(overlay.touched_tracks(), 0u);
-  EXPECT_TRUE(overlay.h_is_free(2, Interval(10, 50)));
+  EXPECT_TRUE(GridView(overlay).h_is_free(2, Interval(10, 50)));
   expect_equivalent(overlay, base, rng, size);
 }
 

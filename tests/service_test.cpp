@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/watchdog.hpp"
 #include "flow/run.hpp"
 #include "io/job_io.hpp"
 #include "service/admission.hpp"
@@ -297,10 +299,28 @@ TEST(Executor, OverloadRejectsBeyondQueueBoundWithoutDropping) {
   EXPECT_EQ(rejected.load(), kJobs - accepted_count);
 }
 
+/// Measures watchdog deadlines in level-B search progress (one
+/// millisecond per unit) for the lifetime of the guard. Level A reports
+/// no progress, so a 1 ms deadline can only fire once level B has
+/// examined its first vertices — on slow (sanitizer) builds a wall-clock
+/// millisecond can expire inside level A and fail the run — and the
+/// watchdog's final check at stop() fires it even if no poll landed
+/// inside level B: the run ends `partial` on any machine and load.
+struct ProgressDeadlineClock {
+  ProgressDeadlineClock() {
+    engine::Watchdog::set_test_clock(
+        [](long long progress) -> std::chrono::nanoseconds {
+          return std::chrono::milliseconds(progress);
+        });
+  }
+  ~ProgressDeadlineClock() { engine::Watchdog::set_test_clock(nullptr); }
+};
+
 /// Per-job isolation under concurrency: clean, deadline-doomed and
 /// fault-armed jobs run together on several workers; each result must
 /// carry only its own status and its own metrics scope.
 TEST(Executor, ConcurrentJobsIsolateStatusAndMetrics) {
+  const ProgressDeadlineClock clock;
   JobExecutor::Options options;
   options.workers = 3;
   options.admission.queue_limit = 64;

@@ -63,6 +63,31 @@ TEST(Watchdog, DeadlineFiresWithDeadlineStatus) {
   EXPECT_EQ(source.reason().kind(), util::StatusKind::kDeadlineExceeded);
 }
 
+TEST(Watchdog, StopReportsADeadlinePassedBetweenPolls) {
+  Watchdog::Options options;
+  options.deadline = std::chrono::milliseconds(5);
+  options.poll = std::chrono::seconds(60);  // no poll lands in this test
+  {
+    util::CancelSource source;
+    Watchdog watchdog(source, options);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(source.cancelled());
+    watchdog.stop();
+    EXPECT_TRUE(watchdog.fired());
+    ASSERT_TRUE(source.cancelled());
+    EXPECT_EQ(source.reason().kind(), util::StatusKind::kDeadlineExceeded);
+  }
+  {
+    // A run that stops before its deadline is not reported.
+    options.deadline = std::chrono::seconds(60);
+    util::CancelSource source;
+    Watchdog watchdog(source, options);
+    watchdog.stop();
+    EXPECT_FALSE(watchdog.fired());
+    EXPECT_FALSE(source.cancelled());
+  }
+}
+
 TEST(Watchdog, StallFiresOnlyWhenProgressFreezes) {
   util::CancelSource source;
   Watchdog::Options options;
