@@ -46,6 +46,13 @@ struct Interval {
       default;
 };
 
+/// The extent a leg from \p p to \p q covers along a track of orientation
+/// \p o.
+inline Interval leg_extent(const Point& p, const Point& q, Orientation o) {
+  return Interval(std::min(along(p, o), along(q, o)),
+                  std::max(along(p, o), along(q, o)));
+}
+
 std::ostream& operator<<(std::ostream& os, const Interval& iv);
 
 }  // namespace ocr::geom

@@ -67,6 +67,15 @@ Coord IntervalSet::blocked_length() const {
   return total;
 }
 
+Coord IntervalSet::overlap_length(const Interval& span) const {
+  Coord total = 0;
+  for (auto it = first_reaching(runs_, span.lo);
+       it != runs_.end() && it->lo <= span.hi; ++it) {
+    total += std::min(it->hi, span.hi) - std::max(it->lo, span.lo);
+  }
+  return total;
+}
+
 std::optional<Interval> IntervalSet::free_gap_containing(
     const Interval& universe, Coord v) const {
   if (!universe.contains(v)) return std::nullopt;

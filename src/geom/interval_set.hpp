@@ -57,6 +57,10 @@ class IntervalSet {
   /// (zero-length runs block a single point but add no length).
   Coord blocked_length() const;
 
+  /// Blocked length inside \p span, counting each run's clipped part as
+  /// hi - lo. O(log k + runs inside the span).
+  Coord overlap_length(const Interval& span) const;
+
   /// Maximal blocked runs in ascending order.
   const std::vector<Interval>& runs() const { return runs_; }
 

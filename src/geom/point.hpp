@@ -7,6 +7,7 @@
 /// point ever enters area/wirelength accounting.
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 
@@ -30,6 +31,16 @@ constexpr char orientation_tag(Orientation o) {
   return o == Orientation::kHorizontal ? 'H' : 'V';
 }
 
+/// Both orientations in axis order, for code written once over them.
+inline constexpr Orientation kOrientations[] = {Orientation::kHorizontal,
+                                                Orientation::kVertical};
+
+/// Array index of an orientation (kHorizontal = 0, kVertical = 1): state
+/// kept per track family lives in two-entry arrays indexed by it.
+constexpr std::size_t axis(Orientation o) {
+  return static_cast<std::size_t>(o);
+}
+
 /// A point on the integer lattice.
 struct Point {
   Coord x = 0;
@@ -37,6 +48,25 @@ struct Point {
 
   friend constexpr auto operator<=>(const Point&, const Point&) = default;
 };
+
+/// The coordinate of \p p that varies along a track of orientation \p o
+/// (x on a horizontal track, y on a vertical one).
+constexpr Coord along(const Point& p, Orientation o) {
+  return o == Orientation::kHorizontal ? p.x : p.y;
+}
+
+/// The coordinate of \p p that a track of orientation \p o holds fixed:
+/// the track's own coordinate when \p p lies on it.
+constexpr Coord across(const Point& p, Orientation o) {
+  return o == Orientation::kHorizontal ? p.y : p.x;
+}
+
+/// The point at \p along_coord on the \p o track at \p across_coord.
+constexpr Point on_track(Orientation o, Coord along_coord,
+                         Coord across_coord) {
+  return o == Orientation::kHorizontal ? Point{along_coord, across_coord}
+                                       : Point{across_coord, along_coord};
+}
 
 /// L1 (rectilinear) distance — the metric of the paper's Steiner trees.
 constexpr Coord manhattan(const Point& a, const Point& b) {

@@ -1,6 +1,7 @@
 #include "levelb/cost.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "levelb/workspace.hpp"
@@ -25,6 +26,13 @@ std::uint64_t bucket_key(geom::Coord bx, geom::Coord by) {
                                       0x80000000u);
   };
   return u32(bx) << 32 | u32(by);
+}
+
+/// The two tracks of a corner joining horizontal track \p h and vertical
+/// track \p v, in axis order.
+std::array<tig::TrackRef, 2> corner_tracks(int h, int v) {
+  return {tig::TrackRef{geom::Orientation::kHorizontal, h},
+          tig::TrackRef{geom::Orientation::kVertical, v}};
 }
 
 bool fits_bucket_key(geom::Coord b) {
@@ -102,15 +110,13 @@ CostContext make_cost_context(const tig::GridView& grid,
                               double acf_window_pitches) {
   CostContext ctx;
   ctx.own_terminals = own_terminals;
-  geom::Coord h_pitch = 1;
-  geom::Coord v_pitch = 1;
-  if (grid.num_h() > 1) {
-    h_pitch = (grid.h_y(grid.num_h() - 1) - grid.h_y(0)) / (grid.num_h() - 1);
+  geom::Coord pitch_sum = 0;  // mean pitch per orientation (1 if one track)
+  for (const geom::Orientation o : geom::kOrientations) {
+    const std::vector<geom::Coord>& coords = grid.coords(o);
+    const auto n = static_cast<geom::Coord>(coords.size());
+    pitch_sum += n > 1 ? (coords.back() - coords.front()) / (n - 1) : 1;
   }
-  if (grid.num_v() > 1) {
-    v_pitch = (grid.v_x(grid.num_v() - 1) - grid.v_x(0)) / (grid.num_v() - 1);
-  }
-  ctx.pitch = std::max<geom::Coord>(1, (h_pitch + v_pitch) / 2);
+  ctx.pitch = std::max<geom::Coord>(1, pitch_sum / 2);
   ctx.dup_radius = static_cast<geom::Coord>(
       dup_radius_pitches * static_cast<double>(ctx.pitch));
   ctx.acf_window = static_cast<geom::Coord>(
@@ -120,20 +126,19 @@ CostContext make_cost_context(const tig::GridView& grid,
 
 double corner_drg(const tig::GridView& grid, const CostContext& ctx,
                   const geom::Point& p, int h, int v) {
-  const auto dh = grid.h_distance_to_blocked(h, p.x);
-  const auto dv = grid.v_distance_to_blocked(v, p.y);
-  if (ctx.footprint != nullptr) {
-    // "Nearest blockage at distance d" stays true unless something new
-    // lands within d of the probe; with no blockage at all, any new block
-    // on the track changes the answer.
-    ctx.footprint->add_h(h, dh ? geom::Interval(p.x - *dh, p.x + *dh)
-                               : grid.h_span());
-    ctx.footprint->add_v(v, dv ? geom::Interval(p.y - *dv, p.y + *dv)
-                               : grid.v_span());
-  }
   geom::Coord d = -1;
-  if (dh) d = *dh;
-  if (dv) d = d < 0 ? *dv : std::min(d, *dv);
+  for (const tig::TrackRef& t : corner_tracks(h, v)) {
+    const geom::Coord at = geom::along(p, t.orient);
+    const auto dt = grid.distance_to_blocked(t, at);
+    if (ctx.footprint != nullptr) {
+      // "Nearest blockage at distance d" stays true unless something new
+      // lands within d of the probe; with no blockage at all, any new
+      // block on the track changes the answer.
+      ctx.footprint->add(t, dt ? geom::Interval(at - *dt, at + *dt)
+                               : grid.span(t.orient));
+    }
+    if (dt) d = d < 0 ? *dt : std::min(d, *dt);
+  }
   if (d < 0) return 0.0;  // nothing routed anywhere near
   return 1.0 / (1.0 + static_cast<double>(d) /
                           static_cast<double>(ctx.pitch));
@@ -170,18 +175,16 @@ double corner_dup(const CostContext& ctx, const geom::Point& p) {
 
 double corner_acf(const tig::GridView& grid, const CostContext& ctx,
                   const geom::Point& p, int h, int v) {
-  const geom::Interval hw(
-      std::max(grid.h_span().lo, p.x - ctx.acf_window),
-      std::min(grid.h_span().hi, p.x + ctx.acf_window));
-  const geom::Interval vw(
-      std::max(grid.v_span().lo, p.y - ctx.acf_window),
-      std::min(grid.v_span().hi, p.y + ctx.acf_window));
-  if (ctx.footprint != nullptr) {
-    ctx.footprint->add_h(h, hw);
-    ctx.footprint->add_v(v, vw);
+  double sum = 0.0;
+  for (const tig::TrackRef& t : corner_tracks(h, v)) {
+    const geom::Interval span = grid.span(t.orient);
+    const geom::Coord at = geom::along(p, t.orient);
+    const geom::Interval window(std::max(span.lo, at - ctx.acf_window),
+                                std::min(span.hi, at + ctx.acf_window));
+    if (ctx.footprint != nullptr) ctx.footprint->add(t, window);
+    sum += grid.blocked_fraction(t, window);
   }
-  return 0.5 * (grid.h_blocked_fraction(h, hw) +
-                grid.v_blocked_fraction(v, vw));
+  return 0.5 * sum;
 }
 
 double corner_cost(const tig::GridView& grid, const CostWeights& weights,
@@ -192,36 +195,6 @@ double corner_cost(const tig::GridView& grid, const CostWeights& weights,
          weights.w23 * corner_acf(grid, ctx, p, h, v);
 }
 
-namespace {
-/// Total overlap of \p span with the blocked runs of \p set, starting from
-/// the first run that can reach span (binary search, not a front scan).
-geom::Coord overlap_length(const geom::IntervalSet& set,
-                           const geom::Interval& span) {
-  const std::vector<geom::Interval>& runs = set.runs();
-  auto it = std::lower_bound(runs.begin(), runs.end(), span.lo,
-                             [](const geom::Interval& run, geom::Coord v) {
-                               return run.hi < v;
-                             });
-  geom::Coord total = 0;
-  for (; it != runs.end() && it->lo <= span.hi; ++it) {
-    total += std::min(it->hi, span.hi) - std::max(it->lo, span.lo);
-  }
-  return total;
-}
-}  // namespace
-
-geom::Coord SensitiveRuns::h_overlap(int track,
-                                     const geom::Interval& span) const {
-  const auto it = h_.find(track);
-  return it == h_.end() ? 0 : overlap_length(it->second, span);
-}
-
-geom::Coord SensitiveRuns::v_overlap(int track,
-                                     const geom::Interval& span) const {
-  const auto it = v_.find(track);
-  return it == v_.end() ? 0 : overlap_length(it->second, span);
-}
-
 double leg_parallel_cost(const tig::GridView& grid,
                          const CostWeights& weights, const CostContext& ctx,
                          const tig::TrackRef& track,
@@ -230,17 +203,12 @@ double leg_parallel_cost(const tig::GridView& grid,
       ctx.sensitive->empty()) {
     return 0.0;
   }
+  // The leg's own track and its two neighbours of the same orientation.
+  const int count = static_cast<int>(grid.coords(track.orient).size());
   geom::Coord overlap = 0;
-  if (track.orient == geom::Orientation::kHorizontal) {
-    for (int i = track.index - 1; i <= track.index + 1; ++i) {
-      if (i < 0 || i >= grid.num_h()) continue;
-      overlap += ctx.sensitive->h_overlap(i, span);
-    }
-  } else {
-    for (int j = track.index - 1; j <= track.index + 1; ++j) {
-      if (j < 0 || j >= grid.num_v()) continue;
-      overlap += ctx.sensitive->v_overlap(j, span);
-    }
+  for (int k = std::max(0, track.index - 1);
+       k <= std::min(count - 1, track.index + 1); ++k) {
+    overlap += ctx.sensitive->overlap({track.orient, k}, span);
   }
   return weights.w24 * static_cast<double>(overlap) /
          static_cast<double>(ctx.pitch);

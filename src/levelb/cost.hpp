@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -41,29 +40,6 @@ struct CostWeights {
   /// nets"): penalty per pitch of running parallel to a sensitive wire on
   /// an adjacent track. 0 disables.
   double w24 = 0.0;
-};
-
-/// Registry of committed wiring that new paths should not run alongside
-/// (capacitive-coupling victims, §1). Extents are keyed by track.
-class SensitiveRuns {
- public:
-  void add_h(int track, const geom::Interval& extent) {
-    h_[track].add(extent);
-  }
-  void add_v(int track, const geom::Interval& extent) {
-    v_[track].add(extent);
-  }
-
-  /// Total length of \p span that runs parallel to a sensitive extent on
-  /// horizontal track \p track.
-  geom::Coord h_overlap(int track, const geom::Interval& span) const;
-  geom::Coord v_overlap(int track, const geom::Interval& span) const;
-
-  bool empty() const { return h_.empty() && v_.empty(); }
-
- private:
-  std::map<int, geom::IntervalSet> h_;
-  std::map<int, geom::IntervalSet> v_;
 };
 
 /// Uniform bucket index over a flat point array, for the dup term's

@@ -36,37 +36,28 @@ struct GeomLeg {
 };
 
 Coord leg_distance(const GeomLeg& leg, const Point& p) {
-  if (leg.track.orient == Orientation::kHorizontal) {
-    const Coord x = std::clamp(p.x, leg.extent.lo, leg.extent.hi);
-    return geom::manhattan(p, Point{x, leg.fixed});
-  }
-  const Coord y = std::clamp(p.y, leg.extent.lo, leg.extent.hi);
-  return geom::manhattan(p, Point{leg.fixed, y});
+  const Orientation o = leg.track.orient;
+  const Coord at = std::clamp(geom::along(p, o), leg.extent.lo, leg.extent.hi);
+  return geom::manhattan(p, geom::on_track(o, at, leg.fixed));
 }
 
 /// Closest grid crossing on \p leg to \p p. Legs start and end at
 /// crossings, so a valid crossing always exists within the extent.
 Point leg_closest_crossing(const tig::GridView& grid, const GeomLeg& leg,
                            const Point& p) {
-  if (leg.track.orient == Orientation::kHorizontal) {
-    const Coord clamped = std::clamp(p.x, leg.extent.lo, leg.extent.hi);
-    Coord x = grid.v_x(grid.nearest_v(clamped));
-    if (x < leg.extent.lo || x > leg.extent.hi) {
-      // Snapped off the leg (short leg): fall back to the nearer endpoint.
-      x = (std::abs(p.x - leg.extent.lo) <= std::abs(p.x - leg.extent.hi))
-              ? leg.extent.lo
-              : leg.extent.hi;
-    }
-    return Point{x, leg.fixed};
+  const Orientation o = leg.track.orient;
+  const Coord v = geom::along(p, o);
+  const Coord clamped = std::clamp(v, leg.extent.lo, leg.extent.hi);
+  const Orientation perp = geom::perpendicular(o);
+  Coord at = grid.coords(perp)[static_cast<std::size_t>(
+      grid.nearest(perp, clamped))];
+  if (!leg.extent.contains(at)) {
+    // Snapped off the leg (short leg): fall back to the nearer endpoint.
+    at = (std::abs(v - leg.extent.lo) <= std::abs(v - leg.extent.hi))
+             ? leg.extent.lo
+             : leg.extent.hi;
   }
-  const Coord clamped = std::clamp(p.y, leg.extent.lo, leg.extent.hi);
-  Coord y = grid.h_y(grid.nearest_h(clamped));
-  if (y < leg.extent.lo || y > leg.extent.hi) {
-    y = (std::abs(p.y - leg.extent.lo) <= std::abs(p.y - leg.extent.hi))
-            ? leg.extent.lo
-            : leg.extent.hi;
-  }
-  return Point{leg.fixed, y};
+  return geom::on_track(o, at, leg.fixed);
 }
 
 /// Bucket edge for an unrouted index built without one: about sqrt(n)
@@ -111,13 +102,12 @@ int ripup_round(tig::TrackGrid& grid, const LevelBOptions& options,
       if (nets[v].sensitive) continue;  // never rip up sensitive wiring
       bool overlaps_window = false;
       for (const Committed& c : committed[v]) {
-        const geom::Rect leg_box =
-            c.track.orient == Orientation::kHorizontal
-                ? geom::Rect(c.extent.lo, grid.h_y(c.track.index),
-                             c.extent.hi, grid.h_y(c.track.index))
-                : geom::Rect(grid.v_x(c.track.index), c.extent.lo,
-                             grid.v_x(c.track.index), c.extent.hi);
-        if (leg_box.overlaps(window)) {
+        const Orientation o = c.track.orient;
+        const Coord at =
+            grid.coords(o)[static_cast<std::size_t>(c.track.index)];
+        if (geom::Rect::from_corners(geom::on_track(o, c.extent.lo, at),
+                                     geom::on_track(o, c.extent.hi, at))
+                .overlaps(window)) {
           overlaps_window = true;
           break;
         }
@@ -226,8 +216,8 @@ std::vector<std::vector<Point>> snap_and_reserve_terminals(
   std::vector<std::vector<Point>> snapped(nets.size());
   for (std::size_t i = 0; i < nets.size(); ++i) {
     for (const Point& t : nets[i].terminals) {
-      const int ci = grid.nearest_h(t.y);
-      const int cj = grid.nearest_v(t.x);
+      const int ci = grid.nearest(Orientation::kHorizontal, t.y);
+      const int cj = grid.nearest(Orientation::kVertical, t.x);
       // Nearest crossing in the 3x3 neighbourhood not taken by a
       // *different* net; fall back to the nearest crossing when the whole
       // neighbourhood is contested.
@@ -272,48 +262,47 @@ std::vector<std::vector<Point>> snap_and_reserve_terminals(
   return snapped;
 }
 
+namespace {
+/// Blocks (or unblocks) \p p's crossing on both of its tracks in
+/// \p target, a grid or an overlay; \p grid resolves the tracks.
+template <typename Target>
+void set_terminal(Target& target, const tig::TrackGrid& grid, const Point& p,
+                  bool blocked) {
+  for (const tig::TrackRef& t : grid.tracks_at(p)) {
+    const Coord at = geom::along(p, t.orient);
+    if (blocked) {
+      target.block(t, Interval(at, at));
+    } else {
+      target.unblock(t, Interval(at, at));
+    }
+  }
+}
+}  // namespace
+
 void block_terminal(tig::TrackGrid& grid, const Point& p) {
-  grid.block_h(grid.nearest_h(p.y), Interval(p.x, p.x));
-  grid.block_v(grid.nearest_v(p.x), Interval(p.y, p.y));
+  set_terminal(grid, grid, p, true);
 }
 
 void unblock_terminal(tig::TrackGrid& grid, const Point& p) {
-  grid.unblock_h(grid.nearest_h(p.y), Interval(p.x, p.x));
-  grid.unblock_v(grid.nearest_v(p.x), Interval(p.y, p.y));
+  set_terminal(grid, grid, p, false);
 }
 
 void block_terminal(tig::GridOverlay& overlay, const Point& p) {
-  const tig::TrackGrid& base = overlay.base();
-  overlay.block_h(base.nearest_h(p.y), Interval(p.x, p.x));
-  overlay.block_v(base.nearest_v(p.x), Interval(p.y, p.y));
+  set_terminal(overlay, overlay.base(), p, true);
 }
 
 void unblock_terminal(tig::GridOverlay& overlay, const Point& p) {
-  const tig::TrackGrid& base = overlay.base();
-  overlay.unblock_h(base.nearest_h(p.y), Interval(p.x, p.x));
-  overlay.unblock_v(base.nearest_v(p.x), Interval(p.y, p.y));
+  set_terminal(overlay, overlay.base(), p, false);
 }
 
 void commit_extents(tig::TrackGrid& grid,
                     const std::vector<Committed>& extents) {
-  for (const Committed& c : extents) {
-    if (c.track.orient == Orientation::kHorizontal) {
-      grid.block_h(c.track.index, c.extent);
-    } else {
-      grid.block_v(c.track.index, c.extent);
-    }
-  }
+  for (const Committed& c : extents) grid.block(c.track, c.extent);
 }
 
 void uncommit_extents(tig::TrackGrid& grid,
                       const std::vector<Committed>& extents) {
-  for (const Committed& c : extents) {
-    if (c.track.orient == Orientation::kHorizontal) {
-      grid.unblock_h(c.track.index, c.extent);
-    } else {
-      grid.unblock_v(c.track.index, c.extent);
-    }
-  }
+  for (const Committed& c : extents) grid.unblock(c.track, c.extent);
 }
 
 NetResult route_single_net(tig::GridView grid,
@@ -463,16 +452,8 @@ NetResult route_single_net(tig::GridView grid,
           const Point& p = found.path.points[leg];
           const Point& q = found.path.points[leg + 1];
           const tig::TrackRef& track = found.path.tracks[leg];
-          GeomLeg g;
-          g.track = track;
-          if (track.orient == Orientation::kHorizontal) {
-            g.fixed = p.y;
-            g.extent = Interval(std::min(p.x, q.x), std::max(p.x, q.x));
-          } else {
-            g.fixed = p.x;
-            g.extent = Interval(std::min(p.y, q.y), std::max(p.y, q.y));
-          }
-          legs.push_back(g);
+          legs.push_back(GeomLeg{track, geom::across(p, track.orient),
+                                 geom::leg_extent(p, q, track.orient)});
         }
         result.wire_length += found.path.length();
         result.corners += found.path.corners();
@@ -483,24 +464,19 @@ NetResult route_single_net(tig::GridView grid,
     if (!connected) {
       ++result.failed_connections;
       if (util::log_level() <= util::LogLevel::kDebug) {
-        const int si = grid.nearest_h(source.y);
-        const int sj = grid.nearest_v(source.x);
-        const auto hgap = grid.h_free_segment(si, source.x);
-        const auto vgap = grid.v_free_segment(sj, source.y);
         std::ostringstream diag;
         diag << "level B: net " << request.net_id << " failed at ("
              << source.x << "," << source.y
-             << ") targets=" << targets.size() << " hgap=";
-        if (hgap) {
-          diag << "[" << hgap->lo << "," << hgap->hi << "]";
-        } else {
-          diag << "none";
-        }
-        diag << " vgap=";
-        if (vgap) {
-          diag << "[" << vgap->lo << "," << vgap->hi << "]";
-        } else {
-          diag << "none";
+             << ") targets=" << targets.size();
+        for (const tig::TrackRef& t : grid.tracks_at(source)) {
+          const auto gap =
+              grid.free_segment(t, geom::along(source, t.orient));
+          diag << ' ' << geom::orientation_tag(t.orient) << "gap=";
+          if (gap) {
+            diag << "[" << gap->lo << "," << gap->hi << "]";
+          } else {
+            diag << "none";
+          }
         }
         if (!targets.empty()) {
           diag << " t0=(" << targets[0].x << "," << targets[0].y << ")";

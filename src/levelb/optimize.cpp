@@ -1,6 +1,7 @@
 #include "levelb/optimize.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "util/assert.hpp"
 
@@ -13,37 +14,32 @@ using geom::Orientation;
 using geom::Point;
 using tig::TrackRef;
 
-Interval leg_span(const Point& p, const Point& q, bool horizontal) {
-  return horizontal ? Interval(std::min(p.x, q.x), std::max(p.x, q.x))
-                    : Interval(std::min(p.y, q.y), std::max(p.y, q.y));
-}
-
-void block_path(tig::TrackGrid& grid, const Path& path) {
+/// Blocks (or unblocks) every leg of \p path on its track.
+void set_path(tig::TrackGrid& grid, const Path& path, bool blocked) {
   for (std::size_t leg = 0; leg + 1 < path.points.size(); ++leg) {
     const TrackRef& t = path.tracks[leg];
-    const bool horizontal = t.orient == Orientation::kHorizontal;
     const Interval span =
-        leg_span(path.points[leg], path.points[leg + 1], horizontal);
-    if (horizontal) {
-      grid.block_h(t.index, span);
+        geom::leg_extent(path.points[leg], path.points[leg + 1], t.orient);
+    if (blocked) {
+      grid.block(t, span);
     } else {
-      grid.block_v(t.index, span);
+      grid.unblock(t, span);
     }
   }
 }
 
-void unblock_path(tig::TrackGrid& grid, const Path& path) {
-  for (std::size_t leg = 0; leg + 1 < path.points.size(); ++leg) {
-    const TrackRef& t = path.tracks[leg];
-    const bool horizontal = t.orient == Orientation::kHorizontal;
-    const Interval span =
-        leg_span(path.points[leg], path.points[leg + 1], horizontal);
-    if (horizontal) {
-      grid.unblock_h(t.index, span);
-    } else {
-      grid.unblock_v(t.index, span);
-    }
+/// The track carrying a leg from \p p to \p q along \p o, when the leg
+/// rides a real track and that track is free over it.
+std::optional<TrackRef> free_leg_track(const tig::TrackGrid& grid,
+                                       const Point& p, const Point& q,
+                                       Orientation o) {
+  const TrackRef t{o, grid.nearest(o, geom::across(p, o))};
+  if (grid.coords(o)[static_cast<std::size_t>(t.index)] !=
+          geom::across(p, o) ||
+      !grid.is_free(t, geom::leg_extent(p, q, o))) {
+    return std::nullopt;
   }
+  return t;
 }
 
 bool point_on_leg(const Point& p, const Point& a, const Point& b) {
@@ -78,17 +74,10 @@ bool flatten_staircase(const tig::TrackGrid& grid, Path& path,
 
   // Collinear endpoints: the staircase collapses to one straight leg.
   if (p0.x == p3.x || p0.y == p3.y) {
-    const bool horizontal = p0.y == p3.y;
-    const int track =
-        horizontal ? grid.nearest_h(p0.y) : grid.nearest_v(p0.x);
-    const Coord track_coord =
-        horizontal ? grid.h_y(track) : grid.v_x(track);
-    if (track_coord != (horizontal ? p0.y : p0.x)) return false;
-    const Interval span = leg_span(p0, p3, horizontal);
-    const bool free =
-        horizontal ? grid.h_is_free(track, span)
-                   : grid.v_is_free(track, span);
-    if (!free) return false;
+    const auto t = free_leg_track(grid, p0, p3,
+                                  p0.y == p3.y ? Orientation::kHorizontal
+                                               : Orientation::kVertical);
+    if (!t) return false;
     std::vector<Point> points(path.points.begin(),
                               path.points.begin() + static_cast<long>(i) +
                                   1);
@@ -96,9 +85,7 @@ bool flatten_staircase(const tig::TrackGrid& grid, Path& path,
                                  path.tracks.begin() +
                                      static_cast<long>(i));
     points.push_back(p3);
-    tracks.push_back(horizontal
-                         ? TrackRef{Orientation::kHorizontal, track}
-                         : TrackRef{Orientation::kVertical, track});
+    tracks.push_back(*t);
     points.insert(points.end(),
                   path.points.begin() + static_cast<long>(i) + 4,
                   path.points.end());
@@ -116,19 +103,12 @@ bool flatten_staircase(const tig::TrackGrid& grid, Path& path,
   for (const Point& corner : {corner_a, corner_b}) {
     if (corner == p0 || corner == p3) continue;  // degenerate
     // Leg p0 -> corner, corner -> p3; both must ride real tracks.
-    const bool first_horizontal = corner.y == p0.y;
-    const int h_track = grid.nearest_h(first_horizontal ? p0.y : p3.y);
-    const int v_track = grid.nearest_v(first_horizontal ? p3.x : p0.x);
-    if (grid.h_y(h_track) != (first_horizontal ? p0.y : p3.y)) continue;
-    if (grid.v_x(v_track) != (first_horizontal ? p3.x : p0.x)) continue;
-    const Interval h_span = leg_span(first_horizontal ? p0 : corner,
-                                     first_horizontal ? corner : p3, true);
-    const Interval v_span = leg_span(first_horizontal ? corner : p0,
-                                     first_horizontal ? p3 : corner, false);
-    if (!grid.h_is_free(h_track, h_span) ||
-        !grid.v_is_free(v_track, v_span)) {
-      continue;
-    }
+    const Orientation first = corner.y == p0.y ? Orientation::kHorizontal
+                                               : Orientation::kVertical;
+    const auto t1 = free_leg_track(grid, p0, corner, first);
+    const auto t2 =
+        free_leg_track(grid, corner, p3, geom::perpendicular(first));
+    if (!t1 || !t2) continue;
     // Rewrite.
     std::vector<Point> points(path.points.begin(),
                               path.points.begin() + static_cast<long>(i) +
@@ -137,13 +117,9 @@ bool flatten_staircase(const tig::TrackGrid& grid, Path& path,
                                  path.tracks.begin() +
                                      static_cast<long>(i));
     points.push_back(corner);
-    tracks.push_back(first_horizontal
-                         ? TrackRef{Orientation::kHorizontal, h_track}
-                         : TrackRef{Orientation::kVertical, v_track});
+    tracks.push_back(*t1);
     points.push_back(p3);
-    tracks.push_back(first_horizontal
-                         ? TrackRef{Orientation::kVertical, v_track}
-                         : TrackRef{Orientation::kHorizontal, h_track});
+    tracks.push_back(*t2);
     points.insert(points.end(),
                   path.points.begin() + static_cast<long>(i) + 4,
                   path.points.end());
@@ -169,7 +145,7 @@ OptimizeStats straighten_corners(tig::TrackGrid& grid, LevelBResult& result,
       if (net.paths.empty()) continue;
       // Lift the whole net off the grid; its own wiring must not block
       // its rewrites (same electrical node).
-      for (const Path& path : net.paths) unblock_path(grid, path);
+      for (const Path& path : net.paths) set_path(grid, path, false);
 
       // Same-net attachment points: endpoints of every path (later paths
       // attach to points on earlier paths' legs).
@@ -181,10 +157,7 @@ OptimizeStats straighten_corners(tig::TrackGrid& grid, LevelBResult& result,
       }
       // The router reserves terminal via sites as point blocks on both
       // tracks; those are this net's own and must not veto its rewrites.
-      for (const Point& j : junctions) {
-        grid.unblock_h(grid.nearest_h(j.y), Interval(j.x, j.x));
-        grid.unblock_v(grid.nearest_v(j.x), Interval(j.y, j.y));
-      }
+      for (const Point& j : junctions) unblock_terminal(grid, j);
 
       for (Path& path : net.paths) {
         bool touched = false;
@@ -219,11 +192,8 @@ OptimizeStats straighten_corners(tig::TrackGrid& grid, LevelBResult& result,
         if (touched) ++stats.paths_touched;
       }
 
-      for (const Path& path : net.paths) block_path(grid, path);
-      for (const Point& j : junctions) {
-        grid.block_h(grid.nearest_h(j.y), Interval(j.x, j.x));
-        grid.block_v(grid.nearest_v(j.x), Interval(j.y, j.y));
-      }
+      for (const Path& path : net.paths) set_path(grid, path, true);
+      for (const Point& j : junctions) block_terminal(grid, j);
     }
     ++stats.passes;
     if (!changed) break;

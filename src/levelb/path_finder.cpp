@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 
 #include "levelb/workspace.hpp"
 #include "util/assert.hpp"
@@ -18,31 +19,30 @@ using tig::TrackRef;
 
 /// Inclusive track-index window restricting one search pass (§3.1: "the
 /// solution space for each MBFS is defined by the locations of the two net
-/// terminals within a rectangular region").
+/// terminals within a rectangular region"): tracks [lo[k], hi[k]] of the
+/// orientation with geom::axis() k.
 struct Window {
-  int i_lo = 0;
-  int i_hi = 0;
-  int j_lo = 0;
-  int j_hi = 0;
+  int lo[2] = {0, 0};
+  int hi[2] = {0, 0};
+
+  friend bool operator==(const Window&, const Window&) = default;
 };
 
 Window make_window(const tig::GridView& grid, const Point& a,
                    const Point& b, int margin) {
+  const auto ta = grid.tracks_at(a);
+  const auto tb = grid.tracks_at(b);
+  const int last[2] = {grid.num_h() - 1, grid.num_v() - 1};
   Window w;
-  const int ia = grid.nearest_h(a.y);
-  const int ib = grid.nearest_h(b.y);
-  const int ja = grid.nearest_v(a.x);
-  const int jb = grid.nearest_v(b.x);
-  w.i_lo = std::max(0, std::min(ia, ib) - margin);
-  w.i_hi = std::min(grid.num_h() - 1, std::max(ia, ib) + margin);
-  w.j_lo = std::max(0, std::min(ja, jb) - margin);
-  w.j_hi = std::min(grid.num_v() - 1, std::max(ja, jb) + margin);
+  for (std::size_t k = 0; k < 2; ++k) {
+    w.lo[k] = std::max(0, std::min(ta[k].index, tb[k].index) - margin);
+    w.hi[k] = std::min(last[k], std::max(ta[k].index, tb[k].index) + margin);
+  }
   return w;
 }
 
-bool window_is_full_grid(const tig::GridView& grid, const Window& w) {
-  return w.i_lo == 0 && w.j_lo == 0 && w.i_hi == grid.num_h() - 1 &&
-         w.j_hi == grid.num_v() - 1;
+Window full_window(const tig::GridView& grid) {
+  return Window{{0, 0}, {grid.num_h() - 1, grid.num_v() - 1}};
 }
 
 /// Cancellation / budget state threaded through the MBFS passes of one
@@ -103,8 +103,13 @@ inline bool visited_contains(SearchWorkspace::VisitSlot& slot,
 /// epoch implies the gen check above already zeroed the count), which
 /// makes "drop the capacity and allocate fresh" safe — nothing live is
 /// copied out of the dead storage.
-inline void visit(SearchWorkspace::VisitSlot& slot, util::Arena& arena,
-                  std::uint64_t generation, const Interval& seg) {
+///
+/// Always inlined: as a call inside the expansion loop it makes the loop
+/// keep its state in memory across the call (about 10% of connect time).
+[[gnu::always_inline]] inline void visit(SearchWorkspace::VisitSlot& slot,
+                                         util::Arena& arena,
+                                         std::uint64_t generation,
+                                         const Interval& seg) {
   if (slot.gen != generation) {
     slot.gen = generation;
     slot.count = 0;
@@ -129,6 +134,11 @@ inline void visit(SearchWorkspace::VisitSlot& slot, util::Arena& arena,
   ++slot.count;
 }
 
+/// Compile-time orientation: run_mbfs dispatches once per dequeued node,
+/// so each axis's expansion body keeps its orientation constant.
+template <Orientation O>
+using OrientTag = std::integral_constant<Orientation, O>;
+
 /// One modified BFS pass. Fills \p tree (expansion order) and \p arrivals
 /// (all target attachments at the minimum depth at which any occurs).
 /// All scratch state lives in \p ws.
@@ -141,45 +151,29 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
   arrivals.clear();
   ++ws.generation;  // invalidates every visited slot in O(1)
 
-  const int i_a = grid.nearest_h(a.y);
-  const int j_a = grid.nearest_v(a.x);
-  const int i_b = grid.nearest_h(b.y);
-  const int j_b = grid.nearest_v(b.x);
+  const auto track_a = grid.tracks_at(a);
+  const auto track_b = grid.tracks_at(b);
 
   // Free-segment reads depend on exactly the gap returned: with block-only
   // commits a blockage landing inside it changes the answer, one outside
   // cannot (and a blocked probe point can never become free).
-  const auto note_h = [footprint](int i, const std::optional<Interval>& g) {
-    if (footprint != nullptr && g) footprint->add_h(i, *g);
-  };
-  const auto note_v = [footprint](int j, const std::optional<Interval>& g) {
-    if (footprint != nullptr && g) footprint->add_v(j, *g);
+  const auto note = [footprint](const TrackRef& t,
+                                const std::optional<Interval>& g) {
+    if (footprint != nullptr && g) footprint->add(t, *g);
   };
 
   // Root: the source track with its free segment containing the terminal.
-  TreeNode root;
-  int cross_lo = 0;
-  int cross_hi = -1;
-  if (source_orient == Orientation::kVertical) {
-    const auto seg = grid.v_free_segment_span(j_a, a.y, &cross_lo, &cross_hi);
-    note_v(j_a, seg);
-    if (!seg) return;  // terminal buried under an obstacle on this layer
-    root = TreeNode{TrackRef{Orientation::kVertical, j_a}, *seg, a, -1, 0,
-                    cross_lo, cross_hi};
-  } else {
-    const auto seg = grid.h_free_segment_span(i_a, a.x, &cross_lo, &cross_hi);
-    note_h(i_a, seg);
-    if (!seg) return;
-    root = TreeNode{TrackRef{Orientation::kHorizontal, i_a}, *seg, a, -1, 0,
-                    cross_lo, cross_hi};
-  }
-  tree.nodes.push_back(root);
   {
-    SearchWorkspace::VisitSlot& slot =
-        source_orient == Orientation::kVertical
-            ? ws.visited_v[static_cast<std::size_t>(j_a)]
-            : ws.visited_h[static_cast<std::size_t>(i_a)];
-    visit(slot, ws.arena, ws.generation, root.extent);
+    const TrackRef t = track_a[geom::axis(source_orient)];
+    int cross_lo = 0;
+    int cross_hi = -1;
+    const auto seg = grid.free_segment_span(t, geom::along(a, t.orient),
+                                            &cross_lo, &cross_hi);
+    note(t, seg);
+    if (!seg) return;  // terminal buried under an obstacle on this layer
+    tree.nodes.push_back(TreeNode{t, *seg, a, -1, 0, cross_lo, cross_hi});
+    visit(ws.visited[geom::axis(t.orient)][static_cast<std::size_t>(t.index)],
+          ws.arena, ws.generation, *seg);
   }
 
   ws.queue.clear();
@@ -188,33 +182,76 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
   int arrival_depth = -1;
 
   // Target attachment test, hoisted out of the expansion loop: a crossing
-  // p on the target track completes the connection iff the free gap
+  // p on a target track completes the connection iff the free gap
   // containing p also contains b — and since a track's gaps are disjoint,
   // that is exactly "p lies inside the gap containing b". Computing that
   // gap once per pass replaces one occupancy query per target-track
   // crossing with an interval containment test. The pass's arrival
   // decisions depend on no other read of the target track, so this single
   // read is also the only footprint entry they need.
-  const auto target_gap_h = grid.h_free_segment(i_b, b.x);
-  note_h(i_b, target_gap_h);
-  const auto target_gap_v = grid.v_free_segment(j_b, b.y);
-  note_v(j_b, target_gap_v);
-
-  const auto try_target_h = [&](int node, const Point& p) {
-    if (target_gap_h && target_gap_h->contains(p.x)) {
-      arrivals.push_back(
-          SearchArrival{node, p, TrackRef{Orientation::kHorizontal, i_b}});
+  std::optional<Interval> target_gap[2];
+  for (const TrackRef& t : track_b) {
+    target_gap[geom::axis(t.orient)] =
+        grid.free_segment(t, geom::along(b, t.orient));
+    note(t, target_gap[geom::axis(t.orient)]);
+  }
+  // Expands node n, which lies on a track of orientation O, across the
+  // perpendicular tracks P its free extent crosses.
+  const auto expand = [&](auto orient, int n, const TreeNode& node) {
+    constexpr Orientation O = decltype(orient)::value;
+    constexpr Orientation P = geom::perpendicular(O);
+    constexpr std::size_t kP = geom::axis(P);
+    const std::vector<Coord>& perp = grid.coords(P);
+    const Coord fixed = geom::across(node.entry, O);
+    const int target = track_b[kP].index;
+    // p, a crossing of b's P track, completes the connection.
+    const auto try_target = [&](const Point& p) {
+      if (!target_gap[kP] || !target_gap[kP]->contains(geom::along(p, P))) {
+        return false;
+      }
+      arrivals.push_back(SearchArrival{n, p, track_b[kP]});
       return true;
+    };
+    // Only tracks whose coordinate lies inside the node's free extent can
+    // be crossed; the index range came with the gap at node creation
+    // (ascending visit order preserved).
+    const int first = std::max(w.lo[kP], node.cross_lo);
+    const int last = std::min(w.hi[kP], node.cross_hi);
+    if (arrival_depth >= 0) {
+      // Drained node (the arrival depth is known): it enqueues nothing, so
+      // its only possible effect is the one target-track crossing. Probe
+      // it directly instead of looping over every crossing. The root is
+      // never drained, so its degenerate-turn skip cannot apply.
+      if (first <= target && target <= last) {
+        try_target(geom::on_track(
+            O, perp[static_cast<std::size_t>(target)], fixed));
+      }
+      return;
     }
-    return false;
-  };
-  const auto try_target_v = [&](int node, const Point& p) {
-    if (target_gap_v && target_gap_v->contains(p.y)) {
-      arrivals.push_back(
-          SearchArrival{node, p, TrackRef{Orientation::kVertical, j_b}});
-      return true;
+    if (last >= first) ws.mbfs_crossings += last - first + 1;
+    std::vector<SearchWorkspace::VisitSlot>& visited = ws.visited[kP];
+    for (int k = first; k <= last; ++k) {
+      const Coord c = perp[static_cast<std::size_t>(k)];
+      // Skip the root's degenerate turn at the terminal itself: that path
+      // family belongs to the other MBFS pass.
+      if (node.parent == -1 && c == geom::along(a, O)) continue;
+      const Point p = geom::on_track(O, c, fixed);
+      if (k == target && try_target(p)) {
+        if (arrival_depth < 0) arrival_depth = node.depth;
+        continue;
+      }
+      SearchWorkspace::VisitSlot& slot = visited[static_cast<std::size_t>(k)];
+      if (visited_contains(slot, ws.generation, fixed)) continue;
+      const TrackRef t{P, k};
+      int cl = 0;
+      int ch = -1;
+      const auto gap = grid.free_segment_span(t, fixed, &cl, &ch);
+      note(t, gap);
+      if (!gap) continue;
+      visit(slot, ws.arena, ws.generation, *gap);  // fixed ∉ visited ⇒ new
+      tree.nodes.push_back(TreeNode{t, *gap, p, n, node.depth + 1, cl, ch});
+      ws.queue.push_back(static_cast<int>(tree.nodes.size()) - 1);
     }
-    return false;
   };
 
   while (queue_head < ws.queue.size()) {
@@ -226,82 +263,10 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
     if (arrival_depth >= 0 && node.depth > arrival_depth) continue;
     ++stats.vertices_examined;
     if (limits.should_stop(stats.vertices_examined)) return;
-
-    if (node.track.orient == Orientation::kVertical) {
-      const int j = node.track.index;
-      const Coord x = grid.v_x(j);
-      // Only tracks whose coordinate lies inside the node's free extent
-      // can be crossed; the index range came with the gap at node
-      // creation (ascending visit order preserved).
-      const int i_first = std::max(w.i_lo, node.cross_lo);
-      const int i_last = std::min(w.i_hi, node.cross_hi);
-      if (arrival_depth >= 0) {
-        // Drained node (the arrival depth is known): it enqueues nothing,
-        // so its only possible effect is the one target-track crossing.
-        // Probe it directly instead of looping over every crossing. The
-        // root is never drained, so its degenerate-turn skip cannot apply.
-        if (i_first <= i_b && i_b <= i_last) {
-          try_target_h(n, Point{x, grid.h_y(i_b)});
-        }
-        continue;
-      }
-      if (i_last >= i_first) ws.mbfs_crossings += i_last - i_first + 1;
-      for (int i = i_first; i <= i_last; ++i) {
-        const Coord y = grid.h_y(i);
-        // Skip the root's degenerate turn at the terminal itself: that
-        // path family belongs to the other MBFS pass.
-        if (node.parent == -1 && y == a.y) continue;
-        const Point p{x, y};
-        if (i == i_b && try_target_h(n, p)) {
-          if (arrival_depth < 0) arrival_depth = node.depth;
-          continue;
-        }
-        SearchWorkspace::VisitSlot& slot =
-            ws.visited_h[static_cast<std::size_t>(i)];
-        if (visited_contains(slot, ws.generation, x)) continue;
-        int cl = 0;
-        int ch = -1;
-        const auto gap = grid.h_free_segment_span(i, x, &cl, &ch);
-        note_h(i, gap);
-        if (!gap) continue;
-        visit(slot, ws.arena, ws.generation, *gap);  // x ∉ visited ⇒ *gap is new
-        const TrackRef t{Orientation::kHorizontal, i};
-        tree.nodes.push_back(TreeNode{t, *gap, p, n, node.depth + 1, cl, ch});
-        ws.queue.push_back(static_cast<int>(tree.nodes.size()) - 1);
-      }
+    if (node.track.orient == Orientation::kHorizontal) {
+      expand(OrientTag<Orientation::kHorizontal>{}, n, node);
     } else {
-      const int i = node.track.index;
-      const Coord y = grid.h_y(i);
-      const int j_first = std::max(w.j_lo, node.cross_lo);
-      const int j_last = std::min(w.j_hi, node.cross_hi);
-      if (arrival_depth >= 0) {
-        if (j_first <= j_b && j_b <= j_last) {
-          try_target_v(n, Point{grid.v_x(j_b), y});
-        }
-        continue;
-      }
-      if (j_last >= j_first) ws.mbfs_crossings += j_last - j_first + 1;
-      for (int j = j_first; j <= j_last; ++j) {
-        const Coord x = grid.v_x(j);
-        if (node.parent == -1 && x == a.x) continue;
-        const Point p{x, y};
-        if (j == j_b && try_target_v(n, p)) {
-          if (arrival_depth < 0) arrival_depth = node.depth;
-          continue;
-        }
-        SearchWorkspace::VisitSlot& slot =
-            ws.visited_v[static_cast<std::size_t>(j)];
-        if (visited_contains(slot, ws.generation, y)) continue;
-        int cl = 0;
-        int ch = -1;
-        const auto gap = grid.v_free_segment_span(j, y, &cl, &ch);
-        note_v(j, gap);
-        if (!gap) continue;
-        visit(slot, ws.arena, ws.generation, *gap);  // y ∉ visited ⇒ *gap is new
-        const TrackRef t{Orientation::kVertical, j};
-        tree.nodes.push_back(TreeNode{t, *gap, p, n, node.depth + 1, cl, ch});
-        ws.queue.push_back(static_cast<int>(tree.nodes.size()) - 1);
-      }
+      expand(OrientTag<Orientation::kVertical>{}, n, node);
     }
   }
 }
@@ -398,41 +363,19 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
     result.found = true;
     return result;
   }
-  const int i_a = grid_.nearest_h(a.y);
-  const int j_a = grid_.nearest_v(a.x);
-  const int i_b = grid_.nearest_h(b.y);
-  const int j_b = grid_.nearest_v(b.x);
-  OCR_ASSERT(grid_.h_y(i_a) == a.y && grid_.v_x(j_a) == a.x,
-             "connect: endpoint a is not a grid crossing");
-  OCR_ASSERT(grid_.h_y(i_b) == b.y && grid_.v_x(j_b) == b.x,
-             "connect: endpoint b is not a grid crossing");
+  OCR_ASSERT(grid_.snap(a) == a, "connect: endpoint a is not a grid crossing");
+  OCR_ASSERT(grid_.snap(b) == b, "connect: endpoint b is not a grid crossing");
 
-  // Every occupancy read below happens on tracks inside the initial
-  // window (grown versions replace it before any further reads).
-  {
-    const Window w0 = make_window(grid_, a, b, options_.window_margin);
-    result.window = SearchWindow{w0.i_lo, w0.i_hi, w0.j_lo, w0.j_hi};
-  }
-
-  // Straight (zero-corner) connections short-circuit the search.
-  if (a.x == b.x) {
-    const auto seg = grid_.v_free_segment(j_a, a.y);
-    if (ctx.footprint != nullptr && seg) ctx.footprint->add_v(j_a, *seg);
-    if (seg && seg->contains(b.y)) {
+  // Straight (zero-corner) connections short-circuit the search. At most
+  // one track holds both endpoints (a != b).
+  for (const TrackRef& t : grid_.tracks_at(a)) {
+    if (geom::across(a, t.orient) != geom::across(b, t.orient)) continue;
+    const auto seg = grid_.free_segment(t, geom::along(a, t.orient));
+    if (ctx.footprint != nullptr && seg) ctx.footprint->add(t, *seg);
+    if (seg && seg->contains(geom::along(b, t.orient))) {
       result.found = true;
       result.path.points = {a, b};
-      result.path.tracks = {TrackRef{Orientation::kVertical, j_a}};
-      result.corners = 0;
-      return result;
-    }
-  }
-  if (a.y == b.y) {
-    const auto seg = grid_.h_free_segment(i_a, a.x);
-    if (ctx.footprint != nullptr && seg) ctx.footprint->add_h(i_a, *seg);
-    if (seg && seg->contains(b.x)) {
-      result.found = true;
-      result.path.points = {a, b};
-      result.path.tracks = {TrackRef{Orientation::kHorizontal, i_a}};
+      result.path.tracks = {t};
       result.corners = 0;
       return result;
     }
@@ -451,10 +394,8 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
   int margin = options_.window_margin;
   for (int step = 0;; ++step) {
     const bool final_step = step >= options_.max_window_steps;
-    Window w = final_step
-                   ? Window{0, grid_.num_h() - 1, 0, grid_.num_v() - 1}
-                   : make_window(grid_, a, b, margin);
-    result.window = SearchWindow{w.i_lo, w.i_hi, w.j_lo, w.j_hi};
+    const Window w =
+        final_step ? full_window(grid_) : make_window(grid_, a, b, margin);
 
     run_mbfs(grid_, a, b, Orientation::kVertical, w, ws, ws.tree_v,
              ws.arrivals_v, result.stats, ctx.footprint, limits);
@@ -538,14 +479,9 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
           for (std::size_t leg = 0; leg + 1 < c.points.size(); ++leg) {
             const Point& p = c.points[leg];
             const Point& q = c.points[leg + 1];
-            const bool horizontal =
-                c.tracks[leg].orient == Orientation::kHorizontal;
-            const Interval span =
-                horizontal
-                    ? Interval(std::min(p.x, q.x), std::max(p.x, q.x))
-                    : Interval(std::min(p.y, q.y), std::max(p.y, q.y));
-            cost += leg_parallel_cost(grid_, options_.weights, ctx,
-                                      c.tracks[leg], span);
+            cost += leg_parallel_cost(
+                grid_, options_.weights, ctx, c.tracks[leg],
+                geom::leg_extent(p, q, c.tracks[leg].orient));
             if (best >= 0 && cost >= best_cost) {
               pruned = true;
               break;
@@ -587,7 +523,7 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
       return result;
     }
 
-    if (final_step || window_is_full_grid(grid_, w)) break;
+    if (final_step || w == full_window(grid_)) break;
     margin *= 4;
     ++result.stats.window_growths;
   }

@@ -56,23 +56,6 @@ struct SearchStats {
   int window_growths = 0;
 };
 
-/// Inclusive track-index rectangle covering every track a search examined
-/// (horizontal tracks [i_lo, i_hi], vertical tracks [j_lo, j_hi]). A
-/// commit that touches none of the examined tracks cannot change the
-/// search outcome, because
-/// reachability and every cost term read only those tracks' occupancy.
-/// Default-constructed windows are empty.
-struct SearchWindow {
-  int i_lo = 0;
-  int i_hi = -1;
-  int j_lo = 0;
-  int j_hi = -1;
-
-  bool empty() const { return i_hi < i_lo && j_hi < j_lo; }
-  bool contains_h(int i) const { return i_lo <= i && i <= i_hi; }
-  bool contains_v(int j) const { return j_lo <= j && j <= j_hi; }
-};
-
 /// Options for PathFinder (top-level so its defaults are usable as a
 /// default constructor argument).
 struct PathFinderOptions {
@@ -110,10 +93,6 @@ class PathFinder {
     Path path;             ///< best path (canonical form)
     int corners = 0;       ///< corners of the best path
     SearchStats stats;
-    /// Largest track window examined (the final growth step; the full
-    /// grid after fallback). Covers every track whose occupancy could
-    /// have influenced this result.
-    SearchWindow window;
     /// Expansion trees of the two passes; populated only when
     /// Options::keep_trees is set (they are copied out of the workspace).
     PathSelectionTree tree_v;  ///< pass rooted at a's vertical track

@@ -6,7 +6,6 @@
 
 namespace ocr::levelb {
 
-using geom::Orientation;
 using geom::Point;
 
 RouteRun::RouteRun(tig::TrackGrid& grid, const LevelBOptions& options,
@@ -50,11 +49,7 @@ void RouteRun::commit(std::size_t k, RoutedNet routed, TraceFields extra) {
   }
   if (nets_[k]->sensitive) {
     for (const Committed& c : routed.committed) {
-      if (c.track.orient == Orientation::kHorizontal) {
-        sensitive_.add_h(c.track.index, c.extent);
-      } else {
-        sensitive_.add_v(c.track.index, c.extent);
-      }
+      sensitive_.add(c.track, c.extent);
     }
   }
   stats_.vertices_examined += routed.stats.vertices_examined;

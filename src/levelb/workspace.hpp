@@ -73,8 +73,8 @@ struct SearchWorkspace {
     std::uint64_t arena_epoch = 0;    ///< arena.epoch() at allocation
   };
 
-  std::vector<VisitSlot> visited_h;   ///< one per horizontal track
-  std::vector<VisitSlot> visited_v;   ///< one per vertical track
+  /// One slot per track, per orientation (indexed by geom::axis).
+  std::vector<VisitSlot> visited[2];
   std::uint64_t generation = 0;       ///< bumped per MBFS pass
 
   std::vector<int> queue;             ///< BFS FIFO (head is a cursor)
@@ -107,11 +107,11 @@ struct SearchWorkspace {
   /// connect() calls this itself; exposed for tests. Accepts any view
   /// (overlays never change track counts).
   void prepare(const tig::GridView& grid) {
-    if (visited_h.size() != static_cast<std::size_t>(grid.num_h())) {
-      visited_h.assign(static_cast<std::size_t>(grid.num_h()), VisitSlot{});
-    }
-    if (visited_v.size() != static_cast<std::size_t>(grid.num_v())) {
-      visited_v.assign(static_cast<std::size_t>(grid.num_v()), VisitSlot{});
+    for (const geom::Orientation o : geom::kOrientations) {
+      std::vector<VisitSlot>& slots = visited[geom::axis(o)];
+      if (slots.size() != grid.coords(o).size()) {
+        slots.assign(grid.coords(o).size(), VisitSlot{});
+      }
     }
   }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <set>
-#include <tuple>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -29,38 +29,23 @@ struct Probe {
 struct Side {
   std::vector<Probe> probes;
   std::deque<int> frontier;
-  std::set<std::tuple<int, int, Coord>> visited;  // orient, index, gap.lo
+  std::set<std::pair<TrackRef, Coord>> visited;  // track, gap.lo
 
   bool mark(const TrackRef& t, const Interval& gap) {
-    return visited
-        .insert({t.orient == Orientation::kHorizontal ? 0 : 1, t.index,
-                 gap.lo})
-        .second;
+    return visited.insert({t, gap.lo}).second;
   }
 };
 
 /// Seeds a side with the two probes through its terminal.
 bool seed(const tig::TrackGrid& grid, const Point& p, Side& side) {
-  const int i = grid.nearest_h(p.y);
-  const int j = grid.nearest_v(p.x);
-  OCR_ASSERT(grid.h_y(i) == p.y && grid.v_x(j) == p.x,
-             "hightower: terminal is not a grid crossing");
+  OCR_ASSERT(grid.snap(p) == p, "hightower: terminal is not a grid crossing");
   bool any = false;
-  if (const auto gap = grid.h_free_segment(i, p.x)) {
-    Probe probe{TrackRef{Orientation::kHorizontal, i}, *gap, p.y, p, -1};
-    if (side.mark(probe.track, probe.extent)) {
-      side.probes.push_back(probe);
-      side.frontier.push_back(static_cast<int>(side.probes.size()) - 1);
-      any = true;
-    }
-  }
-  if (const auto gap = grid.v_free_segment(j, p.y)) {
-    Probe probe{TrackRef{Orientation::kVertical, j}, *gap, p.x, p, -1};
-    if (side.mark(probe.track, probe.extent)) {
-      side.probes.push_back(probe);
-      side.frontier.push_back(static_cast<int>(side.probes.size()) - 1);
-      any = true;
-    }
+  for (const TrackRef& t : grid.tracks_at(p)) {
+    const auto gap = grid.free_segment(t, geom::along(p, t.orient));
+    if (!gap || !side.mark(t, *gap)) continue;
+    side.probes.push_back(Probe{t, *gap, geom::across(p, t.orient), p, -1});
+    side.frontier.push_back(static_cast<int>(side.probes.size()) - 1);
+    any = true;
   }
   return any;
 }
@@ -95,10 +80,9 @@ std::vector<Point> trace(const Side& side, int index,
 /// probe chains; recomputed from geometry (legs are axis-aligned).
 TrackRef leg_track(const tig::TrackGrid& grid, const Point& p,
                    const Point& q) {
-  if (p.y == q.y) {
-    return TrackRef{Orientation::kHorizontal, grid.nearest_h(p.y)};
-  }
-  return TrackRef{Orientation::kVertical, grid.nearest_v(p.x)};
+  const Orientation o =
+      p.y == q.y ? Orientation::kHorizontal : Orientation::kVertical;
+  return TrackRef{o, grid.nearest(o, geom::across(p, o))};
 }
 
 }  // namespace
@@ -130,8 +114,7 @@ HightowerResult hightower_connect(const tig::TrackGrid& grid,
     for (std::size_t leg = 0; leg + 1 < path.points.size(); ++leg) {
       if (path.points[leg] == path.points[leg + 1]) {
         // canonicalize() drops these; give them any track.
-        path.tracks.push_back(TrackRef{Orientation::kHorizontal,
-                                       grid.nearest_h(path.points[leg].y)});
+        path.tracks.push_back(grid.tracks_at(path.points[leg])[0]);
         continue;
       }
       path.tracks.push_back(
@@ -166,11 +149,9 @@ HightowerResult hightower_connect(const tig::TrackGrid& grid,
     // Candidate escape crossings along this probe: nearest the goal's
     // coordinate plus the two extremes (clamped to real tracks).
     std::vector<Coord> candidates;
-    const bool horizontal =
-        probe.track.orient == Orientation::kHorizontal;
-    const Coord toward = horizontal ? goal.x : goal.y;
+    const Orientation o = probe.track.orient;
     const Coord clamped =
-        std::clamp(toward, probe.extent.lo, probe.extent.hi);
+        std::clamp(geom::along(goal, o), probe.extent.lo, probe.extent.hi);
     candidates.push_back(clamped);
     candidates.push_back(probe.extent.lo);
     candidates.push_back(probe.extent.hi);
@@ -179,25 +160,16 @@ HightowerResult hightower_connect(const tig::TrackGrid& grid,
     for (const Coord c : candidates) {
       if (spawned >= options.branch) break;
       // Snap to the nearest perpendicular track inside the extent.
-      const int perp_index =
-          horizontal ? grid.nearest_v(c) : grid.nearest_h(c);
+      const Orientation perp = geom::perpendicular(o);
+      const TrackRef t{perp, grid.nearest(perp, c)};
       const Coord perp_coord =
-          horizontal ? grid.v_x(perp_index) : grid.h_y(perp_index);
+          grid.coords(t.orient)[static_cast<std::size_t>(t.index)];
       if (!probe.extent.contains(perp_coord)) continue;
-      const Point crossing = horizontal
-                                 ? Point{perp_coord, probe.fixed}
-                                 : Point{probe.fixed, perp_coord};
-      const auto gap = horizontal
-                           ? grid.v_free_segment(perp_index, probe.fixed)
-                           : grid.h_free_segment(perp_index, probe.fixed);
+      const auto gap = grid.free_segment(t, probe.fixed);
       if (!gap) continue;
-      const TrackRef t{horizontal ? Orientation::kVertical
-                                  : Orientation::kHorizontal,
-                       perp_index};
       if (!self.mark(t, *gap)) continue;
-      Probe next{t, *gap,
-                 horizontal ? grid.v_x(perp_index) : grid.h_y(perp_index),
-                 crossing, index};
+      Probe next{t, *gap, perp_coord,
+                 geom::on_track(o, perp_coord, probe.fixed), index};
       self.probes.push_back(next);
       const int next_index = static_cast<int>(self.probes.size()) - 1;
       self.frontier.push_back(next_index);

@@ -27,10 +27,10 @@ LeeResult lee_connect(const tig::TrackGrid& grid, const geom::Point& a,
   LeeResult result;
   const int nh = grid.num_h();
   const int nv = grid.num_v();
-  const int ia = grid.nearest_h(a.y);
-  const int ja = grid.nearest_v(a.x);
-  const int ib = grid.nearest_h(b.y);
-  const int jb = grid.nearest_v(b.x);
+  const int ia = grid.nearest(Orientation::kHorizontal, a.y);
+  const int ja = grid.nearest(Orientation::kVertical, a.x);
+  const int ib = grid.nearest(Orientation::kHorizontal, b.y);
+  const int jb = grid.nearest(Orientation::kVertical, b.x);
   OCR_ASSERT(grid.h_y(ia) == a.y && grid.v_x(ja) == a.x,
              "lee_connect: endpoint a is not a grid crossing");
   OCR_ASSERT(grid.h_y(ib) == b.y && grid.v_x(jb) == b.x,
@@ -56,12 +56,12 @@ LeeResult lee_connect(const tig::TrackGrid& grid, const geom::Point& a,
   const auto can_step_h = [&grid](int i, int j_from, int j_to) {
     const Coord x1 = grid.v_x(std::min(j_from, j_to));
     const Coord x2 = grid.v_x(std::max(j_from, j_to));
-    return grid.h_is_free(i, Interval(x1, x2));
+    return grid.is_free({Orientation::kHorizontal, i}, Interval(x1, x2));
   };
   const auto can_step_v = [&grid](int j, int i_from, int i_to) {
     const Coord y1 = grid.h_y(std::min(i_from, i_to));
     const Coord y2 = grid.h_y(std::max(i_from, i_to));
-    return grid.v_is_free(j, Interval(y1, y2));
+    return grid.is_free({Orientation::kVertical, j}, Interval(y1, y2));
   };
 
   std::deque<CellIndex> wave;

@@ -45,74 +45,49 @@ CongestionReport analyze_congestion(const TrackGrid& grid, int bins) {
   report.region_utilization.assign(
       static_cast<std::size_t>(bins) * static_cast<std::size_t>(bins), 0.0);
 
-  const geom::Interval x_span = grid.h_span();
-  const geom::Interval y_span = grid.v_span();
-  const double bin_w = static_cast<double>(x_span.length()) / bins;
-  const double bin_h = static_cast<double>(y_span.length()) / bins;
-
   // Region accumulators: blocked and total track length per bin.
   std::vector<double> blocked(report.region_utilization.size(), 0.0);
   std::vector<double> total(report.region_utilization.size(), 0.0);
 
-  const auto bin_interval = [&](int index) {
-    return geom::Interval(
-        x_span.lo + static_cast<geom::Coord>(index * bin_w),
-        x_span.lo + static_cast<geom::Coord>((index + 1) * bin_w));
-  };
-  const auto bin_interval_y = [&](int index) {
-    return geom::Interval(
-        y_span.lo + static_cast<geom::Coord>(index * bin_h),
-        y_span.lo + static_cast<geom::Coord>((index + 1) * bin_h));
-  };
-
-  report.horizontal.tracks = grid.num_h();
-  double h_sum = 0.0;
-  for (int i = 0; i < grid.num_h(); ++i) {
-    const double track_util = grid.h_blocked_fraction(i, x_span);
-    h_sum += track_util;
-    report.horizontal.max_utilization =
-        std::max(report.horizontal.max_utilization, track_util);
-    if (track_util > 0.95) ++report.horizontal.full_tracks;
-    const int row = std::min(
-        bins - 1,
-        static_cast<int>((grid.h_y(i) - y_span.lo) /
-                         std::max(1.0, bin_h)));
-    for (int col = 0; col < bins; ++col) {
-      const geom::Interval window = bin_interval(col);
-      if (window.lo > window.hi) continue;
-      const auto index = static_cast<std::size_t>(row * bins + col);
-      blocked[index] += grid.h_blocked_fraction(i, window) *
-                        static_cast<double>(window.length());
-      total[index] += static_cast<double>(window.length());
+  OrientationUsage* const usage[2] = {&report.horizontal, &report.vertical};
+  // Region index step of one bin along x (a column) and along y (a row).
+  const std::size_t stride[2] = {1, static_cast<std::size_t>(bins)};
+  // Horizontal tracks first: the double sums accumulate in that order.
+  for (const geom::Orientation o : geom::kOrientations) {
+    const std::size_t k = geom::axis(o);
+    const std::size_t kp = geom::axis(geom::perpendicular(o));
+    const geom::Interval span = grid.span(o);
+    const geom::Interval across = grid.span(geom::perpendicular(o));
+    const double bin_along = static_cast<double>(span.length()) / bins;
+    const double bin_across = static_cast<double>(across.length()) / bins;
+    OrientationUsage& u = *usage[k];
+    u.tracks = static_cast<int>(grid.coords(o).size());
+    double sum = 0.0;
+    for (int t = 0; t < u.tracks; ++t) {
+      const TrackRef ref{o, t};
+      const double track_util = grid.blocked_fraction(ref, span);
+      sum += track_util;
+      u.max_utilization = std::max(u.max_utilization, track_util);
+      if (track_util > 0.95) ++u.full_tracks;
+      const int fixed_bin = std::min(
+          bins - 1,
+          static_cast<int>(
+              (grid.coords(o)[static_cast<std::size_t>(t)] - across.lo) /
+              std::max(1.0, bin_across)));
+      for (int b = 0; b < bins; ++b) {
+        const geom::Interval window(
+            span.lo + static_cast<geom::Coord>(b * bin_along),
+            span.lo + static_cast<geom::Coord>((b + 1) * bin_along));
+        if (window.lo > window.hi) continue;
+        const std::size_t index =
+            static_cast<std::size_t>(fixed_bin) * stride[kp] +
+            static_cast<std::size_t>(b) * stride[k];
+        blocked[index] += grid.blocked_fraction(ref, window) *
+                          static_cast<double>(window.length());
+        total[index] += static_cast<double>(window.length());
+      }
     }
-  }
-  if (grid.num_h() > 0) {
-    report.horizontal.mean_utilization = h_sum / grid.num_h();
-  }
-
-  report.vertical.tracks = grid.num_v();
-  double v_sum = 0.0;
-  for (int j = 0; j < grid.num_v(); ++j) {
-    const double track_util = grid.v_blocked_fraction(j, y_span);
-    v_sum += track_util;
-    report.vertical.max_utilization =
-        std::max(report.vertical.max_utilization, track_util);
-    if (track_util > 0.95) ++report.vertical.full_tracks;
-    const int col = std::min(
-        bins - 1,
-        static_cast<int>((grid.v_x(j) - x_span.lo) /
-                         std::max(1.0, bin_w)));
-    for (int row = 0; row < bins; ++row) {
-      const geom::Interval window = bin_interval_y(row);
-      if (window.lo > window.hi) continue;
-      const auto index = static_cast<std::size_t>(row * bins + col);
-      blocked[index] += grid.v_blocked_fraction(j, window) *
-                        static_cast<double>(window.length());
-      total[index] += static_cast<double>(window.length());
-    }
-  }
-  if (grid.num_v() > 0) {
-    report.vertical.mean_utilization = v_sum / grid.num_v();
+    if (u.tracks > 0) u.mean_utilization = sum / u.tracks;
   }
 
   for (std::size_t k = 0; k < blocked.size(); ++k) {

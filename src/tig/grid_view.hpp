@@ -9,7 +9,7 @@
 /// net's terminal braces). Both call the same MBFS/cost code, so that code
 /// takes a GridView: geometry always comes from the base grid (overlays
 /// never change geometry), and the occupancy queries (OccupancyQueries,
-/// shared with TrackGrid) ask the record that `h_track`/`v_track` pick,
+/// shared with TrackGrid) ask the record that `track(TrackRef)` picks,
 /// branching once on the overlay pointer. GridView converts implicitly
 /// from `const TrackGrid&`, so every pre-overlay call site compiles
 /// unchanged.
@@ -29,19 +29,21 @@ class GridView : public OccupancyQueries<GridView> {
   GridView(const GridOverlay& overlay)
       : grid_(&overlay.base()), overlay_(&overlay) {}
 
-  /// The base grid (geometry source; occupancy of untouched tracks).
-  const TrackGrid& base() const { return *grid_; }
-  bool has_overlay() const { return overlay_ != nullptr; }
-
   // ---- geometry (overlay-independent) ---------------------------------
 
   int num_h() const { return grid_->num_h(); }
   int num_v() const { return grid_->num_v(); }
-  const geom::Rect& extent() const { return grid_->extent(); }
   geom::Coord h_y(int i) const { return grid_->h_y(i); }
   geom::Coord v_x(int j) const { return grid_->v_x(j); }
-  int nearest_h(geom::Coord y) const { return grid_->nearest_h(y); }
-  int nearest_v(geom::Coord x) const { return grid_->nearest_v(x); }
+  const std::vector<geom::Coord>& coords(geom::Orientation o) const {
+    return grid_->coords(o);
+  }
+  int nearest(geom::Orientation o, geom::Coord c) const {
+    return grid_->nearest(o, c);
+  }
+  std::array<TrackRef, 2> tracks_at(const geom::Point& p) const {
+    return grid_->tracks_at(p);
+  }
   int first_h_at_or_above(geom::Coord y) const {
     return grid_->first_h_at_or_above(y);
   }
@@ -54,20 +56,15 @@ class GridView : public OccupancyQueries<GridView> {
   int last_v_at_or_below(geom::Coord x) const {
     return grid_->last_v_at_or_below(x);
   }
-  geom::Point crossing(int i, int j) const { return grid_->crossing(i, j); }
-  geom::Interval h_span() const { return grid_->h_span(); }
-  geom::Interval v_span() const { return grid_->v_span(); }
+  geom::Point snap(const geom::Point& p) const { return grid_->snap(p); }
+  geom::Interval span(geom::Orientation o) const { return grid_->span(o); }
 
   // ---- occupancy (dispatched to the overlay when present) -------------
 
-  const TrackRecord& h_track(int i) const {
-    return overlay_ != nullptr ? overlay_->h_track(i) : grid_->h_track(i);
+  const TrackRecord& track(TrackRef t) const {
+    return overlay_ != nullptr ? overlay_->track(t) : grid_->track(t);
   }
-  const TrackRecord& v_track(int j) const {
-    return overlay_ != nullptr ? overlay_->v_track(j) : grid_->v_track(j);
-  }
-  const Gap& h_whole() const { return grid_->h_whole(); }
-  const Gap& v_whole() const { return grid_->v_whole(); }
+  const Gap& whole(geom::Orientation o) const { return grid_->whole(o); }
 
  private:
   const TrackGrid* grid_;

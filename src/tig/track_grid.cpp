@@ -100,35 +100,26 @@ void TrackRecord::unblock(const geom::Interval& span, const Gap& whole,
 
 double TrackRecord::blocked_fraction(const geom::Interval& span) const {
   if (span.length() == 0) return blocked_.contains(span.lo) ? 1.0 : 0.0;
-  geom::Coord covered = 0;
-  const std::vector<geom::Interval>& runs = blocked_.runs();
-  // Binary-search the first run reaching span.lo; runs before it cannot
-  // overlap, so congested tracks don't degrade to a full scan.
-  auto it = std::lower_bound(runs.begin(), runs.end(), span.lo,
-                             [](const geom::Interval& run, geom::Coord v) {
-                               return run.hi < v;
-                             });
-  for (; it != runs.end() && it->lo <= span.hi; ++it) {
-    covered += std::min(it->hi, span.hi) - std::max(it->lo, span.lo);
-  }
-  return static_cast<double>(covered) / static_cast<double>(span.length());
+  return static_cast<double>(blocked_.overlap_length(span)) /
+         static_cast<double>(span.length());
 }
 
 TrackGrid::TrackGrid(std::vector<geom::Coord> h_ys,
                      std::vector<geom::Coord> v_xs, const geom::Rect& extent)
-    : h_ys_(std::move(h_ys)), v_xs_(std::move(v_xs)), extent_(extent) {
-  OCR_ASSERT(!h_ys_.empty() && !v_xs_.empty(),
+    : extent_(extent) {
+  const std::vector<geom::Coord>& ys = axes_[0].coords = std::move(h_ys);
+  const std::vector<geom::Coord>& xs = axes_[1].coords = std::move(v_xs);
+  OCR_ASSERT(!ys.empty() && !xs.empty(),
              "grid needs at least one track per orientation");
-  OCR_ASSERT(ascending_unique(h_ys_) && ascending_unique(v_xs_),
+  OCR_ASSERT(ascending_unique(ys) && ascending_unique(xs),
              "track coordinates must be ascending and unique");
-  OCR_ASSERT(h_ys_.front() >= extent_.ylo && h_ys_.back() <= extent_.yhi,
+  OCR_ASSERT(ys.front() >= extent_.ylo && ys.back() <= extent_.yhi,
              "horizontal tracks must lie inside the extent");
-  OCR_ASSERT(v_xs_.front() >= extent_.xlo && v_xs_.back() <= extent_.xhi,
+  OCR_ASSERT(xs.front() >= extent_.xlo && xs.back() <= extent_.xhi,
              "vertical tracks must lie inside the extent");
-  h_whole_ = make_gap(h_span().lo, h_span().hi, v_xs_);
-  v_whole_ = make_gap(v_span().lo, v_span().hi, h_ys_);
-  h_tracks_.reset(h_ys_.size());
-  v_tracks_.reset(v_xs_.size());
+  axes_[0].whole = make_gap(extent_.xlo, extent_.xhi, xs);
+  axes_[1].whole = make_gap(extent_.ylo, extent_.yhi, ys);
+  for (Axis& ax : axes_) ax.records.reset(ax.coords.size());
 }
 
 TrackGrid TrackGrid::uniform(const geom::Rect& extent, geom::Coord h_pitch,
@@ -148,49 +139,38 @@ TrackGrid TrackGrid::uniform(const geom::Rect& extent, geom::Coord h_pitch,
   return TrackGrid(std::move(ys), std::move(xs), extent);
 }
 
-int TrackGrid::nearest_h(geom::Coord y) const {
-  return nearest_index(h_ys_, y);
-}
-
-int TrackGrid::nearest_v(geom::Coord x) const {
-  return nearest_index(v_xs_, x);
+int TrackGrid::nearest(geom::Orientation o, geom::Coord c) const {
+  return nearest_index(coords(o), c);
 }
 
 int TrackGrid::first_h_at_or_above(geom::Coord y) const {
-  return lower_index(h_ys_, y);
+  return lower_index(axes_[0].coords, y);
 }
 
 int TrackGrid::first_v_at_or_above(geom::Coord x) const {
-  return lower_index(v_xs_, x);
+  return lower_index(axes_[1].coords, x);
 }
 
 int TrackGrid::last_h_at_or_below(geom::Coord y) const {
-  return lower_index(h_ys_, y + 1) - 1;
+  return lower_index(axes_[0].coords, y + 1) - 1;
 }
 
 int TrackGrid::last_v_at_or_below(geom::Coord x) const {
-  return lower_index(v_xs_, x + 1) - 1;
+  return lower_index(axes_[1].coords, x + 1) - 1;
 }
 
-void TrackGrid::block_h(int i, const geom::Interval& span) {
-  h_tracks_.touch(static_cast<std::size_t>(i)).block(span, h_whole_, v_xs_);
+void TrackGrid::block(TrackRef t, const geom::Interval& span) {
+  Axis& ax = axes_[geom::axis(t.orient)];
+  ax.records.touch(static_cast<std::size_t>(t.index))
+      .block(span, ax.whole, coords(geom::perpendicular(t.orient)));
 }
 
-void TrackGrid::block_v(int j, const geom::Interval& span) {
-  v_tracks_.touch(static_cast<std::size_t>(j)).block(span, v_whole_, h_ys_);
-}
-
-void TrackGrid::unblock_h(int i, const geom::Interval& span) {
+void TrackGrid::unblock(TrackRef t, const geom::Interval& span) {
   // An absent chunk means the track was never blocked — removing from an
   // empty set is a no-op, so skip the materialization entirely.
-  if (auto* t = h_tracks_.find(static_cast<std::size_t>(i))) {
-    t->unblock(span, h_whole_, v_xs_);
-  }
-}
-
-void TrackGrid::unblock_v(int j, const geom::Interval& span) {
-  if (auto* t = v_tracks_.find(static_cast<std::size_t>(j))) {
-    t->unblock(span, v_whole_, h_ys_);
+  Axis& ax = axes_[geom::axis(t.orient)];
+  if (auto* r = ax.records.find(static_cast<std::size_t>(t.index))) {
+    r->unblock(span, ax.whole, coords(geom::perpendicular(t.orient)));
   }
 }
 
@@ -200,24 +180,29 @@ void TrackGrid::block_region_h(const geom::Rect& region) {
   // 100k-track grid with thousands of obstacles cannot afford the scan).
   const int first = first_h_at_or_above(region.ylo);
   const int last = last_h_at_or_below(region.yhi);
-  for (int i = first; i <= last; ++i) block_h(i, region.x_span());
+  for (int i = first; i <= last; ++i) {
+    block({geom::Orientation::kHorizontal, i}, region.x_span());
+  }
 }
 
 void TrackGrid::block_region_v(const geom::Rect& region) {
   const int first = first_v_at_or_above(region.xlo);
   const int last = last_v_at_or_below(region.xhi);
-  for (int j = first; j <= last; ++j) block_v(j, region.y_span());
+  for (int j = first; j <= last; ++j) {
+    block({geom::Orientation::kVertical, j}, region.y_span());
+  }
 }
 
 std::size_t TrackGrid::grid_bytes() const {
-  std::size_t bytes = (h_ys_.capacity() + v_xs_.capacity()) *
-                      sizeof(geom::Coord);
-  bytes += h_tracks_.storage_bytes() + v_tracks_.storage_bytes();
+  std::size_t bytes = 0;
   const auto add_heap = [&bytes](std::size_t, const TrackRecord& t) {
     bytes += t.heap_bytes();
   };
-  h_tracks_.for_each_present(add_heap);
-  v_tracks_.for_each_present(add_heap);
+  for (const Axis& ax : axes_) {
+    bytes += ax.coords.capacity() * sizeof(geom::Coord) +
+             ax.records.storage_bytes();
+    ax.records.for_each_present(add_heap);
+  }
   return bytes;
 }
 

@@ -11,6 +11,7 @@
 /// answers every occupancy query the router makes.
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -117,77 +118,62 @@ class TrackRecord {
 };
 
 /// The occupancy queries, written once over the accessors a grid type
-/// provides: `h_track(i)`/`v_track(j)` pick the record answering for a
-/// track, `h_whole()`/`v_whole()` are the gap of a never-blocked track,
-/// `h_y`/`v_x` the geometry. TrackGrid and GridView inherit them.
+/// provides: `track(t)` picks the record answering for a track, `whole(o)`
+/// is the gap of a never-blocked track of orientation o. Every query takes
+/// the track as a TrackRef. TrackGrid and GridView inherit them.
 template <typename Grid>
 class OccupancyQueries {
  public:
-  bool h_is_free(int i, const geom::Interval& span) const {
-    return self().h_track(i).is_free(span);
-  }
-  bool v_is_free(int j, const geom::Interval& span) const {
-    return self().v_track(j).is_free(span);
+  bool is_free(TrackRef t, const geom::Interval& span) const {
+    return self().track(t).is_free(span);
   }
 
-  /// Maximal free extent of track \p i containing x (nullopt: blocked).
-  std::optional<geom::Interval> h_free_segment(int i, geom::Coord x) const {
-    return self().h_track(i).free_segment(x, self().h_whole());
-  }
-  std::optional<geom::Interval> v_free_segment(int j, geom::Coord y) const {
-    return self().v_track(j).free_segment(y, self().v_whole());
+  /// Maximal free extent of track \p t containing \p v (nullopt: blocked).
+  std::optional<geom::Interval> free_segment(TrackRef t, geom::Coord v) const {
+    return self().track(t).free_segment(v, self().whole(t.orient));
   }
 
-  /// h_free_segment, additionally reporting the index range of the
-  /// crossing (perpendicular) tracks whose coordinate lies inside the
-  /// gap: [*j_first, *j_last], empty when j_first > j_last. Untouched on
-  /// a miss. Exactly first_v_at_or_above(gap.lo) / last_v_at_or_below(
-  /// gap.hi), stored with the gap — the MBFS expansion loop's iteration
-  /// bounds without per-node binary searches.
-  std::optional<geom::Interval> h_free_segment_span(int i, geom::Coord x,
-                                                    int* j_first,
-                                                    int* j_last) const {
-    return self().h_track(i).free_segment_span(x, self().h_whole(),
-                                               j_first, j_last);
-  }
-  std::optional<geom::Interval> v_free_segment_span(int j, geom::Coord y,
-                                                    int* i_first,
-                                                    int* i_last) const {
-    return self().v_track(j).free_segment_span(y, self().v_whole(),
-                                               i_first, i_last);
+  /// free_segment, additionally reporting the index range of the crossing
+  /// (perpendicular) tracks whose coordinate lies inside the gap:
+  /// [*first, *last], empty when first > last. Untouched on a miss.
+  /// Exactly first_*_at_or_above(gap.lo) / last_*_at_or_below(gap.hi) on
+  /// the perpendicular axis, stored with the gap — the MBFS expansion
+  /// loop's iteration bounds without per-node binary searches.
+  std::optional<geom::Interval> free_segment_span(TrackRef t, geom::Coord v,
+                                                  int* first,
+                                                  int* last) const {
+    return self().track(t).free_segment_span(v, self().whole(t.orient),
+                                             first, last);
   }
 
   /// Whether the crossing of tracks (i, j) is free on both tracks.
   bool crossing_free(int i, int j) const {
-    return !self().h_track(i).contains(self().v_x(j)) &&
-           !self().v_track(j).contains(self().h_y(i));
+    return !self().track({geom::Orientation::kHorizontal, i})
+                .contains(self().v_x(j)) &&
+           !self().track({geom::Orientation::kVertical, j})
+                .contains(self().h_y(i));
   }
 
-  /// Distance along track \p i from x to the nearest blocked coordinate
-  /// (nullopt if the track is completely free).
-  std::optional<geom::Coord> h_distance_to_blocked(int i,
-                                                   geom::Coord x) const {
-    return self().h_track(i).distance_to_blocked(x);
-  }
-  std::optional<geom::Coord> v_distance_to_blocked(int j,
-                                                   geom::Coord y) const {
-    return self().v_track(j).distance_to_blocked(y);
+  /// Distance along track \p t from \p v to the nearest blocked
+  /// coordinate (nullopt if the track is completely free).
+  std::optional<geom::Coord> distance_to_blocked(TrackRef t,
+                                                 geom::Coord v) const {
+    return self().track(t).distance_to_blocked(v);
   }
 
-  /// Fraction of blocked length on track \p i within the x-window \p span
-  /// (0 = fully free, 1 = fully blocked). Congestion estimation.
-  double h_blocked_fraction(int i, const geom::Interval& span) const {
-    return self().h_track(i).blocked_fraction(span);
-  }
-  double v_blocked_fraction(int j, const geom::Interval& span) const {
-    return self().v_track(j).blocked_fraction(span);
+  /// Fraction of blocked length on track \p t within \p span (0 = fully
+  /// free, 1 = fully blocked). Congestion estimation.
+  double blocked_fraction(TrackRef t, const geom::Interval& span) const {
+    return self().track(t).blocked_fraction(span);
   }
 
  private:
   const Grid& self() const { return static_cast<const Grid&>(*this); }
 };
 
-/// The level-B track grid.
+/// The level-B track grid. Each track family (orientation) is one entry of
+/// an axis()-indexed array: its coordinates, the gap of a never-blocked
+/// track and its records.
 class TrackGrid : public OccupancyQueries<TrackGrid> {
  public:
   /// Builds a grid from explicit track coordinates (ascending, unique).
@@ -201,18 +187,32 @@ class TrackGrid : public OccupancyQueries<TrackGrid> {
   static TrackGrid uniform(const geom::Rect& extent, geom::Coord h_pitch,
                            geom::Coord v_pitch);
 
-  int num_h() const { return static_cast<int>(h_ys_.size()); }
-  int num_v() const { return static_cast<int>(v_xs_.size()); }
+  int num_h() const { return static_cast<int>(axes_[0].coords.size()); }
+  int num_v() const { return static_cast<int>(axes_[1].coords.size()); }
   const geom::Rect& extent() const { return extent_; }
 
-  geom::Coord h_y(int i) const { return h_ys_[static_cast<std::size_t>(i)]; }
-  geom::Coord v_x(int j) const { return v_xs_[static_cast<std::size_t>(j)]; }
-  const std::vector<geom::Coord>& h_ys() const { return h_ys_; }
-  const std::vector<geom::Coord>& v_xs() const { return v_xs_; }
+  geom::Coord h_y(int i) const {
+    return axes_[0].coords[static_cast<std::size_t>(i)];
+  }
+  geom::Coord v_x(int j) const {
+    return axes_[1].coords[static_cast<std::size_t>(j)];
+  }
+  /// The coordinates of the \p o tracks (y for horizontal, x for
+  /// vertical), ascending.
+  const std::vector<geom::Coord>& coords(geom::Orientation o) const {
+    return axes_[geom::axis(o)].coords;
+  }
 
-  /// Index of the track nearest to the given coordinate (ties -> lower).
-  int nearest_h(geom::Coord y) const;
-  int nearest_v(geom::Coord x) const;
+  /// Index of the \p o track nearest to coordinate \p c (ties -> lower).
+  int nearest(geom::Orientation o, geom::Coord c) const;
+  /// The horizontal and vertical track through \p p's nearest crossing,
+  /// indexed by geom::axis().
+  std::array<TrackRef, 2> tracks_at(const geom::Point& p) const {
+    return {TrackRef{geom::Orientation::kHorizontal,
+                     nearest(geom::Orientation::kHorizontal, p.y)},
+            TrackRef{geom::Orientation::kVertical,
+                     nearest(geom::Orientation::kVertical, p.x)}};
+  }
 
   /// First horizontal-track index whose y >= \p y (num_h() when none) —
   /// with first_*_at_or_below, the index range of tracks inside a span.
@@ -229,18 +229,16 @@ class TrackGrid : public OccupancyQueries<TrackGrid> {
 
   /// Snaps an arbitrary point to its nearest grid crossing.
   geom::Point snap(const geom::Point& p) const {
-    return crossing(nearest_h(p.y), nearest_v(p.x));
+    const std::array<TrackRef, 2> t = tracks_at(p);
+    return crossing(t[0].index, t[1].index);
   }
 
   // ---- blocking --------------------------------------------------------
 
-  /// Blocks the x-extent \p span on horizontal track \p i.
-  void block_h(int i, const geom::Interval& span);
-  /// Blocks the y-extent \p span on vertical track \p j.
-  void block_v(int j, const geom::Interval& span);
+  /// Blocks the extent \p span (along the track) on track \p t.
+  void block(TrackRef t, const geom::Interval& span);
   /// Unblocks (rip-up support).
-  void unblock_h(int i, const geom::Interval& span);
-  void unblock_v(int j, const geom::Interval& span);
+  void unblock(TrackRef t, const geom::Interval& span);
 
   /// Blocks every horizontal-track extent covered by \p region (used for
   /// metal3 obstacles) — tracks whose y lies inside the region lose the
@@ -251,21 +249,20 @@ class TrackGrid : public OccupancyQueries<TrackGrid> {
 
   // ---- occupancy records (queries: OccupancyQueries) -------------------
 
-  /// The record of track \p i. Never-touched tracks answer with a shared
+  /// The record of track \p t. Never-touched tracks answer with a shared
   /// empty record (chunked storage materializes on first block).
-  const TrackRecord& h_track(int i) const {
-    return h_tracks_.at(static_cast<std::size_t>(i));
+  const TrackRecord& track(TrackRef t) const {
+    return axes_[geom::axis(t.orient)].records.at(
+        static_cast<std::size_t>(t.index));
   }
-  const TrackRecord& v_track(int j) const {
-    return v_tracks_.at(static_cast<std::size_t>(j));
+  /// The free gap of a never-blocked \p o track: the whole universe with
+  /// the crossing span of every perpendicular track.
+  const Gap& whole(geom::Orientation o) const {
+    return axes_[geom::axis(o)].whole;
   }
-  /// The free gap of a never-blocked track: the whole universe with the
-  /// crossing span of every perpendicular track.
-  const Gap& h_whole() const { return h_whole_; }
-  const Gap& v_whole() const { return v_whole_; }
-
-  geom::Interval h_span() const { return extent_.x_span(); }
-  geom::Interval v_span() const { return extent_.y_span(); }
+  /// The universe of a \p o track: the extent's x span for horizontal
+  /// tracks, its y span for vertical ones.
+  geom::Interval span(geom::Orientation o) const { return whole(o).iv; }
 
   /// Heap bytes of the occupancy state: record chunk storage, the runs and
   /// gaps inside it, and the track coordinate arrays. The
@@ -275,17 +272,20 @@ class TrackGrid : public OccupancyQueries<TrackGrid> {
   /// Materialized 64-track chunks across both record directories
   /// (observability/tests: how sparse the occupancy really is).
   std::size_t blocked_chunks() const {
-    return h_tracks_.materialized_chunks() + v_tracks_.materialized_chunks();
+    return axes_[0].records.materialized_chunks() +
+           axes_[1].records.materialized_chunks();
   }
 
  private:
-  std::vector<geom::Coord> h_ys_;
-  std::vector<geom::Coord> v_xs_;
+  /// One track family.
+  struct Axis {
+    std::vector<geom::Coord> coords;
+    Gap whole;
+    util::ChunkedVector<TrackRecord> records;
+  };
+
+  Axis axes_[2];
   geom::Rect extent_;
-  Gap h_whole_;
-  Gap v_whole_;
-  util::ChunkedVector<TrackRecord> h_tracks_;
-  util::ChunkedVector<TrackRecord> v_tracks_;
 };
 
 }  // namespace ocr::tig

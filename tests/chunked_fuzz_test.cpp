@@ -19,6 +19,9 @@
 namespace ocr::tig {
 namespace {
 
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
+
 using geom::Interval;
 using geom::IntervalSet;
 using geom::Rect;
@@ -43,11 +46,11 @@ struct DenseRef {
 void expect_h_equal(const TrackGrid& grid, const DenseRef& ref, int i,
                     geom::Coord x) {
   const IntervalSet& expect = ref.blocked[static_cast<std::size_t>(i)];
-  ASSERT_EQ(grid.h_track(i).blocked().runs(), expect.runs())
+  ASSERT_EQ(grid.track({kH, i}).blocked().runs(), expect.runs())
       << "track " << i;
   const std::optional<Interval> gap =
-      expect.free_gap_containing(grid.h_span(), x);
-  const std::optional<Interval> got = grid.h_free_segment(i, x);
+      expect.free_gap_containing(grid.span(kH), x);
+  const std::optional<Interval> got = grid.free_segment({kH, i}, x);
   ASSERT_EQ(got.has_value(), gap.has_value()) << "i=" << i << " x=" << x;
   if (gap.has_value()) {
     EXPECT_EQ(got->lo, gap->lo);
@@ -55,24 +58,24 @@ void expect_h_equal(const TrackGrid& grid, const DenseRef& ref, int i,
     // The span variant must report exactly the binary-search index range.
     int j_first = 0, j_last = -1;
     const std::optional<Interval> span_gap =
-        grid.h_free_segment_span(i, x, &j_first, &j_last);
+        grid.free_segment_span({kH, i}, x, &j_first, &j_last);
     ASSERT_TRUE(span_gap.has_value());
     EXPECT_EQ(span_gap->lo, gap->lo);
     EXPECT_EQ(span_gap->hi, gap->hi);
     EXPECT_EQ(j_first, grid.first_v_at_or_above(gap->lo));
     EXPECT_EQ(j_last, grid.last_v_at_or_below(gap->hi));
   }
-  EXPECT_EQ(grid.h_is_free(i, Interval{x, x}), gap.has_value());
+  EXPECT_EQ(grid.is_free({kH, i}, Interval{x, x}), gap.has_value());
 }
 
 void expect_v_equal(const TrackGrid& grid, const DenseRef& ref, int j,
                     geom::Coord y) {
   const IntervalSet& expect = ref.blocked[static_cast<std::size_t>(j)];
-  ASSERT_EQ(grid.v_track(j).blocked().runs(), expect.runs())
+  ASSERT_EQ(grid.track({kV, j}).blocked().runs(), expect.runs())
       << "track " << j;
   const std::optional<Interval> gap =
-      expect.free_gap_containing(grid.v_span(), y);
-  const std::optional<Interval> got = grid.v_free_segment(j, y);
+      expect.free_gap_containing(grid.span(kV), y);
+  const std::optional<Interval> got = grid.free_segment({kV, j}, y);
   ASSERT_EQ(got.has_value(), gap.has_value()) << "j=" << j << " y=" << y;
   if (gap.has_value()) {
     EXPECT_EQ(got->lo, gap->lo);
@@ -99,33 +102,33 @@ TEST(ChunkedFuzz, RandomHistoryMatchesDenseReference) {
         if (rng.uniform_int(0, 1) == 0) {
           const int i = static_cast<int>(
               rng.uniform_int(0, grid.num_h() - 1));
-          const Interval s = span(grid.h_span());
-          grid.block_h(i, s);
+          const Interval s = span(grid.span(kH));
+          grid.block({kH, i}, s);
           ref_h.block(i, s);
         } else {
           const int j = static_cast<int>(
               rng.uniform_int(0, grid.num_v() - 1));
-          const Interval s = span(grid.v_span());
-          grid.block_v(j, s);
+          const Interval s = span(grid.span(kV));
+          grid.block({kV, j}, s);
           ref_v.block(j, s);
         }
       } else if (kind == 2) {  // unblock (rip-up), often over nothing
         if (rng.uniform_int(0, 1) == 0) {
           const int i = static_cast<int>(
               rng.uniform_int(0, grid.num_h() - 1));
-          const Interval s = span(grid.h_span());
-          grid.unblock_h(i, s);
+          const Interval s = span(grid.span(kH));
+          grid.unblock({kH, i}, s);
           ref_h.unblock(i, s);
         } else {
           const int j = static_cast<int>(
               rng.uniform_int(0, grid.num_v() - 1));
-          const Interval s = span(grid.v_span());
-          grid.unblock_v(j, s);
+          const Interval s = span(grid.span(kV));
+          grid.unblock({kV, j}, s);
           ref_v.unblock(j, s);
         }
       } else if (kind == 3) {  // rectangular obstacle
-        const Interval xs = span(grid.h_span());
-        const Interval ys = span(grid.v_span());
+        const Interval xs = span(grid.span(kH));
+        const Interval ys = span(grid.span(kV));
         const Rect region(xs.lo, ys.lo, xs.hi, ys.hi);
         if (rng.uniform_int(0, 1) == 0) {
           grid.block_region_h(region);
@@ -148,9 +151,9 @@ TEST(ChunkedFuzz, RandomHistoryMatchesDenseReference) {
         const int j =
             static_cast<int>(rng.uniform_int(0, grid.num_v() - 1));
         expect_h_equal(grid, ref_h, i,
-                       rng.uniform_int(grid.h_span().lo, grid.h_span().hi));
+                       rng.uniform_int(grid.span(kH).lo, grid.span(kH).hi));
         expect_v_equal(grid, ref_v, j,
-                       rng.uniform_int(grid.v_span().lo, grid.v_span().hi));
+                       rng.uniform_int(grid.span(kV).lo, grid.span(kV).hi));
         EXPECT_EQ(grid.crossing_free(i, j),
                   !ref_h.blocked[static_cast<std::size_t>(i)].contains(
                       grid.v_x(j)) &&
@@ -162,12 +165,12 @@ TEST(ChunkedFuzz, RandomHistoryMatchesDenseReference) {
     // grid (the snapshot publication path) must carry identical state.
     const TrackGrid copy = grid;
     for (int i = 0; i < grid.num_h(); ++i) {
-      expect_h_equal(grid, ref_h, i, grid.h_span().lo);
-      expect_h_equal(copy, ref_h, i, grid.h_span().hi);
+      expect_h_equal(grid, ref_h, i, grid.span(kH).lo);
+      expect_h_equal(copy, ref_h, i, grid.span(kH).hi);
     }
     for (int j = 0; j < grid.num_v(); ++j) {
-      expect_v_equal(grid, ref_v, j, grid.v_span().lo);
-      expect_v_equal(copy, ref_v, j, grid.v_span().hi);
+      expect_v_equal(grid, ref_v, j, grid.span(kV).lo);
+      expect_v_equal(copy, ref_v, j, grid.span(kV).hi);
     }
   }
 }
@@ -180,14 +183,14 @@ TEST(ChunkedFuzz, SingleTrackGrid) {
   ASSERT_EQ(grid.num_h(), 1);
   ASSERT_EQ(grid.num_v(), 1);
   DenseRef ref_h(1);
-  EXPECT_TRUE(grid.h_is_free(0, Interval{0, 100}));
+  EXPECT_TRUE(grid.is_free({kH, 0}, Interval{0, 100}));
   expect_h_equal(grid, ref_h, 0, 50);
-  grid.block_h(0, Interval{20, 40});
+  grid.block({kH, 0}, Interval{20, 40});
   ref_h.block(0, Interval{20, 40});
   expect_h_equal(grid, ref_h, 0, 10);
   expect_h_equal(grid, ref_h, 0, 30);
   expect_h_equal(grid, ref_h, 0, 90);
-  grid.unblock_h(0, Interval{20, 40});
+  grid.unblock({kH, 0}, Interval{20, 40});
   ref_h.unblock(0, Interval{20, 40});
   expect_h_equal(grid, ref_h, 0, 30);
   EXPECT_EQ(grid.blocked_chunks(), 1u);  // the block materialized it
@@ -197,11 +200,11 @@ TEST(ChunkedFuzz, UnblockOfUntouchedTrackIsANoOp) {
   TrackGrid grid = TrackGrid::uniform(Rect(0, 0, 1000, 1000), 10, 10);
   // Rip-up over a track that was never blocked: must not materialize
   // anything or change any answer.
-  grid.unblock_h(7, Interval{100, 200});
-  grid.unblock_v(9, Interval{300, 400});
+  grid.unblock({kH, 7}, Interval{100, 200});
+  grid.unblock({kV, 9}, Interval{300, 400});
   EXPECT_EQ(grid.blocked_chunks(), 0u);
-  EXPECT_TRUE(grid.h_is_free(7, Interval{0, 1000}));
-  EXPECT_TRUE(grid.v_is_free(9, Interval{0, 1000}));
+  EXPECT_TRUE(grid.is_free({kH, 7}, Interval{0, 1000}));
+  EXPECT_TRUE(grid.is_free({kV, 9}, Interval{0, 1000}));
 }
 
 TEST(ChunkedFuzz, SparseBlockingMaterializesFewChunks) {
@@ -211,9 +214,9 @@ TEST(ChunkedFuzz, SparseBlockingMaterializesFewChunks) {
   TrackGrid grid = TrackGrid::uniform(Rect(0, 0, 40000, 40000), 10, 10);
   ASSERT_GE(grid.num_h(), 3999);
   const std::size_t before = grid.grid_bytes();
-  grid.block_h(0, Interval{0, 100});
-  grid.block_h(2000, Interval{0, 100});
-  grid.block_v(3900, Interval{0, 100});
+  grid.block({kH, 0}, Interval{0, 100});
+  grid.block({kH, 2000}, Interval{0, 100});
+  grid.block({kV, 3900}, Interval{0, 100});
   EXPECT_LE(grid.blocked_chunks(), 3u);
   EXPECT_GT(grid.grid_bytes(), before);
 }

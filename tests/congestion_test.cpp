@@ -5,6 +5,9 @@
 namespace ocr::tig {
 namespace {
 
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
+
 using geom::Interval;
 using geom::Rect;
 
@@ -46,7 +49,7 @@ TEST(Congestion, HotspotShowsInOneRegion) {
 TEST(Congestion, MeanMatchesHandComputation) {
   auto grid = TrackGrid::uniform(Rect(0, 0, 100, 100), 10, 10);
   // Block exactly half of one horizontal track (of 10).
-  grid.block_h(0, Interval(0, 50));
+  grid.block({kH, 0}, Interval(0, 50));
   const auto report = analyze_congestion(grid);
   EXPECT_NEAR(report.horizontal.mean_utilization, 0.05, 0.01);
   EXPECT_NEAR(report.horizontal.max_utilization, 0.5, 0.01);

@@ -19,6 +19,9 @@
 namespace ocr::tig {
 namespace {
 
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
+
 using geom::Interval;
 using geom::Rect;
 
@@ -31,31 +34,33 @@ TrackGrid make_grid() {
 /// identical gap and crossing-index-range answers.
 void expect_h_consistent(const TrackGrid& grid, int i, geom::Coord x) {
   int al = 0, ah = -1;
-  const std::optional<Interval> a = grid.h_free_segment_span(i, x, &al, &ah);
+  const std::optional<Interval> a =
+      grid.free_segment_span({kH, i}, x, &al, &ah);
   const std::optional<Interval> b =
-      grid.h_track(i).blocked().free_gap_containing(grid.h_span(), x);
+      grid.track({kH, i}).blocked().free_gap_containing(grid.span(kH), x);
   ASSERT_EQ(a.has_value(), b.has_value()) << "i=" << i << " x=" << x;
   if (a.has_value()) {
     EXPECT_EQ(a->lo, b->lo) << "i=" << i << " x=" << x;
     EXPECT_EQ(a->hi, b->hi) << "i=" << i << " x=" << x;
     EXPECT_EQ(al, grid.first_v_at_or_above(b->lo)) << "i=" << i << " x=" << x;
     EXPECT_EQ(ah, grid.last_v_at_or_below(b->hi)) << "i=" << i << " x=" << x;
-    EXPECT_EQ(grid.h_free_segment(i, x), a) << "i=" << i << " x=" << x;
+    EXPECT_EQ(grid.free_segment({kH, i}, x), a) << "i=" << i << " x=" << x;
   }
 }
 
 void expect_v_consistent(const TrackGrid& grid, int j, geom::Coord y) {
   int al = 0, ah = -1;
-  const std::optional<Interval> a = grid.v_free_segment_span(j, y, &al, &ah);
+  const std::optional<Interval> a =
+      grid.free_segment_span({kV, j}, y, &al, &ah);
   const std::optional<Interval> b =
-      grid.v_track(j).blocked().free_gap_containing(grid.v_span(), y);
+      grid.track({kV, j}).blocked().free_gap_containing(grid.span(kV), y);
   ASSERT_EQ(a.has_value(), b.has_value()) << "j=" << j << " y=" << y;
   if (a.has_value()) {
     EXPECT_EQ(a->lo, b->lo) << "j=" << j << " y=" << y;
     EXPECT_EQ(a->hi, b->hi) << "j=" << j << " y=" << y;
     EXPECT_EQ(al, grid.first_h_at_or_above(b->lo)) << "j=" << j << " y=" << y;
     EXPECT_EQ(ah, grid.last_h_at_or_below(b->hi)) << "j=" << j << " y=" << y;
-    EXPECT_EQ(grid.v_free_segment(j, y), a) << "j=" << j << " y=" << y;
+    EXPECT_EQ(grid.free_segment({kV, j}, y), a) << "j=" << j << " y=" << y;
   }
 }
 
@@ -63,28 +68,28 @@ TEST(GapCache, BlockUnblockSequencesMatchCacheOff) {
   TrackGrid grid = make_grid();
   // A scripted history exercising every patch shape: split a gap in two,
   // trim its ends, erase it, re-open it, and merge across boundaries.
-  grid.block_h(3, Interval(20, 40));            // split [0,100]
-  grid.block_h(3, Interval(0, 5));              // trim the left gap's lo
-  grid.block_h(3, Interval(90, 100));           // trim the right gap's hi
-  grid.block_h(3, Interval(41, 60));            // extend a blocked run
-  grid.block_h(3, Interval(10, 15));            // split again
-  grid.unblock_h(3, Interval(20, 40));          // partial re-open + merge
-  grid.block_h(3, Interval(0, 100));            // erase every gap
-  grid.unblock_h(3, Interval(30, 30));          // single-point gap
-  grid.unblock_h(3, Interval(0, 100));          // full rip-up
+  grid.block({kH, 3}, Interval(20, 40));            // split [0,100]
+  grid.block({kH, 3}, Interval(0, 5));              // trim the left gap's lo
+  grid.block({kH, 3}, Interval(90, 100));           // trim the right gap's hi
+  grid.block({kH, 3}, Interval(41, 60));            // extend a blocked run
+  grid.block({kH, 3}, Interval(10, 15));            // split again
+  grid.unblock({kH, 3}, Interval(20, 40));          // partial re-open + merge
+  grid.block({kH, 3}, Interval(0, 100));            // erase every gap
+  grid.unblock({kH, 3}, Interval(30, 30));          // single-point gap
+  grid.unblock({kH, 3}, Interval(0, 100));          // full rip-up
   for (geom::Coord x = 0; x <= 100; ++x) expect_h_consistent(grid, 3, x);
 
-  grid.block_v(7, Interval(15, 85));
-  grid.unblock_v(7, Interval(40, 60));
-  grid.block_v(7, Interval(50, 55));
+  grid.block({kV, 7}, Interval(15, 85));
+  grid.unblock({kV, 7}, Interval(40, 60));
+  grid.block({kV, 7}, Interval(50, 55));
   for (geom::Coord y = 0; y <= 100; ++y) expect_v_consistent(grid, 7, y);
 }
 
 TEST(GapCache, AlreadyBlockedAndAlreadyFreeSpansAreNoOps) {
   TrackGrid grid = make_grid();
-  grid.block_h(2, Interval(30, 70));
-  grid.block_h(2, Interval(40, 50));    // inside an already-blocked run
-  grid.unblock_h(2, Interval(80, 90));  // inside an already-free gap
+  grid.block({kH, 2}, Interval(30, 70));
+  grid.block({kH, 2}, Interval(40, 50));    // inside an already-blocked run
+  grid.unblock({kH, 2}, Interval(80, 90));  // inside an already-free gap
   for (geom::Coord x = 0; x <= 100; ++x) expect_h_consistent(grid, 2, x);
 }
 
@@ -100,10 +105,10 @@ TEST(GapCache, RandomizedHistoryMatchesCacheOff) {
           std::min<geom::Coord>(100, lo + rng.uniform_int(0, 25));
       const Interval span(lo, hi);
       switch (rng.uniform_int(0, 3)) {
-        case 0: grid.block_h(i, span); break;
-        case 1: grid.unblock_h(i, span); break;
-        case 2: grid.block_v(j, span); break;
-        default: grid.unblock_v(j, span); break;
+        case 0: grid.block({kH, i}, span); break;
+        case 1: grid.unblock({kH, i}, span); break;
+        case 2: grid.block({kV, j}, span); break;
+        default: grid.unblock({kV, j}, span); break;
       }
       // Probe the mutated tracks at a handful of points each step.
       for (int probe = 0; probe < 6; ++probe) {
@@ -122,12 +127,12 @@ TEST(GapCache, ConcurrentReadersNeedNoWarmUp) {
   // Run under TSan (the CI tsan-engine job includes this binary) to prove
   // the absence of races; every answer must also match the reference.
   TrackGrid grid = make_grid();
-  grid.block_h(4, Interval(25, 75));
-  grid.block_h(4, Interval(90, 95));
-  grid.unblock_h(4, Interval(40, 50));
-  grid.block_v(6, Interval(10, 50));
-  grid.unblock_v(6, Interval(30, 30));
-  grid.block_v(2, Interval(0, 100));
+  grid.block({kH, 4}, Interval(25, 75));
+  grid.block({kH, 4}, Interval(90, 95));
+  grid.unblock({kH, 4}, Interval(40, 50));
+  grid.block({kV, 6}, Interval(10, 50));
+  grid.unblock({kV, 6}, Interval(30, 30));
+  grid.block({kV, 2}, Interval(0, 100));
   const TrackGrid& shared = grid;
 
   std::vector<std::thread> readers;
@@ -173,8 +178,8 @@ TEST(GapCache, IncrementalPatchingAtHundredThousandTracks) {
     // an earlier op, and the block then patches them.
     expect_h_consistent(grid, i, hs.lo);
     expect_v_consistent(grid, j, vs.lo);
-    grid.block_h(i, hs);
-    grid.block_v(j, vs);
+    grid.block({kH, i}, hs);
+    grid.block({kV, j}, vs);
     placed_h.emplace_back(i, hs);
     placed_v.emplace_back(j, vs);
     expect_h_consistent(grid, i, hs.lo > 0 ? hs.lo - 1 : hs.hi + 1);
@@ -183,8 +188,8 @@ TEST(GapCache, IncrementalPatchingAtHundredThousandTracks) {
   // Rip-up half of what was placed (unblock patching), re-probing around
   // every removal.
   for (std::size_t k = 0; k < placed_h.size(); k += 2) {
-    grid.unblock_h(placed_h[k].first, placed_h[k].second);
-    grid.unblock_v(placed_v[k].first, placed_v[k].second);
+    grid.unblock({kH, placed_h[k].first}, placed_h[k].second);
+    grid.unblock({kV, placed_v[k].first}, placed_v[k].second);
     expect_h_consistent(grid, placed_h[k].first, placed_h[k].second.lo);
     expect_v_consistent(grid, placed_v[k].first, placed_v[k].second.lo);
   }
@@ -196,10 +201,10 @@ TEST(GapCache, IncrementalPatchingAtHundredThousandTracks) {
   // crossing span (computed once per orientation) is every crossing track.
   const int untouched = grid.num_h() / 2 + 1;
   expect_h_consistent(grid, untouched, 500000);
-  ASSERT_TRUE(grid.h_track(untouched).blocked().empty());
+  ASSERT_TRUE(grid.track({kH, untouched}).blocked().empty());
   int first = -7, last = -7;
-  ASSERT_EQ(grid.h_free_segment_span(untouched, 500000, &first, &last),
-            grid.h_span());
+  ASSERT_EQ(grid.free_segment_span({kH, untouched}, 500000, &first, &last),
+            grid.span(kH));
   EXPECT_EQ(first, 0);
   EXPECT_EQ(last, grid.num_v() - 1);
 }

@@ -17,6 +17,9 @@
 namespace ocr::tig {
 namespace {
 
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
+
 using geom::Coord;
 using geom::Interval;
 using geom::Rect;
@@ -35,10 +38,10 @@ Interval random_span(util::Rng& rng, Coord size) {
 /// \p i equals the reference primitives over its effective blocked set:
 /// IntervalSet::free_gap_containing and the binary-searched crossing span.
 void expect_h_reference(const GridView& overlay, int i, Coord x) {
-  const auto expect = overlay.h_track(i).blocked().free_gap_containing(
-      overlay.h_span(), x);
+  const auto expect = overlay.track({kH, i}).blocked().free_gap_containing(
+      overlay.span(kH), x);
   int first = -7, last = -7;
-  ASSERT_EQ(overlay.h_free_segment_span(i, x, &first, &last), expect)
+  ASSERT_EQ(overlay.free_segment_span({kH, i}, x, &first, &last), expect)
       << "h track " << i << " x=" << x;
   if (expect.has_value()) {
     EXPECT_EQ(first, overlay.first_v_at_or_above(expect->lo));
@@ -47,10 +50,10 @@ void expect_h_reference(const GridView& overlay, int i, Coord x) {
 }
 
 void expect_v_reference(const GridView& overlay, int j, Coord y) {
-  const auto expect = overlay.v_track(j).blocked().free_gap_containing(
-      overlay.v_span(), y);
+  const auto expect = overlay.track({kV, j}).blocked().free_gap_containing(
+      overlay.span(kV), y);
   int first = -7, last = -7;
-  ASSERT_EQ(overlay.v_free_segment_span(j, y, &first, &last), expect)
+  ASSERT_EQ(overlay.free_segment_span({kV, j}, y, &first, &last), expect)
       << "v track " << j << " y=" << y;
   if (expect.has_value()) {
     EXPECT_EQ(first, overlay.first_h_at_or_above(expect->lo));
@@ -64,53 +67,53 @@ void expect_v_reference(const GridView& overlay, int j, Coord y) {
 void expect_equivalent(const GridView& overlay, const TrackGrid& ref,
                        util::Rng& rng, Coord size) {
   for (int i = 0; i < ref.num_h(); ++i) {
-    ASSERT_EQ(overlay.h_track(i).blocked().runs(),
-              ref.h_track(i).blocked().runs())
+    ASSERT_EQ(overlay.track({kH, i}).blocked().runs(),
+              ref.track({kH, i}).blocked().runs())
         << "h track " << i;
     for (int probe = 0; probe < 4; ++probe) {
       const Coord x = rng.uniform_int(0, size - 1);
-      EXPECT_EQ(overlay.h_free_segment(i, x), ref.h_free_segment(i, x))
+      EXPECT_EQ(overlay.free_segment({kH, i}, x), ref.free_segment({kH, i}, x))
           << "h track " << i << " x=" << x;
       expect_h_reference(overlay, i, x);
       int of = -7, ol = -7, rf = -7, rl = -7;
-      const auto oseg = overlay.h_free_segment_span(i, x, &of, &ol);
-      const auto rseg = ref.h_free_segment_span(i, x, &rf, &rl);
+      const auto oseg = overlay.free_segment_span({kH, i}, x, &of, &ol);
+      const auto rseg = ref.free_segment_span({kH, i}, x, &rf, &rl);
       EXPECT_EQ(oseg, rseg);
       if (oseg.has_value() && rseg.has_value()) {
         EXPECT_EQ(of, rf);
         EXPECT_EQ(ol, rl);
       }
-      EXPECT_EQ(overlay.h_distance_to_blocked(i, x),
-                ref.h_distance_to_blocked(i, x));
+      EXPECT_EQ(overlay.distance_to_blocked({kH, i}, x),
+                ref.distance_to_blocked({kH, i}, x));
       const Interval span = random_span(rng, size);
-      EXPECT_EQ(overlay.h_is_free(i, span), ref.h_is_free(i, span));
-      EXPECT_EQ(overlay.h_blocked_fraction(i, span),
-                ref.h_blocked_fraction(i, span));
+      EXPECT_EQ(overlay.is_free({kH, i}, span), ref.is_free({kH, i}, span));
+      EXPECT_EQ(overlay.blocked_fraction({kH, i}, span),
+                ref.blocked_fraction({kH, i}, span));
     }
   }
   for (int j = 0; j < ref.num_v(); ++j) {
-    ASSERT_EQ(overlay.v_track(j).blocked().runs(),
-              ref.v_track(j).blocked().runs())
+    ASSERT_EQ(overlay.track({kV, j}).blocked().runs(),
+              ref.track({kV, j}).blocked().runs())
         << "v track " << j;
     for (int probe = 0; probe < 4; ++probe) {
       const Coord y = rng.uniform_int(0, size - 1);
-      EXPECT_EQ(overlay.v_free_segment(j, y), ref.v_free_segment(j, y))
+      EXPECT_EQ(overlay.free_segment({kV, j}, y), ref.free_segment({kV, j}, y))
           << "v track " << j << " y=" << y;
       expect_v_reference(overlay, j, y);
       int of = -7, ol = -7, rf = -7, rl = -7;
-      const auto oseg = overlay.v_free_segment_span(j, y, &of, &ol);
-      const auto rseg = ref.v_free_segment_span(j, y, &rf, &rl);
+      const auto oseg = overlay.free_segment_span({kV, j}, y, &of, &ol);
+      const auto rseg = ref.free_segment_span({kV, j}, y, &rf, &rl);
       EXPECT_EQ(oseg, rseg);
       if (oseg.has_value() && rseg.has_value()) {
         EXPECT_EQ(of, rf);
         EXPECT_EQ(ol, rl);
       }
-      EXPECT_EQ(overlay.v_distance_to_blocked(j, y),
-                ref.v_distance_to_blocked(j, y));
+      EXPECT_EQ(overlay.distance_to_blocked({kV, j}, y),
+                ref.distance_to_blocked({kV, j}, y));
       const Interval span = random_span(rng, size);
-      EXPECT_EQ(overlay.v_is_free(j, span), ref.v_is_free(j, span));
-      EXPECT_EQ(overlay.v_blocked_fraction(j, span),
-                ref.v_blocked_fraction(j, span));
+      EXPECT_EQ(overlay.is_free({kV, j}, span), ref.is_free({kV, j}, span));
+      EXPECT_EQ(overlay.blocked_fraction({kV, j}, span),
+                ref.blocked_fraction({kV, j}, span));
     }
   }
   for (int probe = 0; probe < 32; ++probe) {
@@ -126,10 +129,10 @@ TEST(GridOverlay, UntouchedOverlayMatchesBase) {
   TrackGrid base = make_grid(size);
   for (int b = 0; b < 12; ++b) {
     if (rng.uniform_int(0, 1) == 0) {
-      base.block_h(static_cast<int>(rng.uniform_int(0, base.num_h() - 1)),
+      base.block({kH, static_cast<int>(rng.uniform_int(0, base.num_h() - 1))},
                    random_span(rng, size));
     } else {
-      base.block_v(static_cast<int>(rng.uniform_int(0, base.num_v() - 1)),
+      base.block({kV, static_cast<int>(rng.uniform_int(0, base.num_v() - 1))},
                    random_span(rng, size));
     }
   }
@@ -149,10 +152,10 @@ TEST(GridOverlay, FuzzMutationSequencesMatchDeepCopy) {
     TrackGrid base = make_grid(size);
     for (int b = 0; b < 10; ++b) {
       if (rng.uniform_int(0, 1) == 0) {
-        base.block_h(static_cast<int>(rng.uniform_int(0, base.num_h() - 1)),
+        base.block({kH, static_cast<int>(rng.uniform_int(0, base.num_h() - 1))},
                      random_span(rng, size));
       } else {
-        base.block_v(static_cast<int>(rng.uniform_int(0, base.num_v() - 1)),
+        base.block({kV, static_cast<int>(rng.uniform_int(0, base.num_v() - 1))},
                      random_span(rng, size));
       }
     }
@@ -170,21 +173,21 @@ TEST(GridOverlay, FuzzMutationSequencesMatchDeepCopy) {
         const int i =
             static_cast<int>(rng.uniform_int(0, base.num_h() - 1));
         if (block) {
-          overlay.block_h(i, span);
-          copy.block_h(i, span);
+          overlay.block({kH, i}, span);
+          copy.block({kH, i}, span);
         } else {
-          overlay.unblock_h(i, span);
-          copy.unblock_h(i, span);
+          overlay.unblock({kH, i}, span);
+          copy.unblock({kH, i}, span);
         }
       } else {
         const int j =
             static_cast<int>(rng.uniform_int(0, base.num_v() - 1));
         if (block) {
-          overlay.block_v(j, span);
-          copy.block_v(j, span);
+          overlay.block({kV, j}, span);
+          copy.block({kV, j}, span);
         } else {
-          overlay.unblock_v(j, span);
-          copy.unblock_v(j, span);
+          overlay.unblock({kV, j}, span);
+          copy.unblock({kV, j}, span);
         }
       }
       if (step % 8 == 7) expect_equivalent(overlay, copy, rng, size);
@@ -201,17 +204,17 @@ TEST(GridOverlay, BraceRoundTripLeavesQueriesAtBase) {
   util::Rng rng(5);
   const Coord size = 200;
   TrackGrid base = make_grid(size);
-  base.block_h(3, Interval(0, size));
-  base.block_v(4, Interval(0, size));
+  base.block({kH, 3}, Interval(0, size));
+  base.block({kV, 4}, Interval(0, size));
   GridOverlay overlay(&base);
 
   const Coord x = base.v_x(4);
   const Coord y = base.h_y(3);
-  overlay.unblock_h(3, Interval(x, x));
-  overlay.unblock_v(4, Interval(y, y));
+  overlay.unblock({kH, 3}, Interval(x, x));
+  overlay.unblock({kV, 4}, Interval(y, y));
   EXPECT_TRUE(GridView(overlay).crossing_free(3, 4));
-  overlay.block_h(3, Interval(x, x));
-  overlay.block_v(4, Interval(y, y));
+  overlay.block({kH, 3}, Interval(x, x));
+  overlay.block({kV, 4}, Interval(y, y));
   expect_equivalent(overlay, base, rng, size);
 }
 
@@ -220,14 +223,14 @@ TEST(GridOverlay, RebaseDropsDeltasInOTouched) {
   const Coord size = 200;
   TrackGrid base = make_grid(size);
   GridOverlay overlay(&base);
-  overlay.block_h(2, Interval(10, 50));
-  overlay.block_v(5, Interval(20, 80));
+  overlay.block({kH, 2}, Interval(10, 50));
+  overlay.block({kV, 5}, Interval(20, 80));
   EXPECT_EQ(overlay.touched_tracks(), 2u);
-  EXPECT_FALSE(GridView(overlay).h_is_free(2, Interval(10, 50)));
+  EXPECT_FALSE(GridView(overlay).is_free({kH, 2}, Interval(10, 50)));
 
   overlay.rebase(&base);
   EXPECT_EQ(overlay.touched_tracks(), 0u);
-  EXPECT_TRUE(GridView(overlay).h_is_free(2, Interval(10, 50)));
+  EXPECT_TRUE(GridView(overlay).is_free({kH, 2}, Interval(10, 50)));
   expect_equivalent(overlay, base, rng, size);
 }
 

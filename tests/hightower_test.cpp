@@ -116,11 +116,11 @@ TEST(HightowerProperty, ValidPathsAndBoundedMeander) {
       const Point& q = ht.path.points[leg + 1];
       const auto& t = ht.path.tracks[leg];
       if (t.orient == geom::Orientation::kHorizontal) {
-        ASSERT_TRUE(grid.h_is_free(
-            t.index, Interval(std::min(p.x, q.x), std::max(p.x, q.x))));
+        ASSERT_TRUE(grid.is_free(
+            t, Interval(std::min(p.x, q.x), std::max(p.x, q.x))));
       } else {
-        ASSERT_TRUE(grid.v_is_free(
-            t.index, Interval(std::min(p.y, q.y), std::max(p.y, q.y))));
+        ASSERT_TRUE(grid.is_free(
+            t, Interval(std::min(p.y, q.y), std::max(p.y, q.y))));
       }
     }
   }

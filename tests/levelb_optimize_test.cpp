@@ -9,6 +9,9 @@
 namespace ocr::levelb {
 namespace {
 
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
+
 using geom::Interval;
 using geom::Point;
 using geom::Rect;
@@ -18,7 +21,7 @@ using geom::Rect;
 TEST(Straighten, FlattensZAfterBlockerRemoved) {
   auto grid = tig::TrackGrid::uniform(Rect(0, 0, 400, 400), 10, 10);
   // Block the direct horizontal track between the terminals.
-  grid.block_h(grid.nearest_h(205), Interval(100, 300));
+  grid.block({kH, grid.nearest(kH, 205)}, Interval(100, 300));
   LevelBOptions options;
   options.ripup_rounds = 0;
   LevelBRouter router(grid);
@@ -27,7 +30,7 @@ TEST(Straighten, FlattensZAfterBlockerRemoved) {
   ASSERT_GE(result.nets[0].corners, 2);  // forced detour
 
   // The blocker goes away (e.g. a ripped-up wire).
-  grid.unblock_h(grid.nearest_h(205), Interval(100, 300));
+  grid.unblock({kH, grid.nearest(kH, 205)}, Interval(100, 300));
 
   const auto stats = straighten_corners(grid, result);
   EXPECT_GT(stats.corners_removed, 0);
@@ -35,7 +38,7 @@ TEST(Straighten, FlattensZAfterBlockerRemoved) {
   EXPECT_EQ(result.nets[0].corners, 0);  // straight again
   EXPECT_EQ(result.nets[0].wire_length, 390);
   // The grid reflects the new wiring: the straight track is blocked again.
-  EXPECT_FALSE(grid.h_is_free(grid.nearest_h(205), Interval(5, 395)));
+  EXPECT_FALSE(grid.is_free({kH, grid.nearest(kH, 205)}, Interval(5, 395)));
 }
 
 TEST(Straighten, NoopOnAlreadyOptimalPaths) {

@@ -8,6 +8,9 @@
 namespace ocr::levelb {
 namespace {
 
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
+
 using geom::Interval;
 using geom::Point;
 using geom::Rect;
@@ -33,8 +36,8 @@ TEST(LevelBRouter, CommitsWiresToGrid) {
   LevelBRouter router(grid);
   router.route({BNet{1, {Point{5, 45}, Point{195, 45}}}});
   // The straight wire on y=45 must now block that track.
-  const int i = grid.nearest_h(45);
-  EXPECT_FALSE(grid.h_is_free(i, Interval(5, 195)));
+  const int i = grid.nearest(kH, 45);
+  EXPECT_FALSE(grid.is_free({kH, i}, Interval(5, 195)));
 }
 
 TEST(LevelBRouter, SecondNetAvoidsFirst) {

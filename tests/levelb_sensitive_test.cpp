@@ -6,6 +6,9 @@
 namespace ocr::levelb {
 namespace {
 
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
+
 using geom::Interval;
 using geom::Point;
 using geom::Rect;
@@ -24,7 +27,7 @@ struct Scenario {
 /// \p threads > 1 (which must give the same answer).
 Scenario run(double w24, int threads = 1) {
   Scenario s;
-  s.sensitive_track = s.grid.nearest_h(205);
+  s.sensitive_track = s.grid.nearest(kH, 205);
 
   BNet shield{1, {Point{5, 205}, Point{795, 205}}, /*sensitive=*/true};
   // Aggressor: diagonal terminals with two one-corner L candidates — one
@@ -98,10 +101,10 @@ TEST(SensitiveRuns, OverlapAccounting) {
   SensitiveRuns runs;
   runs.add_h(3, Interval(10, 50));
   runs.add_h(3, Interval(100, 120));
-  EXPECT_EQ(runs.h_overlap(3, Interval(0, 200)), 60);
-  EXPECT_EQ(runs.h_overlap(3, Interval(30, 110)), 30);
-  EXPECT_EQ(runs.h_overlap(3, Interval(60, 90)), 0);
-  EXPECT_EQ(runs.h_overlap(4, Interval(0, 200)), 0);
+  EXPECT_EQ(runs.overlap({kH, 3}, Interval(0, 200)), 60);
+  EXPECT_EQ(runs.overlap({kH, 3}, Interval(30, 110)), 30);
+  EXPECT_EQ(runs.overlap({kH, 3}, Interval(60, 90)), 0);
+  EXPECT_EQ(runs.overlap({kH, 4}, Interval(0, 200)), 0);
   EXPECT_TRUE(SensitiveRuns{}.empty());
   EXPECT_FALSE(runs.empty());
 }
@@ -109,8 +112,8 @@ TEST(SensitiveRuns, OverlapAccounting) {
 TEST(SensitiveRuns, VerticalOverlap) {
   SensitiveRuns runs;
   runs.add_v(7, Interval(0, 100));
-  EXPECT_EQ(runs.v_overlap(7, Interval(50, 150)), 50);
-  EXPECT_EQ(runs.v_overlap(6, Interval(50, 150)), 0);
+  EXPECT_EQ(runs.overlap({kV, 7}, Interval(50, 150)), 50);
+  EXPECT_EQ(runs.overlap({kV, 6}, Interval(50, 150)), 0);
 }
 
 }  // namespace

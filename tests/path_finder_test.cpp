@@ -2,10 +2,14 @@
 
 #include "levelb/figure1.hpp"
 #include "levelb/path_finder.hpp"
+#include "levelb/workspace.hpp"
 #include "util/rng.hpp"
 
 namespace ocr::levelb {
 namespace {
+
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
 
 using geom::Interval;
 using geom::Point;
@@ -64,7 +68,7 @@ TEST(PathFinder, IdenticalEndpoints) {
 TEST(PathFinder, DetoursAroundBlockedStraight) {
   auto grid = open_grid();
   // Block the direct horizontal track between the terminals.
-  grid.block_h(2, Interval(30, 50));  // y=25
+  grid.block({kH, 2}, Interval(30, 50));  // y=25
   const PathFinder finder(grid);
   const auto r = finder.connect(Point{5, 25}, Point{75, 25},
                                 plain_ctx(grid));
@@ -105,7 +109,7 @@ TEST(PathFinder, ReportsUnreachable) {
   grid.block_region_h(wall);
   for (int j = 0; j < grid.num_v(); ++j) {
     if (grid.v_x(j) >= 38 && grid.v_x(j) <= 42) {
-      grid.block_v(j, Interval(0, 80));
+      grid.block({kV, j}, Interval(0, 80));
     }
   }
   // The wall blocks every horizontal track on x in [38,42]; no vertical
@@ -121,11 +125,11 @@ TEST(PathFinder, WindowGrowsWhenNeeded) {
   // Terminals on the same row; block a tall region forcing a detour far
   // outside the initial window.
   for (int i = 0; i < grid.num_h(); ++i) {
-    if (grid.h_y(i) <= 55) grid.block_h(i, Interval(30, 50));
+    if (grid.h_y(i) <= 55) grid.block({kH, i}, Interval(30, 50));
   }
   for (int j = 0; j < grid.num_v(); ++j) {
     if (grid.v_x(j) >= 30 && grid.v_x(j) <= 50) {
-      grid.block_v(j, Interval(0, 55));
+      grid.block({kV, j}, Interval(0, 55));
     }
   }
   PathFinder::Options opts;
@@ -142,8 +146,8 @@ TEST(PathFinder, MinimumCornersPreferredOverLength) {
   auto grid = open_grid();
   // Make the 1-corner L paths impossible; a 2-corner detour remains. The
   // finder must never return a 3+-corner path even if shorter in length.
-  grid.block_h(0, Interval(70, 80));   // corner at (75, 5)
-  grid.block_v(0, Interval(70, 80));   // corner at (5, 75)
+  grid.block({kH, 0}, Interval(70, 80));   // corner at (75, 5)
+  grid.block({kV, 0}, Interval(70, 80));   // corner at (5, 75)
   const PathFinder finder(grid);
   const auto r = finder.connect(Point{5, 5}, Point{75, 75},
                                 plain_ctx(grid));
@@ -199,11 +203,11 @@ TEST(Figure1, TreeFromV2FindsOnePath) {
 TEST(Figure1, DirectH2V6CompletionIsBlocked) {
   // Net C's wire on v6 must prevent the (h2, v6) one-corner path.
   const Figure1Instance fig = make_figure1_instance();
-  EXPECT_FALSE(fig.grid.v_is_free(5, Interval(20, 40)));
+  EXPECT_FALSE(fig.grid.is_free({kV, 5}, Interval(20, 40)));
   // And h4 is blocked between v1 and v2 (net A).
-  EXPECT_FALSE(fig.grid.h_is_free(3, Interval(10, 20)));
+  EXPECT_FALSE(fig.grid.is_free({kH, 3}, Interval(10, 20)));
   // Obstacle O1 blocks v4 at h2's y.
-  EXPECT_FALSE(fig.grid.v_is_free(3, Interval(20, 20)));
+  EXPECT_FALSE(fig.grid.is_free({kV, 3}, Interval(20, 20)));
 }
 
 TEST(Figure1, TreePrintingMentionsTracks) {
@@ -255,16 +259,86 @@ TEST(PathFinderProperty, RandomObstaclesValidPaths) {
       const Point& q = r.path.points[leg + 1];
       const auto& t = r.path.tracks[leg];
       if (t.orient == geom::Orientation::kHorizontal) {
-        ASSERT_TRUE(grid.h_is_free(
-            t.index, Interval(std::min(p.x, q.x), std::max(p.x, q.x))))
+        ASSERT_TRUE(grid.is_free(
+            t, Interval(std::min(p.x, q.x), std::max(p.x, q.x))))
             << "trial " << trial;
       } else {
-        ASSERT_TRUE(grid.v_is_free(
-            t.index, Interval(std::min(p.y, q.y), std::max(p.y, q.y))))
+        ASSERT_TRUE(grid.is_free(
+            t, Interval(std::min(p.y, q.y), std::max(p.y, q.y))))
             << "trial " << trial;
       }
     }
   }
+}
+
+TEST(PathFinderProperty, TransposeGivesSameSearchCounts) {
+  // Transposing a grid (the track families swap, and so do their blocks
+  // and every point's coordinates) maps each MBFS pass onto the other, so
+  // the search counts must match — in both axes of the one expansion
+  // body. Paths are not compared: cost ties pick by candidate order, and
+  // the vertical-rooted pass's arrivals come first.
+  util::Rng rng(41);
+  const auto transpose = [](const Point& p) { return Point{p.y, p.x}; };
+  const auto track_coords = [&rng](geom::Coord size) {
+    std::vector<geom::Coord> coords;
+    for (geom::Coord v = rng.uniform_int(0, 6); v <= size;
+         v += rng.uniform_int(4, 16)) {
+      coords.push_back(v);
+    }
+    return coords;
+  };
+  const geom::Coord width = 200;
+  const geom::Coord height = 160;
+  int found = 0;
+  for (int g = 0; g < 60; ++g) {
+    const std::vector<geom::Coord> ys = track_coords(height);
+    const std::vector<geom::Coord> xs = track_coords(width);
+    tig::TrackGrid grid(ys, xs, Rect(0, 0, width, height));
+    tig::TrackGrid grid_t(xs, ys, Rect(0, 0, height, width));
+    for (int b = 0; b < 60; ++b) {
+      const geom::Orientation o = rng.uniform_int(0, 1) == 0 ? kH : kV;
+      const int k = static_cast<int>(rng.uniform_int(
+          0, static_cast<std::int64_t>(grid.coords(o).size()) - 1));
+      const geom::Coord len = o == kH ? width : height;
+      const geom::Coord lo = rng.uniform_int(0, len);
+      const Interval span(lo, std::min(len, lo + rng.uniform_int(0, len / 2)));
+      grid.block({o, k}, span);
+      grid_t.block({geom::perpendicular(o), k}, span);
+    }
+    const auto random_crossing = [&rng, &grid] {
+      return grid.crossing(
+          static_cast<int>(rng.uniform_int(0, grid.num_h() - 1)),
+          static_cast<int>(rng.uniform_int(0, grid.num_v() - 1)));
+    };
+    const PathFinder finder(grid);
+    const PathFinder finder_t(grid_t);
+    SearchWorkspace ws;
+    SearchWorkspace ws_t;
+    for (int c = 0; c < 20; ++c) {
+      const Point a = random_crossing();
+      const Point b = random_crossing();
+      const std::vector<Point> own{random_crossing(), random_crossing()};
+      const std::vector<Point> own_t{transpose(own[0]), transpose(own[1])};
+      const auto r = finder.connect(a, b, make_cost_context(grid, &own), ws);
+      const auto r_t = finder_t.connect(transpose(a), transpose(b),
+                                        make_cost_context(grid_t, &own_t),
+                                        ws_t);
+      ASSERT_EQ(r.found, r_t.found) << "grid " << g << " connect " << c;
+      EXPECT_EQ(r.corners, r_t.corners) << "grid " << g << " connect " << c;
+      EXPECT_EQ(r.stats.vertices_examined, r_t.stats.vertices_examined)
+          << "grid " << g << " connect " << c;
+      EXPECT_EQ(r.stats.candidates, r_t.stats.candidates)
+          << "grid " << g << " connect " << c;
+      EXPECT_EQ(r.stats.window_growths, r_t.stats.window_growths)
+          << "grid " << g << " connect " << c;
+      ASSERT_EQ(ws.mbfs_crossings, ws_t.mbfs_crossings)
+          << "grid " << g << " connect " << c;
+      if (r.found) ++found;
+    }
+  }
+  // Most connects succeed; the rest cover the unreachable outcome.
+  EXPECT_GT(found, 800);
+  EXPECT_LT(found, 1100);
 }
 
 TEST(PathFinderProperty, LengthAtLeastManhattan) {

@@ -18,6 +18,9 @@
 namespace ocr::engine {
 namespace {
 
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
+
 using geom::Rect;
 using levelb::BNet;
 using levelb::LevelBResult;
@@ -157,15 +160,15 @@ TEST(ShardedEngine, GridCarriesIdenticalWiring) {
   engine.route(nets);
   for (int i = 0; i < serial_grid.num_h(); ++i) {
     for (geom::Coord x = 0; x < 800; x += 7) {
-      EXPECT_EQ(serial_grid.h_is_free(i, geom::Interval(x, x + 6)),
-                sharded_grid.h_is_free(i, geom::Interval(x, x + 6)))
+      EXPECT_EQ(serial_grid.is_free({kH, i}, geom::Interval(x, x + 6)),
+                sharded_grid.is_free({kH, i}, geom::Interval(x, x + 6)))
           << "h track " << i << " at x=" << x;
     }
   }
   for (int j = 0; j < serial_grid.num_v(); ++j) {
     for (geom::Coord y = 0; y < 800; y += 7) {
-      EXPECT_EQ(serial_grid.v_is_free(j, geom::Interval(y, y + 6)),
-                sharded_grid.v_is_free(j, geom::Interval(y, y + 6)))
+      EXPECT_EQ(serial_grid.is_free({kV, j}, geom::Interval(y, y + 6)),
+                sharded_grid.is_free({kV, j}, geom::Interval(y, y + 6)))
           << "v track " << j << " at y=" << y;
     }
   }

@@ -6,6 +6,9 @@
 namespace ocr::tig {
 namespace {
 
+constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
+constexpr geom::Orientation kV = geom::Orientation::kVertical;
+
 using geom::Interval;
 using geom::Point;
 using geom::Rect;
@@ -34,75 +37,75 @@ TEST(TrackGrid, UniformConstruction) {
 TEST(TrackGrid, NonUniformSpacingSupported) {
   // The paper allows "different spacing" between tracks.
   const TrackGrid g({5, 7, 30}, {1, 100}, Rect(0, 0, 120, 40));
-  EXPECT_EQ(g.nearest_h(6), 0);   // tie goes to the lower track
-  EXPECT_EQ(g.nearest_h(17), 1);  // |17-7| = 10 < |30-17| = 13
-  EXPECT_EQ(g.nearest_h(20), 2);  // |20-30| = 10 < |20-7| = 13
-  EXPECT_EQ(g.nearest_v(49), 0);
-  EXPECT_EQ(g.nearest_v(52), 1);
+  EXPECT_EQ(g.nearest(kH, 6), 0);   // tie goes to the lower track
+  EXPECT_EQ(g.nearest(kH, 17), 1);  // |17-7| = 10 < |30-17| = 13
+  EXPECT_EQ(g.nearest(kH, 20), 2);  // |20-30| = 10 < |20-7| = 13
+  EXPECT_EQ(g.nearest(kV, 49), 0);
+  EXPECT_EQ(g.nearest(kV, 52), 1);
 }
 
 TEST(TrackGrid, NearestClamping) {
   const TrackGrid g = small_grid();
-  EXPECT_EQ(g.nearest_h(-100), 0);
-  EXPECT_EQ(g.nearest_h(999), 2);
+  EXPECT_EQ(g.nearest(kH, -100), 0);
+  EXPECT_EQ(g.nearest(kH, 999), 2);
   EXPECT_EQ(g.snap(Point{0, 0}), (Point{5, 10}));
   EXPECT_EQ(g.snap(Point{36, 26}), (Point{35, 30}));
 }
 
 TEST(TrackGrid, BlockAndQuery) {
   TrackGrid g = small_grid();
-  EXPECT_TRUE(g.h_is_free(0, Interval(0, 40)));
-  g.block_h(0, Interval(10, 20));
-  EXPECT_FALSE(g.h_is_free(0, Interval(0, 40)));
-  EXPECT_TRUE(g.h_is_free(0, Interval(21, 40)));
+  EXPECT_TRUE(g.is_free({kH, 0}, Interval(0, 40)));
+  g.block({kH, 0}, Interval(10, 20));
+  EXPECT_FALSE(g.is_free({kH, 0}, Interval(0, 40)));
+  EXPECT_TRUE(g.is_free({kH, 0}, Interval(21, 40)));
   EXPECT_FALSE(g.crossing_free(0, 1));  // v1 at x=15 inside [10,20]
   EXPECT_TRUE(g.crossing_free(0, 0));   // x=5 free
-  g.unblock_h(0, Interval(10, 20));
-  EXPECT_TRUE(g.h_is_free(0, Interval(0, 40)));
+  g.unblock({kH, 0}, Interval(10, 20));
+  EXPECT_TRUE(g.is_free({kH, 0}, Interval(0, 40)));
 }
 
 TEST(TrackGrid, FreeSegments) {
   TrackGrid g = small_grid();
-  g.block_h(1, Interval(14, 16));
-  const auto left = g.h_free_segment(1, 5);
+  g.block({kH, 1}, Interval(14, 16));
+  const auto left = g.free_segment({kH, 1}, 5);
   ASSERT_TRUE(left.has_value());
   EXPECT_EQ(*left, Interval(0, 13));
-  const auto right = g.h_free_segment(1, 25);
+  const auto right = g.free_segment({kH, 1}, 25);
   ASSERT_TRUE(right.has_value());
   EXPECT_EQ(*right, Interval(17, 40));
-  EXPECT_FALSE(g.h_free_segment(1, 15).has_value());
+  EXPECT_FALSE(g.free_segment({kH, 1}, 15).has_value());
 }
 
 TEST(TrackGrid, RegionBlocking) {
   TrackGrid g = small_grid();
   g.block_region_h(Rect(10, 15, 30, 25));  // covers h track at y=20 only
-  EXPECT_FALSE(g.h_is_free(1, Interval(10, 30)));
-  EXPECT_TRUE(g.h_is_free(0, Interval(0, 40)));
-  EXPECT_TRUE(g.h_is_free(2, Interval(0, 40)));
+  EXPECT_FALSE(g.is_free({kH, 1}, Interval(10, 30)));
+  EXPECT_TRUE(g.is_free({kH, 0}, Interval(0, 40)));
+  EXPECT_TRUE(g.is_free({kH, 2}, Interval(0, 40)));
 
   g.block_region_v(Rect(10, 15, 30, 25));  // covers v tracks at x=15, 25
-  EXPECT_FALSE(g.v_is_free(1, Interval(15, 25)));
-  EXPECT_FALSE(g.v_is_free(2, Interval(15, 25)));
-  EXPECT_TRUE(g.v_is_free(0, Interval(0, 40)));
-  EXPECT_TRUE(g.v_is_free(3, Interval(0, 40)));
+  EXPECT_FALSE(g.is_free({kV, 1}, Interval(15, 25)));
+  EXPECT_FALSE(g.is_free({kV, 2}, Interval(15, 25)));
+  EXPECT_TRUE(g.is_free({kV, 0}, Interval(0, 40)));
+  EXPECT_TRUE(g.is_free({kV, 3}, Interval(0, 40)));
 }
 
 TEST(TrackGrid, DistanceToBlocked) {
   TrackGrid g = small_grid();
-  EXPECT_FALSE(g.h_distance_to_blocked(0, 20).has_value());
-  g.block_h(0, Interval(30, 35));
-  const auto d = g.h_distance_to_blocked(0, 20);
+  EXPECT_FALSE(g.distance_to_blocked({kH, 0}, 20).has_value());
+  g.block({kH, 0}, Interval(30, 35));
+  const auto d = g.distance_to_blocked({kH, 0}, 20);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(*d, 10);
-  EXPECT_EQ(*g.h_distance_to_blocked(0, 32), 0);
+  EXPECT_EQ(*g.distance_to_blocked({kH, 0}, 32), 0);
 }
 
 TEST(TrackGrid, BlockedFraction) {
   TrackGrid g = small_grid();
-  EXPECT_DOUBLE_EQ(g.h_blocked_fraction(0, Interval(0, 40)), 0.0);
-  g.block_h(0, Interval(0, 20));
-  EXPECT_DOUBLE_EQ(g.h_blocked_fraction(0, Interval(0, 40)), 0.5);
-  EXPECT_DOUBLE_EQ(g.h_blocked_fraction(0, Interval(0, 20)), 1.0);
+  EXPECT_DOUBLE_EQ(g.blocked_fraction({kH, 0}, Interval(0, 40)), 0.0);
+  g.block({kH, 0}, Interval(0, 20));
+  EXPECT_DOUBLE_EQ(g.blocked_fraction({kH, 0}, Interval(0, 40)), 0.5);
+  EXPECT_DOUBLE_EQ(g.blocked_fraction({kH, 0}, Interval(0, 20)), 1.0);
 }
 
 TEST(Graph, CompleteWithoutObstacles) {
@@ -116,7 +119,7 @@ TEST(Graph, CompleteWithoutObstacles) {
 
 TEST(Graph, ObstacleRemovesEdges) {
   TrackGrid g = small_grid();
-  g.block_h(1, Interval(14, 26));  // kills crossings (h2,v2) and (h2,v3)
+  g.block({kH, 1}, Interval(14, 26));  // kills crossings (h2,v2) and (h2,v3)
   const TrackIntersectionGraph tig = build_tig(g);
   EXPECT_EQ(tig.num_edges(), 10u);
   EXPECT_FALSE(tig.complete());
@@ -125,7 +128,7 @@ TEST(Graph, ObstacleRemovesEdges) {
 
 TEST(Graph, BipartiteConsistency) {
   TrackGrid g = small_grid();
-  g.block_v(2, Interval(0, 40));  // v3 fully blocked
+  g.block({kV, 2}, Interval(0, 40));  // v3 fully blocked
   const TrackIntersectionGraph tig = build_tig(g);
   EXPECT_TRUE(tig.adjacency_v[2].empty());
   for (const auto& adj : tig.adjacency_h) {
