@@ -353,6 +353,8 @@ struct RouteRow {
   // work of re-routed searches).
   long long mbfs_crossings = 0;
   long long dup_points_tested = 0;
+  long long mbfs_passes_proven = 0;    ///< h-passes credited, not run
+  long long mbfs_vertices_proven = 0;  ///< their credited vertices
   // Memory datapoints (chunked-storage accounting; see DESIGN.md §11).
   long long grid_bytes = 0;    ///< routed grid's occupancy bytes
   long long peak_rss_kb = 0;   ///< process high-water RSS after the run
@@ -364,11 +366,17 @@ auto count_work(RouteRow& row, F&& route) {
   util::MetricsRegistry& reg = util::MetricsRegistry::global();
   util::Counter& crossings = reg.counter("levelb.mbfs_crossings");
   util::Counter& dup = reg.counter("levelb.dup_points_tested");
+  util::Counter& passes = reg.counter("levelb.mbfs_passes_proven");
+  util::Counter& proven = reg.counter("levelb.mbfs_vertices_proven");
   const long long crossings0 = crossings.value();
   const long long dup0 = dup.value();
+  const long long passes0 = passes.value();
+  const long long proven0 = proven.value();
   auto result = route();
   row.mbfs_crossings = crossings.value() - crossings0;
   row.dup_points_tested = dup.value() - dup0;
+  row.mbfs_passes_proven = passes.value() - passes0;
+  row.mbfs_vertices_proven = proven.value() - proven0;
   return result;
 }
 
@@ -486,6 +494,8 @@ void run_route_rows(const Instance& inst, const Config& cfg,
           .add("vertices", static_cast<long long>(row.vertices))
           .add("mbfs_crossings", row.mbfs_crossings)
           .add("dup_points_tested", row.dup_points_tested)
+          .add("mbfs_passes_proven", row.mbfs_passes_proven)
+          .add("mbfs_vertices_proven", row.mbfs_vertices_proven)
           .add("speedup_vs_1t", row.speedup_vs_1t)
           .add("wasted_vertices", row.wasted_vertices)
           .add("batches", row.batches)

@@ -374,18 +374,26 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
                         : bench_data::sparse100k_ci_spec());
 
   util::MetricsRegistry& metrics = util::MetricsRegistry::global();
-  // Work counters of the last route a mode ran: (crossings, dup points).
+  // Work counters of the last route a mode ran: crossings, dup points,
+  // and the h-passes (with their vertices) credited instead of run.
   struct Work {
     long long mbfs_crossings = 0;
     long long dup_points_tested = 0;
+    long long mbfs_passes_proven = 0;
+    long long mbfs_vertices_proven = 0;
   };
   const auto count_work = [&metrics](Work& work, const auto& route) {
     util::Counter& crossings = metrics.counter("levelb.mbfs_crossings");
     util::Counter& dup = metrics.counter("levelb.dup_points_tested");
-    const long long crossings0 = crossings.value();
-    const long long dup0 = dup.value();
+    util::Counter& passes = metrics.counter("levelb.mbfs_passes_proven");
+    util::Counter& proven = metrics.counter("levelb.mbfs_vertices_proven");
+    const Work before{crossings.value(), dup.value(), passes.value(),
+                      proven.value()};
     route();
-    work = Work{crossings.value() - crossings0, dup.value() - dup0};
+    work = Work{crossings.value() - before.mbfs_crossings,
+                dup.value() - before.dup_points_tested,
+                passes.value() - before.mbfs_passes_proven,
+                proven.value() - before.mbfs_vertices_proven};
   };
   for (const bench_data::LevelBSpec& spec : specs) {
     const bench_data::LevelBInstance inst =
@@ -486,6 +494,8 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
             .add("vertices", row.vertices)
             .add("mbfs_crossings", row.work.mbfs_crossings)
             .add("dup_points_tested", row.work.dup_points_tested)
+            .add("mbfs_passes_proven", row.work.mbfs_passes_proven)
+            .add("mbfs_vertices_proven", row.work.mbfs_vertices_proven)
             .add("arena_high_water_bytes", arena_hw)
             .add("arena_reserved_bytes",
                  metrics.gauge("levelb.arena_reserved_bytes").value())

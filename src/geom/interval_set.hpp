@@ -87,6 +87,8 @@ class IntervalSet {
   /// cost function's corner-proximity term.
   std::optional<Coord> distance_to_nearest_blocked(Coord v) const;
 
+  friend bool operator==(const IntervalSet&, const IntervalSet&) = default;
+
  private:
   std::vector<Interval> runs_;  // sorted by lo, pairwise disjoint
 };

@@ -57,6 +57,8 @@ class TrackRunMap {
   /// Number of distinct tracks with runs (observability).
   std::size_t tracks() const { return runs_.size(); }
 
+  friend bool operator==(const TrackRunMap&, const TrackRunMap&) = default;
+
  private:
   std::map<tig::TrackRef, geom::IntervalSet> runs_;
 };

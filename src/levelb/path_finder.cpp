@@ -70,6 +70,18 @@ struct SearchLimits {
   }
 };
 
+/// True when the pass stamped \p generation visited a free segment of
+/// this track that contains \p v. A pure read: a stale slot stays stale.
+inline bool visited_holds(const SearchWorkspace::VisitSlot& slot,
+                          std::uint64_t generation, Coord v) {
+  if (slot.gen != generation || slot.count == 0) return false;
+  if (slot.first.contains(v)) return true;
+  for (int s = 0; s + 1 < slot.count; ++s) {
+    if (slot.overflow[static_cast<std::size_t>(s)].contains(v)) return true;
+  }
+  return false;
+}
+
 /// True when \p v lies inside a free segment of this track that the pass
 /// already visited. A track's free segments are disjoint, so containment
 /// of the crossing coordinate is exactly the (orientation, track,
@@ -84,12 +96,7 @@ inline bool visited_contains(SearchWorkspace::VisitSlot& slot,
     slot.count = 0;
     return false;
   }
-  if (slot.count == 0) return false;
-  if (slot.first.contains(v)) return true;
-  for (int s = 0; s + 1 < slot.count; ++s) {
-    if (slot.overflow[static_cast<std::size_t>(s)].contains(v)) return true;
-  }
-  return false;
+  return visited_holds(slot, generation, v);
 }
 
 /// Records \p seg visited. Callers have already established v ∉ any
@@ -271,6 +278,45 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
   }
 }
 
+/// Stands in for the h-rooted pass when the v-rooted pass that just ran
+/// proved it fails (DESIGN.md §8). That pass found no arrival, yet it
+/// visited the h-root — the free segment of a's horizontal track \p h_a
+/// containing a — by another path. The segment graph is undirected and
+/// both roots are barred only from their one shared crossing at a, so
+/// the h-pass would search the same component: the same segments, hence
+/// \p v_vertices vertices, \p v_crossings crossing iterations, no
+/// occupancy read the v-pass did not make, and no arrival. Credits those
+/// counts (and the cancel heartbeat should_stop would have sent) and
+/// returns true; returns false, changing nothing, when the h-pass must
+/// run: no proof, or a vertex budget that the h-pass would reach, so
+/// budget stops land where the real pass puts them.
+bool prove_h_pass_fails(const Point& a, const TrackRef& h_a, int v_vertices,
+                        long long v_crossings, SearchWorkspace& ws,
+                        SearchStats& stats, SearchLimits& limits) {
+  if (!ws.arrivals_v.empty() ||
+      !visited_holds(ws.visited[geom::axis(h_a.orient)]
+                               [static_cast<std::size_t>(h_a.index)],
+                     ws.generation, geom::along(a, h_a.orient))) {
+    return false;
+  }
+  const int before = stats.vertices_examined;
+  if (limits.vertex_budget > 0 &&
+      before + v_vertices >= limits.vertex_budget) {
+    return false;
+  }
+  stats.vertices_examined += v_vertices;
+  ws.mbfs_crossings += v_crossings;
+  ws.arrivals_h.clear();
+  ++ws.mbfs_passes_proven;
+  ws.mbfs_vertices_proven += v_vertices;
+  const int beats = (before + v_vertices) / 64 - before / 64;
+  if (limits.cancel != nullptr && beats > 0) {
+    limits.cancel->note_progress(64LL * beats);
+    limits.hit_cancel = limits.cancel->cancelled();
+  }
+  return true;
+}
+
 /// Reconstructs the candidate path of an arrival by walking tree parents.
 /// Writes into \p out (cleared first) so its buffers are reused.
 void build_path_into(const PathSelectionTree& tree,
@@ -368,7 +414,8 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
 
   // Straight (zero-corner) connections short-circuit the search. At most
   // one track holds both endpoints (a != b).
-  for (const TrackRef& t : grid_.tracks_at(a)) {
+  const auto track_a = grid_.tracks_at(a);
+  for (const TrackRef& t : track_a) {
     if (geom::across(a, t.orient) != geom::across(b, t.orient)) continue;
     const auto seg = grid_.free_segment(t, geom::along(a, t.orient));
     if (ctx.footprint != nullptr && seg) ctx.footprint->add(t, *seg);
@@ -397,9 +444,18 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
     const Window w =
         final_step ? full_window(grid_) : make_window(grid_, a, b, margin);
 
+    const int vertices0 = result.stats.vertices_examined;
+    const long long crossings0 = ws.mbfs_crossings;
     run_mbfs(grid_, a, b, Orientation::kVertical, w, ws, ws.tree_v,
              ws.arrivals_v, result.stats, ctx.footprint, limits);
-    if (!limits.hit_cancel && !limits.hit_budget) {
+    // The footprint needs nothing from a proven pass: every read it would
+    // make, the v-pass made.
+    if (!limits.hit_cancel && !limits.hit_budget &&
+        (options_.keep_trees ||
+         !prove_h_pass_fails(
+             a, track_a[geom::axis(Orientation::kHorizontal)],
+             result.stats.vertices_examined - vertices0,
+             ws.mbfs_crossings - crossings0, ws, result.stats, limits))) {
       run_mbfs(grid_, a, b, Orientation::kHorizontal, w, ws, ws.tree_h,
                ws.arrivals_h, result.stats, ctx.footprint, limits);
     }

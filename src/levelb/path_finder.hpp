@@ -11,6 +11,12 @@
 /// vertices are exempt, so all distinct minimum-corner arrivals are
 /// collected. The expansion order records two Path Selection Trees; the
 /// best candidate is chosen by the §3.2 cost function with bounding.
+///
+/// A vertical-rooted pass that finds nothing but reaches the horizontal
+/// root's segment proves the horizontal-rooted pass fails too (both
+/// search one component of the segment graph); that pass is then
+/// credited with the first pass's counts instead of being run (DESIGN.md
+/// §8). Results, stats and footprints are the same either way.
 
 #include <string>
 #include <vector>
@@ -67,7 +73,9 @@ struct PathFinderOptions {
   /// the full grid.
   int max_window_steps = 2;
   /// Populate Result::tree_v / tree_h (costs memory; used by the Figure
-  /// 1/2 reproduction and by tests).
+  /// 1/2 reproduction and by tests). Also runs every horizontal-rooted
+  /// pass, including those the vertical-rooted pass proved fail, so that
+  /// tree_h is always the real tree.
   bool keep_trees = false;
   /// Cooperative cancellation, observed every few vertex expansions. A
   /// connect() that sees the token fire returns found = false with
@@ -77,7 +85,9 @@ struct PathFinderOptions {
   /// Vertex budget for one connect() call (both MBFS passes plus window
   /// growths); 0 = unlimited. Exceeding it fails the search with
   /// Result::budget_exhausted — deterministically, since vertex
-  /// expansion order is fixed.
+  /// expansion order is fixed. A proven pass counts its credited
+  /// vertices; when they would reach the budget the pass is run instead,
+  /// so the search stops on the same vertex as when every pass runs.
   long long vertex_budget = 0;
 };
 

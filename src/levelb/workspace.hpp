@@ -25,7 +25,8 @@
 ///   net's own-terminal dup list of route_single_net, plus the dup term's
 ///   hit scratch.
 /// * **Work counters** — plain integers the search bumps as it goes
-///   (crossing-loop iterations, dup points tested), folded into the
+///   (crossing-loop iterations, dup points tested, second passes proven
+///   to fail and the vertices credited for them), folded into the
 ///   metrics registry once per run by publish_metrics(). They count work,
 ///   never steer it.
 ///
@@ -97,6 +98,11 @@ struct SearchWorkspace {
   long long mbfs_crossings = 0;
   /// Points whose distance corner_dup computed (`levelb.dup_points_tested`).
   long long dup_points_tested = 0;
+  /// h-rooted passes skipped because the failing v-rooted pass proved
+  /// they fail (`levelb.mbfs_passes_proven`), and the vertices credited
+  /// for them without being expanded (`levelb.mbfs_vertices_proven`).
+  long long mbfs_passes_proven = 0;
+  long long mbfs_vertices_proven = 0;
 
   /// Bump storage for the per-connect scratch (visited overflow lists).
   /// Reset at every connect entry: O(1), keeps its blocks, and bumps the
@@ -128,16 +134,20 @@ struct SearchWorkspace {
   }
 
   /// publish_arena_metrics() plus the work counters, added to the
-  /// `levelb.mbfs_crossings` / `levelb.dup_points_tested` registry
-  /// counters (summed over every workspace that reports) and zeroed, so a
-  /// workspace reused across runs reports each run once.
+  /// `levelb.*` registry counters of the same names (summed over every
+  /// workspace that reports) and zeroed, so a workspace reused across
+  /// runs reports each run once.
   void publish_metrics() {
     publish_arena_metrics();
     util::MetricsRegistry& reg = util::MetricsRegistry::global();
     reg.counter("levelb.mbfs_crossings").add(mbfs_crossings);
     reg.counter("levelb.dup_points_tested").add(dup_points_tested);
+    reg.counter("levelb.mbfs_passes_proven").add(mbfs_passes_proven);
+    reg.counter("levelb.mbfs_vertices_proven").add(mbfs_vertices_proven);
     mbfs_crossings = 0;
     dup_points_tested = 0;
+    mbfs_passes_proven = 0;
+    mbfs_vertices_proven = 0;
   }
 };
 

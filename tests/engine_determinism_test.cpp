@@ -117,7 +117,9 @@ TEST(EngineDeterminism, GridCarriesIdenticalWiring) {
   tig::TrackGrid engine_grid = make_grid(300);
   levelb::LevelBRouter router(serial_grid);
   router.route(nets);
-  RoutingEngine engine(engine_grid, EngineOptions{.threads = 4});
+  EngineOptions options;
+  options.threads = 4;
+  RoutingEngine engine(engine_grid, options);
   engine.route(nets);
   for (int i = 0; i < serial_grid.num_h(); ++i) {
     for (geom::Coord x = 0; x < 300; x += 7) {

@@ -74,7 +74,9 @@ TEST(Straighten, RespectsOtherNets) {
   ASSERT_GE(detour_corners, 2);
   straighten_corners(grid, result);
   for (const auto& net : result.nets) {
-    if (net.id == 2) EXPECT_GE(net.corners, 2);  // still detoured
+    if (net.id == 2) {
+      EXPECT_GE(net.corners, 2);  // still detoured
+    }
   }
 }
 

@@ -341,6 +341,101 @@ TEST(PathFinderProperty, TransposeGivesSameSearchCounts) {
   EXPECT_LT(found, 1100);
 }
 
+TEST(PathFinderProperty, ProvenSecondPassMatchesRunningBoth) {
+  // After a failing v-rooted pass that reached the h-root segment,
+  // connect credits the h-rooted pass instead of running it (DESIGN.md
+  // §8). keep_trees forces both passes, so it is the reference: on
+  // congested grids, where many connects fail, results, counters,
+  // footprints and cancel heartbeats must all match it, and a vertex
+  // budget at (or one past) the skipping run's final count must stop
+  // both runs alike.
+  util::Rng rng(1807);
+  util::CancelSource source;  // never fires; only its heartbeat is read
+  util::CancelSource ref_source;
+  PathFinderOptions options;
+  options.cancel = source.token();
+  PathFinderOptions ref_options;
+  ref_options.cancel = ref_source.token();
+  ref_options.keep_trees = true;
+  SearchWorkspace ws;
+  SearchWorkspace ws_ref;
+  SearchWorkspace ws_budget;
+  SearchWorkspace ws_budget_ref;
+  long long failing_steps = 0;
+  for (int g = 0; g < 40; ++g) {
+    auto grid = tig::TrackGrid::uniform(Rect(0, 0, 300, 300), 10, 10);
+    for (int k = 0; k < 70; ++k) {
+      const geom::Coord x = rng.uniform_int(0, 290);
+      const geom::Coord y = rng.uniform_int(0, 290);
+      const Rect r(x, y, x + rng.uniform_int(2, 40),
+                   y + rng.uniform_int(2, 40));
+      // Some blocks cover one layer only, as committed wiring does.
+      const auto layers = rng.uniform_int(0, 2);
+      if (layers != 1) grid.block_region_h(r);
+      if (layers != 2) grid.block_region_v(r);
+    }
+    const auto random_crossing = [&rng, &grid] {
+      return grid.crossing(
+          static_cast<int>(rng.uniform_int(0, grid.num_h() - 1)),
+          static_cast<int>(rng.uniform_int(0, grid.num_v() - 1)));
+    };
+    const PathFinder finder(grid, options);
+    const PathFinder reference(grid, ref_options);
+    for (int c = 0; c < 30; ++c) {
+      const Point a = random_crossing();
+      const Point b = random_crossing();
+      if (a == b) continue;
+      SCOPED_TRACE(testing::Message() << "grid " << g << " connect " << c);
+      SearchFootprint footprint;
+      SearchFootprint ref_footprint;
+      CostContext ctx = make_cost_context(grid, nullptr);
+      CostContext ref_ctx = ctx;
+      ctx.footprint = &footprint;
+      ref_ctx.footprint = &ref_footprint;
+      const long long proven0 = ws.mbfs_passes_proven;
+      const auto r = finder.connect(a, b, ctx, ws);
+      const auto r_ref = reference.connect(a, b, ref_ctx, ws_ref);
+      ASSERT_EQ(r.found, r_ref.found);
+      EXPECT_EQ(r.path, r_ref.path);
+      EXPECT_EQ(r.corners, r_ref.corners);
+      ASSERT_EQ(r.stats.vertices_examined, r_ref.stats.vertices_examined);
+      EXPECT_EQ(r.stats.candidates, r_ref.stats.candidates);
+      EXPECT_EQ(r.stats.window_growths, r_ref.stats.window_growths);
+      ASSERT_EQ(ws.mbfs_crossings, ws_ref.mbfs_crossings);
+      EXPECT_TRUE(footprint == ref_footprint);
+      ASSERT_EQ(source.progress(), ref_source.progress());
+      failing_steps += r_ref.stats.window_growths + (r_ref.found ? 0 : 1);
+      if (ws.mbfs_passes_proven == proven0) continue;
+
+      // Budget stops land where running both passes puts them.
+      const long long spent = r.stats.vertices_examined;
+      for (const long long budget : {spent, spent + 1}) {
+        PathFinderOptions capped = options;
+        PathFinderOptions ref_capped = ref_options;
+        capped.vertex_budget = budget;
+        ref_capped.vertex_budget = budget;
+        SCOPED_TRACE(testing::Message() << "budget " << budget);
+        const auto rb = PathFinder(grid, capped).connect(a, b, ctx, ws_budget);
+        const auto rb_ref = PathFinder(grid, ref_capped)
+                                .connect(a, b, ref_ctx, ws_budget_ref);
+        EXPECT_EQ(rb.budget_exhausted, rb_ref.budget_exhausted);
+        EXPECT_EQ(rb.budget_exhausted, budget == spent);
+        EXPECT_EQ(rb.found, rb_ref.found);
+        EXPECT_EQ(rb.stats.vertices_examined, rb_ref.stats.vertices_examined);
+        EXPECT_EQ(ws_budget.mbfs_crossings, ws_budget_ref.mbfs_crossings);
+      }
+      ASSERT_EQ(source.progress(), ref_source.progress());
+    }
+  }
+  // Non-vacuous: the reference never skips, and the skip fires on at
+  // least a quarter of the failing window steps (386 of 976 here).
+  EXPECT_EQ(ws_ref.mbfs_passes_proven, 0);
+  EXPECT_GT(ws.mbfs_passes_proven, 0);
+  EXPECT_GE(ws.mbfs_passes_proven * 4, failing_steps)
+      << ws.mbfs_passes_proven << " proven of " << failing_steps
+      << " failing steps";
+}
+
 TEST(PathFinderProperty, LengthAtLeastManhattan) {
   util::Rng rng(303);
   const auto grid = tig::TrackGrid::uniform(Rect(0, 0, 300, 300), 10, 10);
