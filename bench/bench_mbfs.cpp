@@ -355,7 +355,7 @@ struct RouteRow {
   long long dup_points_tested = 0;
   long long mbfs_passes_proven = 0;    ///< h-passes credited, not run
   long long mbfs_vertices_proven = 0;  ///< their credited vertices
-  // Memory datapoints (chunked-storage accounting; see DESIGN.md §11).
+  // Memory datapoints (see DESIGN.md §11 "Memory model").
   long long grid_bytes = 0;    ///< routed grid's occupancy bytes
   long long peak_rss_kb = 0;   ///< process high-water RSS after the run
 };

@@ -357,10 +357,8 @@ void print_resilience_table(util::TraceSink* json) {
 /// (sparse-100k-ci by default; `--large` swaps in the full 100k-net
 /// sparse-100k) serially and through the 4-thread sharded engine, recording
 /// wall clock, routed nets, the grid's occupancy bytes, the search
-/// arenas' high-water marks and the process peak RSS. These are the
-/// chunked-storage before/after datapoints: the die carries ~40k tracks,
-/// and the numbers here are what a dense per-track representation pays
-/// for all of them.
+/// arenas' high-water marks and the process peak RSS. The die carries
+/// ~40k tracks, and a routed grid holds one record for each of them.
 void print_memory_table(util::TraceSink* json, int repeat, bool large) {
   util::TextTable table;
   table.set_header({"Instance", "Nets", "Mode", "Wall ms", "Routed",
@@ -401,7 +399,6 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
 
     levelb::LevelBResult expected;
     long long serial_grid_bytes = 0;
-    long long serial_blocked_chunks = 0;
     long long serial_rss_kb = 0;
     Work serial_work;
     const double serial_ms = median_wall_ms(repeat, [&] {
@@ -413,7 +410,6 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
                               std::chrono::steady_clock::now() - t0)
                               .count();
       serial_grid_bytes = static_cast<long long>(grid.grid_bytes());
-      serial_blocked_chunks = static_cast<long long>(grid.blocked_chunks());
       // Peak RSS of the *first* (cold) route: later iterations only
       // measure allocator reuse/fragmentation, not the router.
       if (serial_rss_kb == 0) serial_rss_kb = util::peak_rss_kb();
@@ -422,7 +418,6 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
 
     levelb::LevelBResult sharded;
     long long sharded_grid_bytes = 0;
-    long long sharded_blocked_chunks = 0;
     long long sharded_rss_kb = 0;
     Work sharded_work;
     engine::EngineStats stats;
@@ -437,7 +432,6 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
                               std::chrono::steady_clock::now() - t0)
                               .count();
       sharded_grid_bytes = static_cast<long long>(grid.grid_bytes());
-      sharded_blocked_chunks = static_cast<long long>(grid.blocked_chunks());
       stats = router.stats();
       if (sharded_rss_kb == 0) sharded_rss_kb = util::peak_rss_kb();
       return wall;
@@ -452,7 +446,6 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
       int routed;
       const char* identical;
       long long grid_bytes;
-      long long blocked_chunks;
       long long batches;
       long long boundary_nets;
       long long rss_kb;  ///< process peak after this mode's first (cold)
@@ -461,13 +454,12 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
       Work work;
     };
     const Row rows[] = {
-        {"serial", serial_ms, expected.routed_nets, "-", serial_grid_bytes,
-         serial_blocked_chunks, 0, 0, serial_rss_kb,
-         expected.vertices_examined, serial_work},
+        {"serial", serial_ms, expected.routed_nets, "-", serial_grid_bytes, 0,
+         0, serial_rss_kb, expected.vertices_examined, serial_work},
         {"sharded-4t", sharded_ms, sharded.routed_nets,
-         identical ? "yes" : "NO", sharded_grid_bytes, sharded_blocked_chunks,
-         stats.batches, stats.boundary_nets, sharded_rss_kb,
-         sharded.vertices_examined, sharded_work},
+         identical ? "yes" : "NO", sharded_grid_bytes, stats.batches,
+         stats.boundary_nets, sharded_rss_kb, sharded.vertices_examined,
+         sharded_work},
     };
     for (const Row& row : rows) {
       table.add_row({spec.name, util::format("%d", spec.num_nets), row.mode,
@@ -479,7 +471,7 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
       if (json != nullptr) {
         util::TraceEvent ev("memory");
         ev.add("instance", spec.name)
-            .add("storage", "chunked")
+            .add("storage", "flat")
             .add("nets", spec.num_nets)
             .add("grid_h", inst.grid.num_h())
             .add("grid_v", inst.grid.num_v())
@@ -488,7 +480,6 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
             .add("routed_nets", row.routed)
             .add("identical", std::strcmp(row.identical, "NO") != 0)
             .add("grid_bytes", row.grid_bytes)
-            .add("blocked_chunks", row.blocked_chunks)
             .add("batches", row.batches)
             .add("boundary_nets", row.boundary_nets)
             .add("vertices", row.vertices)

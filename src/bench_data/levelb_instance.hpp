@@ -56,10 +56,9 @@ LevelBInstance generate_levelb_instance(const LevelBSpec& spec);
 LevelBSpec sparse5000_spec();
 
 /// `sparse-100k`: 100k local nets over a 200k-dbu die (~22k horizontal +
-/// ~18k vertical tracks). The chunked-storage workload: a dense grid at
-/// this size carries ~40k IntervalSets and gap entries per copy, while
-/// the routed area touches a small fraction of them. Routes to completion
-/// serially in minutes — bench_scaling gates it behind --large.
+/// ~18k vertical tracks). The large-grid memory workload: a routed grid
+/// at this size carries ~40k track records per copy. Routes to completion
+/// serially in seconds — bench_scaling gates it behind --large.
 LevelBSpec sparse100k_spec();
 
 /// `sparse-100k-ci`: the same 200k-dbu die and locality, truncated to

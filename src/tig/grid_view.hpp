@@ -44,18 +44,6 @@ class GridView : public OccupancyQueries<GridView> {
   std::array<TrackRef, 2> tracks_at(const geom::Point& p) const {
     return grid_->tracks_at(p);
   }
-  int first_h_at_or_above(geom::Coord y) const {
-    return grid_->first_h_at_or_above(y);
-  }
-  int first_v_at_or_above(geom::Coord x) const {
-    return grid_->first_v_at_or_above(x);
-  }
-  int last_h_at_or_below(geom::Coord y) const {
-    return grid_->last_h_at_or_below(y);
-  }
-  int last_v_at_or_below(geom::Coord x) const {
-    return grid_->last_v_at_or_below(x);
-  }
   geom::Point snap(const geom::Point& p) const { return grid_->snap(p); }
   geom::Interval span(geom::Orientation o) const { return grid_->span(o); }
 

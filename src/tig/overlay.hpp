@@ -17,19 +17,16 @@
 /// not be mutated while any overlay on another thread reads it; its
 /// records are then only read, and reads never write.
 ///
-/// Storage: the track→slot directories (one per orientation, indexed by
-/// geom::axis) are chunked (64 tracks per chunk, default slot -1), so an
-/// overlay over a 100k-track grid allocates directory chunks only around
-/// the tracks it actually touches instead of two dense int32 arrays sized
-/// to the whole grid per rebase. The private
-/// records live in a pool that survives rebase, which recycles both the
-/// records' capacity and the directory chunks.
+/// Storage: one track→slot directory per orientation (indexed by
+/// geom::axis), an int32 per track with -1 for untouched. The directories
+/// are sized when the base grid's shape changes; a rebase onto a grid of
+/// the same shape resets only the touched slots. The private records live
+/// in a pool that survives rebase, which recycles their capacity.
 
 #include <cstdint>
 #include <vector>
 
 #include "tig/track_grid.hpp"
-#include "util/chunked.hpp"
 
 namespace ocr::tig {
 
@@ -39,7 +36,8 @@ class GridOverlay {
   explicit GridOverlay(const TrackGrid* base) { rebase(base); }
 
   /// Drops every touched track and re-targets \p base (may be the same
-  /// grid). O(touched tracks), not O(grid).
+  /// grid). O(touched tracks) while the grid shape stays, O(grid) when it
+  /// changes.
   void rebase(const TrackGrid* base);
 
   const TrackGrid& base() const { return *base_; }
@@ -59,13 +57,12 @@ class GridOverlay {
  private:
   /// Track \p t's private record, copied from the base on first touch.
   TrackRecord& materialize(TrackRef t);
+  /// Track \p t's entry in slot_ (index-checked).
+  std::int32_t slot(TrackRef t) const;
 
   const TrackGrid* base_ = nullptr;
   // track index -> entries_ index per orientation, -1 = untouched.
-  // Chunked: only the directory chunks around touched tracks materialize.
-  util::ChunkedVector<std::int32_t> slot_[2] = {
-      util::ChunkedVector<std::int32_t>(-1),
-      util::ChunkedVector<std::int32_t>(-1)};
+  std::vector<std::int32_t> slot_[2];
   // Pool of private records; [0, entries_used_) are live since the last
   // rebase, the rest are retired records kept for their capacity.
   std::vector<TrackRecord> entries_;

@@ -43,6 +43,8 @@ Gap make_gap(geom::Coord lo, geom::Coord hi,
 
 }  // namespace
 
+const TrackRecord TrackGrid::kEmptyRecord;
+
 void TrackRecord::block(const geom::Interval& span, const Gap& whole,
                         const std::vector<geom::Coord>& perp) {
   if (blocked_.empty()) gaps_.assign(1, whole);
@@ -119,7 +121,6 @@ TrackGrid::TrackGrid(std::vector<geom::Coord> h_ys,
              "vertical tracks must lie inside the extent");
   axes_[0].whole = make_gap(extent_.xlo, extent_.xhi, xs);
   axes_[1].whole = make_gap(extent_.ylo, extent_.yhi, ys);
-  for (Axis& ax : axes_) ax.records.reset(ax.coords.size());
 }
 
 TrackGrid TrackGrid::uniform(const geom::Rect& extent, geom::Coord h_pitch,
@@ -143,65 +144,51 @@ int TrackGrid::nearest(geom::Orientation o, geom::Coord c) const {
   return nearest_index(coords(o), c);
 }
 
-int TrackGrid::first_h_at_or_above(geom::Coord y) const {
-  return lower_index(axes_[0].coords, y);
+int TrackGrid::first_at_or_above(geom::Orientation o, geom::Coord c) const {
+  return lower_index(coords(o), c);
 }
 
-int TrackGrid::first_v_at_or_above(geom::Coord x) const {
-  return lower_index(axes_[1].coords, x);
-}
-
-int TrackGrid::last_h_at_or_below(geom::Coord y) const {
-  return lower_index(axes_[0].coords, y + 1) - 1;
-}
-
-int TrackGrid::last_v_at_or_below(geom::Coord x) const {
-  return lower_index(axes_[1].coords, x + 1) - 1;
+int TrackGrid::last_at_or_below(geom::Orientation o, geom::Coord c) const {
+  return lower_index(coords(o), c + 1) - 1;
 }
 
 void TrackGrid::block(TrackRef t, const geom::Interval& span) {
   Axis& ax = axes_[geom::axis(t.orient)];
-  ax.records.touch(static_cast<std::size_t>(t.index))
-      .block(span, ax.whole, coords(geom::perpendicular(t.orient)));
+  const auto i = static_cast<std::size_t>(t.index);
+  OCR_ASSERT(i < ax.coords.size(), "track index out of range");
+  if (ax.records.empty()) ax.records.resize(ax.coords.size());
+  ax.records[i].block(span, ax.whole, coords(geom::perpendicular(t.orient)));
 }
 
 void TrackGrid::unblock(TrackRef t, const geom::Interval& span) {
-  // An absent chunk means the track was never blocked — removing from an
-  // empty set is a no-op, so skip the materialization entirely.
+  // A family without records was never blocked: nothing to remove.
   Axis& ax = axes_[geom::axis(t.orient)];
-  if (auto* r = ax.records.find(static_cast<std::size_t>(t.index))) {
-    r->unblock(span, ax.whole, coords(geom::perpendicular(t.orient)));
-  }
+  const auto i = static_cast<std::size_t>(t.index);
+  OCR_ASSERT(i < ax.coords.size(), "track index out of range");
+  if (ax.records.empty()) return;
+  ax.records[i].unblock(span, ax.whole,
+                        coords(geom::perpendicular(t.orient)));
 }
 
-void TrackGrid::block_region_h(const geom::Rect& region) {
+void TrackGrid::block_region(geom::Orientation o, const geom::Rect& region) {
   // Only the tracks whose coordinate falls inside the region can change;
   // binary-search the index range instead of scanning every track (a
   // 100k-track grid with thousands of obstacles cannot afford the scan).
-  const int first = first_h_at_or_above(region.ylo);
-  const int last = last_h_at_or_below(region.yhi);
-  for (int i = first; i <= last; ++i) {
-    block({geom::Orientation::kHorizontal, i}, region.x_span());
-  }
-}
-
-void TrackGrid::block_region_v(const geom::Rect& region) {
-  const int first = first_v_at_or_above(region.xlo);
-  const int last = last_v_at_or_below(region.xhi);
-  for (int j = first; j <= last; ++j) {
-    block({geom::Orientation::kVertical, j}, region.y_span());
+  const geom::Point lo{region.xlo, region.ylo};
+  const geom::Point hi{region.xhi, region.yhi};
+  const geom::Interval along(geom::along(lo, o), geom::along(hi, o));
+  const int last = last_at_or_below(o, geom::across(hi, o));
+  for (int k = first_at_or_above(o, geom::across(lo, o)); k <= last; ++k) {
+    block({o, k}, along);
   }
 }
 
 std::size_t TrackGrid::grid_bytes() const {
   std::size_t bytes = 0;
-  const auto add_heap = [&bytes](std::size_t, const TrackRecord& t) {
-    bytes += t.heap_bytes();
-  };
   for (const Axis& ax : axes_) {
     bytes += ax.coords.capacity() * sizeof(geom::Coord) +
-             ax.records.storage_bytes();
-    ax.records.for_each_present(add_heap);
+             ax.records.capacity() * sizeof(TrackRecord);
+    for (const TrackRecord& r : ax.records) bytes += r.heap_bytes();
   }
   return bytes;
 }

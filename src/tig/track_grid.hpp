@@ -19,7 +19,7 @@
 #include "geom/interval_set.hpp"
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
-#include "util/chunked.hpp"
+#include "util/assert.hpp"
 
 namespace ocr::tig {
 
@@ -136,7 +136,7 @@ class OccupancyQueries {
   /// free_segment, additionally reporting the index range of the crossing
   /// (perpendicular) tracks whose coordinate lies inside the gap:
   /// [*first, *last], empty when first > last. Untouched on a miss.
-  /// Exactly first_*_at_or_above(gap.lo) / last_*_at_or_below(gap.hi) on
+  /// Exactly first_at_or_above / last_at_or_below of (gap.lo, gap.hi) on
   /// the perpendicular axis, stored with the gap — the MBFS expansion
   /// loop's iteration bounds without per-node binary searches.
   std::optional<geom::Interval> free_segment_span(TrackRef t, geom::Coord v,
@@ -214,13 +214,12 @@ class TrackGrid : public OccupancyQueries<TrackGrid> {
                      nearest(geom::Orientation::kVertical, p.x)}};
   }
 
-  /// First horizontal-track index whose y >= \p y (num_h() when none) —
-  /// with first_*_at_or_below, the index range of tracks inside a span.
-  int first_h_at_or_above(geom::Coord y) const;
-  int first_v_at_or_above(geom::Coord x) const;
-  /// Last horizontal-track index whose y <= \p y (-1 when none).
-  int last_h_at_or_below(geom::Coord y) const;
-  int last_v_at_or_below(geom::Coord x) const;
+  /// First \p o track index whose coordinate is >= \p c (the track
+  /// count when none) — with last_at_or_below, the index range of the
+  /// tracks inside a span.
+  int first_at_or_above(geom::Orientation o, geom::Coord c) const;
+  /// Last \p o track index whose coordinate is <= \p c (-1 when none).
+  int last_at_or_below(geom::Orientation o, geom::Coord c) const;
 
   /// Grid crossing point of horizontal track \p i and vertical track \p j.
   geom::Point crossing(int i, int j) const {
@@ -243,17 +242,23 @@ class TrackGrid : public OccupancyQueries<TrackGrid> {
   /// Blocks every horizontal-track extent covered by \p region (used for
   /// metal3 obstacles) — tracks whose y lies inside the region lose the
   /// region's x span.
-  void block_region_h(const geom::Rect& region);
+  void block_region_h(const geom::Rect& region) {
+    block_region(geom::Orientation::kHorizontal, region);
+  }
   /// Same for vertical tracks (metal4 obstacles).
-  void block_region_v(const geom::Rect& region);
+  void block_region_v(const geom::Rect& region) {
+    block_region(geom::Orientation::kVertical, region);
+  }
 
   // ---- occupancy records (queries: OccupancyQueries) -------------------
 
-  /// The record of track \p t. Never-touched tracks answer with a shared
-  /// empty record (chunked storage materializes on first block).
+  /// The record of track \p t. A family that was never blocked holds no
+  /// records and answers with one shared empty record.
   const TrackRecord& track(TrackRef t) const {
-    return axes_[geom::axis(t.orient)].records.at(
-        static_cast<std::size_t>(t.index));
+    const Axis& ax = axes_[geom::axis(t.orient)];
+    const auto i = static_cast<std::size_t>(t.index);
+    OCR_ASSERT(i < ax.coords.size(), "track index out of range");
+    return ax.records.empty() ? kEmptyRecord : ax.records[i];
   }
   /// The free gap of a never-blocked \p o track: the whole universe with
   /// the crossing span of every perpendicular track.
@@ -264,25 +269,25 @@ class TrackGrid : public OccupancyQueries<TrackGrid> {
   /// tracks, its y span for vertical ones.
   geom::Interval span(geom::Orientation o) const { return whole(o).iv; }
 
-  /// Heap bytes of the occupancy state: record chunk storage, the runs and
-  /// gaps inside it, and the track coordinate arrays. The
+  /// Heap bytes of the occupancy state: the track coordinate arrays, the
+  /// record arrays and the runs and gaps inside each record. The
   /// `tig.grid_bytes` observability gauge.
   std::size_t grid_bytes() const;
 
-  /// Materialized 64-track chunks across both record directories
-  /// (observability/tests: how sparse the occupancy really is).
-  std::size_t blocked_chunks() const {
-    return axes_[0].records.materialized_chunks() +
-           axes_[1].records.materialized_chunks();
-  }
-
  private:
-  /// One track family.
+  /// One track family. `records` stays empty until the family's first
+  /// block, then holds one record per track: a grid that is never blocked
+  /// (a pristine instance grid kept for copying) costs its coordinates
+  /// alone.
   struct Axis {
     std::vector<geom::Coord> coords;
     Gap whole;
-    util::ChunkedVector<TrackRecord> records;
+    std::vector<TrackRecord> records;
   };
+
+  void block_region(geom::Orientation o, const geom::Rect& region);
+
+  static const TrackRecord kEmptyRecord;
 
   Axis axes_[2];
   geom::Rect extent_;

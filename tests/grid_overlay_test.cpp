@@ -34,30 +34,22 @@ Interval random_span(util::Rng& rng, Coord size) {
   return Interval(std::min(a, b), std::max(a, b));
 }
 
-/// Asserts the overlay's free-segment answer at \p x on horizontal track
-/// \p i equals the reference primitives over its effective blocked set:
-/// IntervalSet::free_gap_containing and the binary-searched crossing span.
-void expect_h_reference(const GridView& overlay, int i, Coord x) {
-  const auto expect = overlay.track({kH, i}).blocked().free_gap_containing(
-      overlay.span(kH), x);
+/// Asserts the overlay's free-segment answer at \p c on track \p t equals
+/// the reference primitives over its effective blocked set:
+/// IntervalSet::free_gap_containing and the crossing span binary-searched
+/// on \p geometry (the base grid or a copy of it).
+void expect_reference(const GridView& overlay, const TrackGrid& geometry,
+                      TrackRef t, Coord c) {
+  const auto expect = overlay.track(t).blocked().free_gap_containing(
+      overlay.span(t.orient), c);
   int first = -7, last = -7;
-  ASSERT_EQ(overlay.free_segment_span({kH, i}, x, &first, &last), expect)
-      << "h track " << i << " x=" << x;
+  ASSERT_EQ(overlay.free_segment_span(t, c, &first, &last), expect)
+      << geom::orientation_tag(t.orient) << " track " << t.index << " at "
+      << c;
   if (expect.has_value()) {
-    EXPECT_EQ(first, overlay.first_v_at_or_above(expect->lo));
-    EXPECT_EQ(last, overlay.last_v_at_or_below(expect->hi));
-  }
-}
-
-void expect_v_reference(const GridView& overlay, int j, Coord y) {
-  const auto expect = overlay.track({kV, j}).blocked().free_gap_containing(
-      overlay.span(kV), y);
-  int first = -7, last = -7;
-  ASSERT_EQ(overlay.free_segment_span({kV, j}, y, &first, &last), expect)
-      << "v track " << j << " y=" << y;
-  if (expect.has_value()) {
-    EXPECT_EQ(first, overlay.first_h_at_or_above(expect->lo));
-    EXPECT_EQ(last, overlay.last_h_at_or_below(expect->hi));
+    const geom::Orientation perp = geom::perpendicular(t.orient);
+    EXPECT_EQ(first, geometry.first_at_or_above(perp, expect->lo));
+    EXPECT_EQ(last, geometry.last_at_or_below(perp, expect->hi));
   }
 }
 
@@ -74,7 +66,7 @@ void expect_equivalent(const GridView& overlay, const TrackGrid& ref,
       const Coord x = rng.uniform_int(0, size - 1);
       EXPECT_EQ(overlay.free_segment({kH, i}, x), ref.free_segment({kH, i}, x))
           << "h track " << i << " x=" << x;
-      expect_h_reference(overlay, i, x);
+      expect_reference(overlay, ref, {kH, i}, x);
       int of = -7, ol = -7, rf = -7, rl = -7;
       const auto oseg = overlay.free_segment_span({kH, i}, x, &of, &ol);
       const auto rseg = ref.free_segment_span({kH, i}, x, &rf, &rl);
@@ -99,7 +91,7 @@ void expect_equivalent(const GridView& overlay, const TrackGrid& ref,
       const Coord y = rng.uniform_int(0, size - 1);
       EXPECT_EQ(overlay.free_segment({kV, j}, y), ref.free_segment({kV, j}, y))
           << "v track " << j << " y=" << y;
-      expect_v_reference(overlay, j, y);
+      expect_reference(overlay, ref, {kV, j}, y);
       int of = -7, ol = -7, rf = -7, rl = -7;
       const auto oseg = overlay.free_segment_span({kV, j}, y, &of, &ol);
       const auto rseg = ref.free_segment_span({kV, j}, y, &rf, &rl);
