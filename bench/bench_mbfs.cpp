@@ -355,6 +355,7 @@ struct RouteRow {
   long long dup_points_tested = 0;
   long long mbfs_passes_proven = 0;    ///< h-passes credited, not run
   long long mbfs_vertices_proven = 0;  ///< their credited vertices
+  long long candidates_evaluated = 0;  ///< cost selections started
   // Memory datapoints (see DESIGN.md §11 "Memory model").
   long long grid_bytes = 0;    ///< routed grid's occupancy bytes
   long long peak_rss_kb = 0;   ///< process high-water RSS after the run
@@ -368,15 +369,18 @@ auto count_work(RouteRow& row, F&& route) {
   util::Counter& dup = reg.counter("levelb.dup_points_tested");
   util::Counter& passes = reg.counter("levelb.mbfs_passes_proven");
   util::Counter& proven = reg.counter("levelb.mbfs_vertices_proven");
+  util::Counter& evaluated = reg.counter("levelb.candidates_evaluated");
   const long long crossings0 = crossings.value();
   const long long dup0 = dup.value();
   const long long passes0 = passes.value();
   const long long proven0 = proven.value();
+  const long long evaluated0 = evaluated.value();
   auto result = route();
   row.mbfs_crossings = crossings.value() - crossings0;
   row.dup_points_tested = dup.value() - dup0;
   row.mbfs_passes_proven = passes.value() - passes0;
   row.mbfs_vertices_proven = proven.value() - proven0;
+  row.candidates_evaluated = evaluated.value() - evaluated0;
   return result;
 }
 
@@ -496,6 +500,7 @@ void run_route_rows(const Instance& inst, const Config& cfg,
           .add("dup_points_tested", row.dup_points_tested)
           .add("mbfs_passes_proven", row.mbfs_passes_proven)
           .add("mbfs_vertices_proven", row.mbfs_vertices_proven)
+          .add("candidates_evaluated", row.candidates_evaluated)
           .add("speedup_vs_1t", row.speedup_vs_1t)
           .add("wasted_vertices", row.wasted_vertices)
           .add("batches", row.batches)

@@ -178,22 +178,16 @@ std::vector<std::size_t> order_nets(const std::vector<BNet>& nets,
                                     NetOrdering ordering) {
   std::vector<std::size_t> order(nets.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  switch (ordering) {
-    case NetOrdering::kAsGiven:
-      break;
-    case NetOrdering::kLongestFirst:
-      std::stable_sort(order.begin(), order.end(),
-                       [&nets](std::size_t a, std::size_t b) {
-                         return net_extent(nets[a]) > net_extent(nets[b]);
-                       });
-      break;
-    case NetOrdering::kShortestFirst:
-      std::stable_sort(order.begin(), order.end(),
-                       [&nets](std::size_t a, std::size_t b) {
-                         return net_extent(nets[a]) < net_extent(nets[b]);
-                       });
-      break;
-  }
+  if (ordering == NetOrdering::kAsGiven) return order;
+  // One bounding box per net, not two per comparison.
+  std::vector<Coord> extent(nets.size());
+  for (std::size_t i = 0; i < nets.size(); ++i) extent[i] = net_extent(nets[i]);
+  const bool longest = ordering == NetOrdering::kLongestFirst;
+  std::stable_sort(order.begin(), order.end(),
+                   [&extent, longest](std::size_t a, std::size_t b) {
+                     return longest ? extent[a] > extent[b]
+                                    : extent[a] < extent[b];
+                   });
   return order;
 }
 

@@ -30,31 +30,32 @@ void Path::canonicalize() {
   if (points.size() < 2) return;
   OCR_ASSERT(tracks.size() + 1 == points.size(),
              "path has inconsistent leg/track counts");
-  std::vector<geom::Point> pts{points.front()};
-  std::vector<tig::TrackRef> trk;
+  // Compacts in place: points[0..w] and tracks[0..w) are the kept prefix.
+  // w < i throughout, so each write lands on an already-read slot.
+  std::size_t w = 0;
   for (std::size_t i = 1; i < points.size(); ++i) {
-    if (points[i] == pts.back()) continue;  // zero-length leg
+    const geom::Point p = points[i];
+    const tig::TrackRef t = tracks[i - 1];
+    if (p == points[w]) continue;  // zero-length leg
     const bool collinear =
-        !trk.empty() && trk.back() == tracks[i - 1] &&
-        ((pts.back().y == points[i].y &&
-          trk.back().orient == geom::Orientation::kHorizontal) ||
-         (pts.back().x == points[i].x &&
-          trk.back().orient == geom::Orientation::kVertical)) &&
-        pts.size() >= 2;
+        w >= 1 && tracks[w - 1] == t &&
+        ((points[w].y == p.y && t.orient == geom::Orientation::kHorizontal) ||
+         (points[w].x == p.x && t.orient == geom::Orientation::kVertical));
     if (collinear) {
-      pts.back() = points[i];  // extend the previous leg
+      points[w] = p;  // extend the previous leg
     } else {
-      pts.push_back(points[i]);
-      trk.push_back(tracks[i - 1]);
+      ++w;
+      points[w] = p;
+      tracks[w - 1] = t;
     }
   }
-  if (pts.size() < 2) {
+  if (w == 0) {
     points.clear();
     tracks.clear();
     return;
   }
-  points = std::move(pts);
-  tracks = std::move(trk);
+  points.resize(w + 1);
+  tracks.resize(w);
 }
 
 std::string Path::to_string() const {

@@ -34,7 +34,8 @@ struct Path {
 
   /// Drops zero-length legs and merges collinear consecutive legs,
   /// preserving endpoints. Produces the canonical form used for
-  /// deduplication and corner counting.
+  /// deduplication and corner counting. Compacts in place: never
+  /// allocates.
   void canonicalize();
 
   /// "(x,y) -> (x,y) -> ..." for diagnostics.

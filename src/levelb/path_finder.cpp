@@ -317,48 +317,77 @@ bool prove_h_pass_fails(const Point& a, const TrackRef& h_a, int v_vertices,
   return true;
 }
 
-/// Reconstructs the candidate path of an arrival by walking tree parents.
-/// Writes into \p out (cleared first) so its buffers are reused.
+/// Reconstructs the candidate path of an arrival into \p out, reusing its
+/// buffers: the parent walk fills the polyline back to front (a node at
+/// depth k holds corner k and rides leg k; the root's entry is a), then
+/// the leg along the target track ends it at b.
 void build_path_into(const PathSelectionTree& tree,
-                     const SearchArrival& arrival, const Point& a,
-                     const Point& b, std::vector<int>& chain, Path& out) {
-  chain.clear();  // root .. arrival.parent
+                     const SearchArrival& arrival, const Point& b,
+                     Path& out) {
+  const auto d = static_cast<std::size_t>(
+      tree.nodes[static_cast<std::size_t>(arrival.parent)].depth);
+  out.points.resize(d + 3);
+  out.tracks.resize(d + 2);
+  out.points[d + 2] = b;
+  out.points[d + 1] = arrival.corner;
+  out.tracks[d + 1] = arrival.target;
   for (int n = arrival.parent; n >= 0;
        n = tree.nodes[static_cast<std::size_t>(n)].parent) {
-    chain.push_back(n);
+    const TreeNode& node = tree.nodes[static_cast<std::size_t>(n)];
+    out.points[static_cast<std::size_t>(node.depth)] = node.entry;
+    out.tracks[static_cast<std::size_t>(node.depth)] = node.track;
   }
-  std::reverse(chain.begin(), chain.end());
-
-  out.points.clear();
-  out.tracks.clear();
-  out.points.push_back(a);
-  for (std::size_t k = 1; k < chain.size(); ++k) {
-    const TreeNode& node = tree.nodes[static_cast<std::size_t>(chain[k])];
-    out.points.push_back(node.entry);
-    out.tracks.push_back(
-        tree.nodes[static_cast<std::size_t>(chain[k - 1])].track);
-  }
-  // Leg along the arrival's parent track to the final corner, then along
-  // the target track to b.
-  out.points.push_back(arrival.corner);
-  out.tracks.push_back(
-      tree.nodes[static_cast<std::size_t>(arrival.parent)].track);
-  out.points.push_back(b);
-  out.tracks.push_back(arrival.target);
   out.canonicalize();
 }
 
-/// Order- and collision-stable polyline hash (paths compare by points).
+/// Order-stable polyline hash (paths compare by points), one FNV-1a step
+/// per coordinate.
 std::uint64_t path_hash(const Path& p) {
   std::uint64_t h = util::kFnv1aOffset;
   for (const Point& pt : p.points) {
-    h = util::fnv1a_value(pt.x, h);
-    h = util::fnv1a_value(pt.y, h);
+    h = util::fnv1a_word(static_cast<std::uint64_t>(pt.x), h);
+    h = util::fnv1a_word(static_cast<std::uint64_t>(pt.y), h);
   }
   return h;
 }
 
 }  // namespace
+
+// One pass over an open-addressing table of at least 2·count slots
+// (linear probing, indexed by the hash's Fibonacci-mixed high bits): with
+// no deletions, every earlier candidate of equal hash lies on the probe
+// run before the first empty slot, and each hash match is verified with a
+// full polyline compare — the same first-occurrence list as a pairwise
+// scan, collisions included.
+void SearchWorkspace::collect_distinct(std::size_t count) {
+  unique.clear();
+  unique_corners.clear();
+  int bits = 1;
+  while ((std::size_t{1} << bits) < 2 * count) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  if (distinct.size() <= mask) distinct.resize(mask + 1);
+  std::fill_n(distinct.begin(), mask + 1, DistinctSlot{});
+  for (std::size_t k = 0; k < count; ++k) {
+    const Path& c = candidates[k];
+    if (c.empty()) continue;
+    const std::uint64_t h = path_hash(c);
+    std::size_t s =
+        static_cast<std::size_t>((h * 0x9e3779b97f4a7c15ull) >> (64 - bits));
+    bool duplicate = false;
+    for (; distinct[s].index >= 0; s = (s + 1) & mask) {
+      const DistinctSlot& slot = distinct[s];
+      if (slot.hash == h &&
+          candidates[static_cast<std::size_t>(slot.index)] == c) {
+        duplicate = true;
+        break;
+      }
+    }
+    if (duplicate) continue;
+    distinct[s] = DistinctSlot{h, static_cast<int>(k)};
+    unique.push_back(static_cast<int>(k));
+    unique_corners.push_back(c.corners());
+  }
+}
 
 std::string PathSelectionTree::to_string() const {
   std::string out;
@@ -479,54 +508,25 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
     if (ws.candidates.size() < total) ws.candidates.resize(total);
     std::size_t count = 0;
     for (const SearchArrival& arr : ws.arrivals_v) {
-      build_path_into(ws.tree_v, arr, a, b, ws.chain,
-                      ws.candidates[count++]);
+      build_path_into(ws.tree_v, arr, b, ws.candidates[count++]);
     }
     for (const SearchArrival& arr : ws.arrivals_h) {
-      build_path_into(ws.tree_h, arr, a, b, ws.chain,
-                      ws.candidates[count++]);
+      build_path_into(ws.tree_h, arr, b, ws.candidates[count++]);
     }
-    // Deduplicate identical polylines (degenerate legs can collapse
-    // distinct track sequences onto the same wire): hash probe with a
-    // verify compare, first occurrence kept — byte-identical to the
-    // former linear find, collisions included (equal hash but unequal
-    // polyline stays a distinct candidate).
-    ws.unique.clear();
-    ws.unique_hashes.clear();
-    for (std::size_t k = 0; k < count; ++k) {
-      const Path& c = ws.candidates[k];
-      if (c.empty()) continue;
-      const std::uint64_t h = path_hash(c);
-      bool duplicate = false;
-      for (std::size_t u = 0; u < ws.unique.size(); ++u) {
-        if (ws.unique_hashes[u] == h &&
-            ws.candidates[static_cast<std::size_t>(ws.unique[u])] == c) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        ws.unique.push_back(static_cast<int>(k));
-        ws.unique_hashes.push_back(h);
-      }
-    }
+    ws.collect_distinct(count);
 
     if (!ws.unique.empty()) {
       // Keep only globally minimum-corner candidates, then select by the
       // weighted cost with bounding (§3.2).
-      int min_corners =
-          ws.candidates[static_cast<std::size_t>(ws.unique.front())]
-              .corners();
-      for (const int u : ws.unique) {
-        min_corners = std::min(
-            min_corners,
-            ws.candidates[static_cast<std::size_t>(u)].corners());
-      }
+      const int min_corners = *std::min_element(ws.unique_corners.begin(),
+                                                ws.unique_corners.end());
       double best_cost = 0.0;
       int best = -1;
-      for (const int u : ws.unique) {
+      for (std::size_t i = 0; i < ws.unique.size(); ++i) {
+        if (ws.unique_corners[i] != min_corners) continue;
+        ++ws.candidates_evaluated;
+        const int u = ws.unique[i];
         const Path& c = ws.candidates[static_cast<std::size_t>(u)];
-        if (c.corners() != min_corners) continue;
         double cost = options_.weights.w1 * static_cast<double>(c.length()) /
                       static_cast<double>(ctx.pitch);
         bool pruned = best >= 0 && cost >= best_cost;

@@ -19,16 +19,16 @@
 ///   chunk churn.
 /// * **Tree / arrival / candidate buffers** — node storage for both Path
 ///   Selection Trees, the arrival lists, the materialized candidate
-///   polylines and their dedup hashes, all cleared-with-capacity between
-///   passes.
+///   polylines (canonicalized in place), the distinct-candidate table and
+///   list, all cleared-with-capacity between passes.
 /// * **Net-level buffers** — the per-Prim-iteration target list and the
 ///   net's own-terminal dup list of route_single_net, plus the dup term's
 ///   hit scratch.
 /// * **Work counters** — plain integers the search bumps as it goes
 ///   (crossing-loop iterations, dup points tested, second passes proven
-///   to fail and the vertices credited for them), folded into the
-///   metrics registry once per run by publish_metrics(). They count work,
-///   never steer it.
+///   to fail and the vertices credited for them, candidates whose cost
+///   selection started), folded into the metrics registry once per run
+///   by publish_metrics(). They count work, never steer it.
 ///
 /// Thread contract: a workspace belongs to exactly one thread at a time
 /// (a level-B run's serial step, or one engine worker slot). It never
@@ -85,10 +85,16 @@ struct SearchWorkspace {
   std::vector<SearchArrival> arrivals_v;
   std::vector<SearchArrival> arrivals_h;
 
+  /// One slot of the open-addressing distinct-candidate table.
+  struct DistinctSlot {
+    std::uint64_t hash = 0;  ///< path hash of candidates[index]
+    int index = -1;          ///< candidate index; -1 = empty slot
+  };
+
   std::vector<Path> candidates;       ///< materialized candidate polylines
-  std::vector<int> unique;            ///< indices of deduped candidates
-  std::vector<std::uint64_t> unique_hashes;  ///< parallel to `unique`
-  std::vector<int> chain;             ///< build_path parent walk
+  std::vector<DistinctSlot> distinct; ///< table; a power-of-two prefix used
+  std::vector<int> unique;            ///< distinct candidates, first seen first
+  std::vector<int> unique_corners;    ///< their corners(), parallel to `unique`
 
   std::vector<geom::Point> targets;     ///< route_single_net attachment list
   std::vector<geom::Point> own_terminals;  ///< the net's unattached terminals
@@ -103,11 +109,22 @@ struct SearchWorkspace {
   /// for them without being expanded (`levelb.mbfs_vertices_proven`).
   long long mbfs_passes_proven = 0;
   long long mbfs_vertices_proven = 0;
+  /// Minimum-corner distinct candidates whose cost selection started
+  /// (`levelb.candidates_evaluated`).
+  long long candidates_evaluated = 0;
 
   /// Bump storage for the per-connect scratch (visited overflow lists).
   /// Reset at every connect entry: O(1), keeps its blocks, and bumps the
   /// epoch that invalidates the VisitSlot overflow pointers above.
   util::Arena arena;
+
+  /// Fills `unique` with the distinct non-empty polylines among
+  /// candidates[0, count), in first-occurrence order, and
+  /// `unique_corners` with their corners(). Linear in \p count, and
+  /// allocation-free once the buffers have warmed up. Degenerate legs can
+  /// collapse distinct track sequences onto one wire, so the search
+  /// cannot rule duplicates out.
+  void collect_distinct(std::size_t count);
 
   /// Sizes the visited arrays for \p grid (no-op when already sized).
   /// connect() calls this itself; exposed for tests. Accepts any view
@@ -144,10 +161,12 @@ struct SearchWorkspace {
     reg.counter("levelb.dup_points_tested").add(dup_points_tested);
     reg.counter("levelb.mbfs_passes_proven").add(mbfs_passes_proven);
     reg.counter("levelb.mbfs_vertices_proven").add(mbfs_vertices_proven);
+    reg.counter("levelb.candidates_evaluated").add(candidates_evaluated);
     mbfs_crossings = 0;
     dup_points_tested = 0;
     mbfs_passes_proven = 0;
     mbfs_vertices_proven = 0;
+    candidates_evaluated = 0;
   }
 };
 

@@ -2,11 +2,13 @@
 /// \file hash.hpp
 /// \brief FNV-1a hashing for small plain-data keys.
 ///
-/// Used by the path finder's candidate dedup: candidate polylines are
-/// hashed and only equal-hash pairs are compared in full, turning the
-/// O(n²) polyline-compare scan into O(n) hash probes with a verify
-/// compare. FNV-1a is deterministic across platforms and runs, which the
-/// routing determinism contract requires (no seeding by address or time).
+/// The path finder's distinct-candidate count hashes each candidate
+/// polyline with fnv1a_word (one multiply per coordinate) and probes an
+/// open-addressing table, verifying every hash match with a full polyline
+/// compare: O(n) probes for n candidates, and the hash only groups them —
+/// no collision can change which candidates count as distinct. FNV-1a is
+/// deterministic across platforms and runs, which the routing determinism
+/// contract requires (no seeding by address or time).
 
 #include <cstddef>
 #include <cstdint>
@@ -32,6 +34,14 @@ template <typename T>
 std::uint64_t fnv1a_value(const T& value,
                           std::uint64_t seed = kFnv1aOffset) {
   return fnv1a_bytes(&value, sizeof(T), seed);
+}
+
+/// Folds one 64-bit word into \p seed as a single FNV-1a step (not the
+/// byte-wise fnv1a_value of the same word). Its low bits depend only on
+/// the inputs' low bits, so index tables by the high bits.
+inline constexpr std::uint64_t fnv1a_word(std::uint64_t word,
+                                          std::uint64_t seed = kFnv1aOffset) {
+  return (seed ^ word) * kFnv1aPrime;
 }
 
 }  // namespace ocr::util

@@ -7,8 +7,12 @@
 /// three paper examples through `flow::run`, the sparse-5000 locality
 /// instance with sensitive nets, and four seeds of a congested instance
 /// that exercises failures and rip-up. Sharded engine routes (4 threads;
-/// 2, 4 and 8 for the congested seeds) must reproduce the same values. A PR whose stated purpose is to
-/// change routes updates the table below.
+/// 2, 4 and 8 for the congested seeds) must reproduce the same values.
+/// The summed per-net `candidates` trace field (distinct candidate paths
+/// of each committed search) is pinned for the paper examples and the
+/// congested seeds at 1 and 4 threads, holding the distinct-candidate
+/// count itself. A PR whose stated purpose is to change routes updates
+/// the tables below.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +26,7 @@
 #include "levelb/router.hpp"
 #include "partition/partition.hpp"
 #include "util/hash.hpp"
+#include "util/trace.hpp"
 
 namespace ocr {
 namespace {
@@ -62,9 +67,10 @@ Pin pin_of(const levelb::LevelBResult& r) {
 }
 
 /// Level-B result of the over-cell flow on \p spec (class partition),
-/// serial or sharded at \p threads.
+/// serial or sharded at \p threads; per-net events go to \p trace.
 levelb::LevelBResult paper_levelb(const bench_data::SyntheticSpec& spec,
-                                  int threads) {
+                                  int threads,
+                                  util::TraceSink* trace = nullptr) {
   const floorplan::MacroLayout ml = bench_data::generate_macro_layout(spec);
   const netlist::Layout zero = ml.assemble(
       std::vector<geom::Coord>(static_cast<std::size_t>(ml.num_channels()), 0));
@@ -74,20 +80,25 @@ levelb::LevelBResult paper_levelb(const bench_data::SyntheticSpec& spec,
   options.faults = "-";
   options.artifacts = &artifacts;
   options.flow.levelb_threads = threads;
+  options.trace = trace;
   const flow::RunReport report = flow::run(ml, part, options);
   EXPECT_NE(report.status, flow::RunStatus::kFailed);
   return artifacts.levelb;
 }
 
 levelb::LevelBResult levelb_route(const bench_data::LevelBSpec& spec,
-                                  int threads) {
+                                  int threads,
+                                  util::TraceSink* trace = nullptr) {
   bench_data::LevelBInstance inst = bench_data::generate_levelb_instance(spec);
   if (threads <= 1) {
-    levelb::LevelBRouter router(inst.grid);
+    levelb::LevelBOptions options;
+    options.trace = trace;
+    levelb::LevelBRouter router(inst.grid, options);
     return router.route(inst.nets);
   }
   engine::EngineOptions options;
   options.threads = threads;
+  options.levelb.trace = trace;
   engine::RoutingEngine router(inst.grid, options);
   return router.route(inst.nets);
 }
@@ -124,6 +135,23 @@ const Pin kCongested[4] = {
     {82, 18, 103548, 518, 117549, 0, 0x3d59f43e43a6847full},
 };
 
+/// Sum of the `candidates` field over the per-net events in \p trace.
+long long candidate_total(const util::TraceSink& trace) {
+  long long total = 0;
+  for (const util::TraceEvent& ev : trace.events()) {
+    if (ev.kind != "net") continue;
+    for (const auto& [key, value] : ev.fields) {
+      if (key == "candidates") total += std::stoll(value.to_json());
+    }
+  }
+  return total;
+}
+
+// Captured from the pairwise-scan distinct count; paper examples in the
+// order ami33, Xerox, ex3.
+const long long kPaperCandidates[3] = {10740, 20363, 24000};
+const long long kCongestedCandidates[4] = {1543, 1331, 1181, 1328};
+
 TEST(LevelBPin, PaperExamplesThroughFlowRun) {
   EXPECT_EQ(pin_of(paper_levelb(bench_data::ami33_spec(), 1)), kAmi33);
   EXPECT_EQ(pin_of(paper_levelb(bench_data::xerox_spec(), 1)), kXerox);
@@ -148,6 +176,26 @@ TEST(LevelBPin, CongestedSeeds) {
       EXPECT_EQ(pin_of(levelb_route(congested_spec(s + 1), threads)),
                 kCongested[s])
           << "threads=" << threads;
+    }
+  }
+}
+
+TEST(LevelBPin, CandidateTotals) {
+  const bench_data::SyntheticSpec paper[3] = {
+      bench_data::ami33_spec(), bench_data::xerox_spec(),
+      bench_data::ex3_spec()};
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (std::size_t i = 0; i < 3; ++i) {
+      util::TraceSink trace;
+      paper_levelb(paper[i], threads, &trace);
+      EXPECT_EQ(candidate_total(trace), kPaperCandidates[i]) << paper[i].name;
+    }
+    for (std::uint64_t s = 0; s < 4; ++s) {
+      util::TraceSink trace;
+      levelb_route(congested_spec(s + 1), threads, &trace);
+      EXPECT_EQ(candidate_total(trace), kCongestedCandidates[s])
+          << "seed " << s + 1;
     }
   }
 }

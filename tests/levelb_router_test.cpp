@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "levelb/router.hpp"
@@ -17,6 +18,42 @@ using geom::Rect;
 
 tig::TrackGrid make_grid(geom::Coord size = 200) {
   return tig::TrackGrid::uniform(Rect(0, 0, size, size), 10, 10);
+}
+
+TEST(LevelBRouter, OrderNetsIsStableOnHalfPerimeter) {
+  // Many ties (extents drawn from a few values) and empty nets; each
+  // ordering must equal a stable sort that recomputes the key per
+  // comparison.
+  util::Rng rng(5);
+  std::vector<BNet> nets(200);
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    nets[i].id = static_cast<int>(i);
+    const int terminals = static_cast<int>(rng.uniform_int(0, 3));
+    for (int t = 0; t < terminals; ++t) {
+      nets[i].terminals.push_back(
+          Point{10 * rng.uniform_int(0, 3), 10 * rng.uniform_int(0, 3)});
+    }
+  }
+  const auto extent = [&nets](std::size_t i) -> geom::Coord {
+    if (nets[i].terminals.empty()) return 0;
+    const Rect box = geom::bounding_box(nets[i].terminals);
+    return box.width() + box.height();
+  };
+  std::vector<std::size_t> given(nets.size());
+  for (std::size_t i = 0; i < given.size(); ++i) given[i] = i;
+  std::vector<std::size_t> longest = given;
+  std::stable_sort(longest.begin(), longest.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return extent(a) > extent(b);
+                   });
+  std::vector<std::size_t> shortest = given;
+  std::stable_sort(shortest.begin(), shortest.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return extent(a) < extent(b);
+                   });
+  EXPECT_EQ(order_nets(nets, NetOrdering::kAsGiven), given);
+  EXPECT_EQ(order_nets(nets, NetOrdering::kLongestFirst), longest);
+  EXPECT_EQ(order_nets(nets, NetOrdering::kShortestFirst), shortest);
 }
 
 TEST(LevelBRouter, RoutesTwoTerminalNet) {
