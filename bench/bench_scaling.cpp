@@ -20,6 +20,9 @@
 /// reporting jobs/sec and p50/p95 end-to-end latency (submit to
 /// completion callback), with a determinism check across every result.
 /// Combines with `--json`/`--repeat` the same way.
+///
+/// `--label S` tags every JSON record (default "current"), so before/after
+/// captures can be appended to the committed file as they are.
 
 #include <benchmark/benchmark.h>
 
@@ -54,6 +57,16 @@ namespace {
 using namespace ocr;
 using geom::Point;
 using geom::Rect;
+
+/// `--label S`, carried by every JSON record.
+std::string g_label = "current";
+
+/// A JSON record of \p kind, tagged with the run's label.
+util::TraceEvent bench_record(const char* kind) {
+  util::TraceEvent ev(kind);
+  ev.add("label", g_label);
+  return ev;
+}
 
 std::vector<levelb::BNet> random_nets(util::Rng& rng, geom::Coord size,
                                       int count) {
@@ -141,7 +154,7 @@ void print_scaling_table(util::TraceSink* json) {
                    util::format("%.2f", norm),
                    util::format("%.3f", result.completion_rate())});
     if (json != nullptr) {
-      util::TraceEvent ev("scaling");
+      util::TraceEvent ev = bench_record("scaling");
       ev.add("grid_h", grid.num_h())
           .add("grid_v", grid.num_v())
           .add("nets", nets)
@@ -253,7 +266,7 @@ void print_engine_comparison(util::TraceSink* json, int repeat) {
          threads > 1 ? util::format("%lld", stats.boundary_nets) : "-",
          util::format("%lld", max_net_us)});
     if (json != nullptr) {
-      util::TraceEvent ev("engine_compare");
+      util::TraceEvent ev = bench_record("engine_compare");
       ev.add("mode", mode_name)
           .add("engine_mode", threads > 1 ? "sharded" : "serial")
           .add("threads", threads)
@@ -332,7 +345,7 @@ void print_resilience_table(util::TraceSink* json) {
                    util::format("%d", result.budget_nets),
                    util::format("%lld", fired)});
     if (json != nullptr) {
-      util::TraceEvent ev("resilience");
+      util::TraceEvent ev = bench_record("resilience");
       ev.add("scenario", s.name)
           .add("threads", s.threads)
           .add("routed_nets", result.routed_nets)
@@ -356,9 +369,10 @@ void print_resilience_table(util::TraceSink* json) {
 /// Large-instance memory study: routes a 200k-dbu-die instance
 /// (sparse-100k-ci by default; `--large` swaps in the full 100k-net
 /// sparse-100k) serially and through the 4-thread sharded engine, recording
-/// wall clock, routed nets, the grid's occupancy bytes, the search
-/// arenas' high-water marks and the process peak RSS. The die carries
-/// ~40k tracks, and a routed grid holds one record for each of them.
+/// wall clock, routed nets, the grid's occupancy bytes, the high-water
+/// bytes of the search workspaces' extra visited segments
+/// (`levelb.arena_high_water_bytes`) and the process peak RSS. The die
+/// carries ~40k tracks, and a routed grid holds one record for each.
 void print_memory_table(util::TraceSink* json, int repeat, bool large) {
   util::TextTable table;
   table.set_header({"Instance", "Nets", "Mode", "Wall ms", "Routed",
@@ -469,7 +483,7 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
                      util::format("%lld", arena_hw / 1024),
                      util::format("%.1f", row.rss_kb / 1024.0)});
       if (json != nullptr) {
-        util::TraceEvent ev("memory");
+        util::TraceEvent ev = bench_record("memory");
         ev.add("instance", spec.name)
             .add("storage", "flat")
             .add("nets", spec.num_nets)
@@ -601,7 +615,7 @@ void print_service_table(util::TraceSink* json, int repeat) {
                    util::format("%.1f", p50), util::format("%.1f", p95),
                    identical ? "yes" : "NO"});
     if (json != nullptr) {
-      util::TraceEvent ev("service");
+      util::TraceEvent ev = bench_record("service");
       ev.add("workers", workers)
           .add("journal", journaled)
           .add("jobs", kJobs)
@@ -656,6 +670,10 @@ int main(int argc, char** argv) {
       repeat = std::max(1, std::atoi(argv[i + 1]));
       for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
       argc -= 2;
+    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
+      g_label = argv[i + 1];
+      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
+      argc -= 2;
     } else {
       ++i;
     }
@@ -686,6 +704,7 @@ int main(int argc, char** argv) {
     // Companion run manifest (see docs/OBSERVABILITY.md): config,
     // provenance and the metrics accumulated across every table run.
     util::RunManifest manifest("bench_scaling");
+    manifest.add_config("label", g_label);
     manifest.add_config("repeat", repeat);
     manifest.add_config("service", service_mode);
     manifest.add_config("large", large);

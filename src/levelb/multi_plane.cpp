@@ -3,19 +3,9 @@
 #include <algorithm>
 #include <array>
 
-#include "geom/rect.hpp"
 #include "util/assert.hpp"
 
 namespace ocr::levelb {
-namespace {
-
-geom::Coord net_extent(const BNet& net) {
-  if (net.terminals.empty()) return 0;
-  const geom::Rect box = geom::bounding_box(net.terminals);
-  return box.width() + box.height();
-}
-
-}  // namespace
 
 MultiPlaneResult route_two_planes(tig::TrackGrid& plane0,
                                   tig::TrackGrid& plane1,
@@ -26,15 +16,9 @@ MultiPlaneResult route_two_planes(tig::TrackGrid& plane0,
 
   // Plane assignment: largest nets first, each onto the plane with the
   // lighter accumulated wire demand (LPT balancing on half-perimeters).
-  std::vector<std::size_t> order(nets.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&nets](std::size_t a, std::size_t b) {
-                     return net_extent(nets[a]) > net_extent(nets[b]);
-                   });
   std::array<long long, 2> load{0, 0};
   std::array<std::vector<std::size_t>, 2> assigned;
-  for (std::size_t i : order) {
+  for (std::size_t i : order_nets(nets, NetOrdering::kLongestFirst)) {
     const int plane = load[0] <= load[1] ? 0 : 1;
     assigned[static_cast<std::size_t>(plane)].push_back(i);
     load[static_cast<std::size_t>(plane)] += net_extent(nets[i]);

@@ -20,14 +20,6 @@ using geom::Interval;
 using geom::Orientation;
 using geom::Point;
 
-/// Half-perimeter of a net's terminal bounding box — the paper's
-/// "longest distance" ordering key.
-Coord net_extent(const BNet& net) {
-  if (net.terminals.empty()) return 0;
-  const geom::Rect box = geom::bounding_box(net.terminals);
-  return box.width() + box.height();
-}
-
 /// A routed leg of the current net, used for closest-point attachment.
 struct GeomLeg {
   tig::TrackRef track;
@@ -173,6 +165,12 @@ int ripup_round(tig::TrackGrid& grid, const LevelBOptions& options,
 }
 
 }  // namespace
+
+Coord net_extent(const BNet& net) {
+  if (net.terminals.empty()) return 0;
+  const geom::Rect box = geom::bounding_box(net.terminals);
+  return box.width() + box.height();
+}
 
 std::vector<std::size_t> order_nets(const std::vector<BNet>& nets,
                                     NetOrdering ordering) {

@@ -121,6 +121,10 @@ struct Committed {
       default;
 };
 
+/// Half-perimeter of a net's terminal bounding box — the paper's
+/// "longest distance" ordering key; 0 for a net without terminals.
+geom::Coord net_extent(const BNet& net);
+
 /// Orders net indices per the configured criterion (§3 longest-distance
 /// default; stable, so kAsGiven and equal extents keep input order).
 std::vector<std::size_t> order_nets(const std::vector<BNet>& nets,

@@ -41,7 +41,9 @@ void Path::canonicalize() {
         w >= 1 && tracks[w - 1] == t &&
         ((points[w].y == p.y && t.orient == geom::Orientation::kHorizontal) ||
          (points[w].x == p.x && t.orient == geom::Orientation::kVertical));
-    if (collinear) {
+    if (collinear && p == points[w - 1]) {
+      --w;  // the merge doubles the leg back onto its start: drop it
+    } else if (collinear) {
       points[w] = p;  // extend the previous leg
     } else {
       ++w;

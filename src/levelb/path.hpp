@@ -33,9 +33,10 @@ struct Path {
   int corners() const;
 
   /// Drops zero-length legs and merges collinear consecutive legs,
-  /// preserving endpoints. Produces the canonical form used for
-  /// deduplication and corner counting. Compacts in place: never
-  /// allocates.
+  /// preserving endpoints; a merge that doubles a leg back onto its start
+  /// drops that leg too, so the result is a fixed point. Produces the
+  /// canonical form used for deduplication and corner counting. Compacts
+  /// in place: never allocates.
   void canonicalize();
 
   /// "(x,y) -> (x,y) -> ..." for diagnostics.

@@ -70,77 +70,6 @@ struct SearchLimits {
   }
 };
 
-/// True when the pass stamped \p generation visited a free segment of
-/// this track that contains \p v. A pure read: a stale slot stays stale.
-inline bool visited_holds(const SearchWorkspace::VisitSlot& slot,
-                          std::uint64_t generation, Coord v) {
-  if (slot.gen != generation || slot.count == 0) return false;
-  if (slot.first.contains(v)) return true;
-  for (int s = 0; s + 1 < slot.count; ++s) {
-    if (slot.overflow[static_cast<std::size_t>(s)].contains(v)) return true;
-  }
-  return false;
-}
-
-/// True when \p v lies inside a free segment of this track that the pass
-/// already visited. A track's free segments are disjoint, so containment
-/// of the crossing coordinate is exactly the (orientation, track,
-/// segment.lo) visited-set test of the paper's single-examination rule —
-/// and it runs *before* the free-segment lookup, so re-probed crossings
-/// (the common case: every later node crossing the same track) skip the
-/// occupancy query entirely. Revalidates the slot's generation stamp.
-inline bool visited_contains(SearchWorkspace::VisitSlot& slot,
-                             std::uint64_t generation, Coord v) {
-  if (slot.gen != generation) {
-    slot.gen = generation;
-    slot.count = 0;
-    return false;
-  }
-  return visited_holds(slot, generation, v);
-}
-
-/// Records \p seg visited. Callers have already established v ∉ any
-/// visited segment for some v ∈ seg, which (disjointness again) implies
-/// seg itself is new — no membership scan needed. The slot's stamp must
-/// already be current (visited_contains revalidates it).
-///
-/// Overflow storage comes from the workspace arena. A slot whose
-/// arena_epoch predates the current connect holds a dangling pointer; its
-/// count is necessarily <= 1 then (generations are monotonic, so a stale
-/// epoch implies the gen check above already zeroed the count), which
-/// makes "drop the capacity and allocate fresh" safe — nothing live is
-/// copied out of the dead storage.
-///
-/// Always inlined: as a call inside the expansion loop it makes the loop
-/// keep its state in memory across the call (about 10% of connect time).
-[[gnu::always_inline]] inline void visit(SearchWorkspace::VisitSlot& slot,
-                                         util::Arena& arena,
-                                         std::uint64_t generation,
-                                         const Interval& seg) {
-  if (slot.gen != generation) {
-    slot.gen = generation;
-    slot.count = 0;
-  }
-  if (slot.count == 0) {
-    slot.first = seg;
-  } else {
-    const int have = slot.count - 1;
-    if (slot.arena_epoch != arena.epoch()) {
-      slot.overflow_cap = 0;
-      slot.arena_epoch = arena.epoch();
-    }
-    if (have >= slot.overflow_cap) {
-      const int new_cap = slot.overflow_cap == 0 ? 4 : slot.overflow_cap * 2;
-      slot.overflow = arena.grow_array(
-          slot.overflow, static_cast<std::size_t>(have),
-          static_cast<std::size_t>(new_cap));
-      slot.overflow_cap = new_cap;
-    }
-    slot.overflow[have] = seg;
-  }
-  ++slot.count;
-}
-
 /// Compile-time orientation: run_mbfs dispatches once per dequeued node,
 /// so each axis's expansion body keeps its orientation constant.
 template <Orientation O>
@@ -156,7 +85,7 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
               SearchFootprint* footprint, SearchLimits& limits) {
   tree.nodes.clear();
   arrivals.clear();
-  ++ws.generation;  // invalidates every visited slot in O(1)
+  ws.begin_pass();
 
   const auto track_a = grid.tracks_at(a);
   const auto track_b = grid.tracks_at(b);
@@ -179,8 +108,9 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
     note(t, seg);
     if (!seg) return;  // terminal buried under an obstacle on this layer
     tree.nodes.push_back(TreeNode{t, *seg, a, -1, 0, cross_lo, cross_hi});
-    visit(ws.visited[geom::axis(t.orient)][static_cast<std::size_t>(t.index)],
-          ws.arena, ws.generation, *seg);
+    visit(ws,
+          ws.visited[geom::axis(t.orient)][static_cast<std::size_t>(t.index)],
+          *seg);
   }
 
   ws.queue.clear();
@@ -248,14 +178,14 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
         continue;
       }
       SearchWorkspace::VisitSlot& slot = visited[static_cast<std::size_t>(k)];
-      if (visited_contains(slot, ws.generation, fixed)) continue;
+      if (visited_holds(ws, slot, fixed)) continue;
       const TrackRef t{P, k};
       int cl = 0;
       int ch = -1;
       const auto gap = grid.free_segment_span(t, fixed, &cl, &ch);
       note(t, gap);
       if (!gap) continue;
-      visit(slot, ws.arena, ws.generation, *gap);  // fixed ∉ visited ⇒ new
+      visit(ws, slot, *gap);  // fixed ∉ visited ⇒ new
       tree.nodes.push_back(TreeNode{t, *gap, p, n, node.depth + 1, cl, ch});
       ws.queue.push_back(static_cast<int>(tree.nodes.size()) - 1);
     }
@@ -294,9 +224,10 @@ bool prove_h_pass_fails(const Point& a, const TrackRef& h_a, int v_vertices,
                         long long v_crossings, SearchWorkspace& ws,
                         SearchStats& stats, SearchLimits& limits) {
   if (!ws.arrivals_v.empty() ||
-      !visited_holds(ws.visited[geom::axis(h_a.orient)]
+      !visited_holds(ws,
+                     ws.visited[geom::axis(h_a.orient)]
                                [static_cast<std::size_t>(h_a.index)],
-                     ws.generation, geom::along(a, h_a.orient))) {
+                     geom::along(a, h_a.orient))) {
     return false;
   }
   const int before = stats.vertices_examined;
@@ -458,10 +389,6 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
   }
 
   ws.prepare(grid_);
-  // One connect = one arena lifetime: reclaim every overflow list from
-  // the previous connect in O(1) (blocks are kept, so steady state does
-  // no heap work here).
-  ws.arena.reset();
 
   SearchLimits limits;
   if (options_.cancel.valid()) limits.cancel = &options_.cancel;

@@ -9,12 +9,14 @@
 /// * **Visited marks** — one slot per (orientation, track), stamped with a
 ///   generation counter. Starting a pass bumps the generation instead of
 ///   clearing; a slot's content is live only when its stamp matches. Each
-///   slot holds the free segments already visited on that track (almost
-///   always one). Because a track's free segments are disjoint, "crossing
-///   coordinate inside a visited segment" is exactly the
-///   (orientation, track, segment.lo) visited-set test of the original
-///   `std::set` — and it runs *before* the free-segment lookup, so
-///   re-probed crossings skip the occupancy query entirely.
+///   slot holds the first free segment visited on that track; the rare
+///   later ones are chained through one shared `visited_more` vector,
+///   cleared with its capacity kept at the start of each pass. Because a
+///   track's free segments are disjoint, "crossing coordinate inside a
+///   visited segment" is exactly the (orientation, track, segment.lo)
+///   visited-set test of the original `std::set` — and it runs *before*
+///   the free-segment lookup, so re-probed crossings skip the occupancy
+///   query entirely.
 /// * **Index-based BFS queue** — a vector with a head cursor; no deque
 ///   chunk churn.
 /// * **Tree / arrival / candidate buffers** — node storage for both Path
@@ -36,11 +38,12 @@
 /// — so runs with fresh, reused, or shared-across-nets workspaces are
 /// bit-identical.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "levelb/path_finder.hpp"
-#include "util/arena.hpp"
 #include "util/metrics.hpp"
 
 namespace ocr::levelb {
@@ -58,25 +61,27 @@ struct SearchWorkspace {
   /// Generation-stamped visited marks for one track. The first visited
   /// segment is stored inline — almost every track sees exactly one per
   /// pass, so the hot-path membership test touches only this slot (one
-  /// contiguous array element), not a heap-allocated vector.
-  /// Overflow segments (the rare >1-per-track case) live in the
-  /// workspace arena: a raw pointer + capacity, stamped with the arena
-  /// epoch they were allocated under. `connect` resets the arena, which
-  /// reclaims every overflow list at once; a stale epoch stamp tells
-  /// `visit` the pointer is from a previous connect and must be
-  /// re-allocated, never dereferenced.
+  /// contiguous array element). Later segments of the track are a list
+  /// through `visited_more`, headed by `more` (-1 = none).
   struct VisitSlot {
-    std::uint64_t gen = 0;            ///< stamp; live iff == generation
-    geom::Interval first{0, 0};       ///< first visited segment (count>=1)
-    int count = 0;                    ///< visited segments this pass
-    geom::Interval* overflow = nullptr;  ///< segments beyond the first
-    int overflow_cap = 0;             ///< arena elements at `overflow`
-    std::uint64_t arena_epoch = 0;    ///< arena.epoch() at allocation
+    std::uint64_t gen = 0;       ///< stamp; live iff == generation
+    geom::Interval first{0, 0};  ///< first visited segment
+    int more = -1;               ///< newest later segment in visited_more
+  };
+
+  /// One later visited segment of a track and the index of the one
+  /// recorded before it on that track (-1 = none).
+  struct VisitMore {
+    geom::Interval seg;
+    int next = -1;
   };
 
   /// One slot per track, per orientation (indexed by geom::axis).
   std::vector<VisitSlot> visited[2];
   std::uint64_t generation = 0;       ///< bumped per MBFS pass
+  std::vector<VisitMore> visited_more;  ///< this pass's later segments
+  /// Most visited_more entries any finished pass held.
+  std::size_t visited_more_high_water = 0;
 
   std::vector<int> queue;             ///< BFS FIFO (head is a cursor)
 
@@ -113,11 +118,6 @@ struct SearchWorkspace {
   /// (`levelb.candidates_evaluated`).
   long long candidates_evaluated = 0;
 
-  /// Bump storage for the per-connect scratch (visited overflow lists).
-  /// Reset at every connect entry: O(1), keeps its blocks, and bumps the
-  /// epoch that invalidates the VisitSlot overflow pointers above.
-  util::Arena arena;
-
   /// Fills `unique` with the distinct non-empty polylines among
   /// candidates[0, count), in first-occurrence order, and
   /// `unique_corners` with their corners(). Linear in \p count, and
@@ -125,6 +125,15 @@ struct SearchWorkspace {
   /// collapse distinct track sequences onto one wire, so the search
   /// cannot rule duplicates out.
   void collect_distinct(std::size_t count);
+
+  /// Starts an MBFS pass: forgets every visited mark in O(1) by bumping
+  /// the generation, and empties visited_more, keeping its capacity.
+  void begin_pass() {
+    visited_more_high_water =
+        std::max(visited_more_high_water, visited_more.size());
+    visited_more.clear();
+    ++generation;
+  }
 
   /// Sizes the visited arrays for \p grid (no-op when already sized).
   /// connect() calls this itself; exposed for tests. Accepts any view
@@ -138,16 +147,22 @@ struct SearchWorkspace {
     }
   }
 
-  /// Folds this workspace's arena high-water marks into the global
-  /// registry (`levelb.arena_*` gauges, atomic-max across every workspace
-  /// that reports — a run's serial step and each engine worker slot).
-  /// Called once when the owner finishes a run, never per connect.
+  /// Folds this workspace's visited_more footprint into the global
+  /// registry, atomic-max across every workspace that reports (a run's
+  /// serial step and each engine worker slot): the largest pass's entries
+  /// as `levelb.arena_high_water_bytes` and the vector's capacity as
+  /// `levelb.arena_reserved_bytes`, both in bytes (the names predate the
+  /// vector). Called once when the owner finishes a run, never per
+  /// connect.
   void publish_arena_metrics() const {
+    const std::size_t high_water =
+        std::max(visited_more_high_water, visited_more.size());
     util::MetricsRegistry& reg = util::MetricsRegistry::global();
     reg.gauge("levelb.arena_high_water_bytes")
-        .set_max(static_cast<long long>(arena.high_water_bytes()));
+        .set_max(static_cast<long long>(high_water * sizeof(VisitMore)));
     reg.gauge("levelb.arena_reserved_bytes")
-        .set_max(static_cast<long long>(arena.reserved_bytes()));
+        .set_max(static_cast<long long>(visited_more.capacity() *
+                                        sizeof(VisitMore)));
   }
 
   /// publish_arena_metrics() plus the work counters, added to the
@@ -169,5 +184,43 @@ struct SearchWorkspace {
     candidates_evaluated = 0;
   }
 };
+
+/// True when the current pass visited a free segment of \p slot's track
+/// that contains \p v. A pure read: a stale stamp means "not visited".
+/// A track's free segments are disjoint, so containment of the crossing
+/// coordinate is exactly the (orientation, track, segment.lo) visited-set
+/// test of the paper's single-examination rule.
+inline bool visited_holds(const SearchWorkspace& ws,
+                          const SearchWorkspace::VisitSlot& slot,
+                          geom::Coord v) {
+  if (slot.gen != ws.generation) return false;
+  if (slot.first.contains(v)) return true;
+  for (int m = slot.more; m >= 0;) {
+    const SearchWorkspace::VisitMore& e =
+        ws.visited_more[static_cast<std::size_t>(m)];
+    if (e.seg.contains(v)) return true;
+    m = e.next;
+  }
+  return false;
+}
+
+/// Records \p seg visited on \p slot's track in the current pass. Callers
+/// have already established that some point of seg is not visited, which
+/// (disjointness again) means seg itself is new. A stale slot is
+/// overwritten whole; a live one chains seg through visited_more.
+///
+/// Always inlined: as a call inside the MBFS expansion loop it makes the
+/// loop keep its state in memory across the call (about 10% of connect
+/// time).
+[[gnu::always_inline]] inline void visit(SearchWorkspace& ws,
+                                         SearchWorkspace::VisitSlot& slot,
+                                         const geom::Interval& seg) {
+  if (slot.gen != ws.generation) {
+    slot = SearchWorkspace::VisitSlot{ws.generation, seg, -1};
+    return;
+  }
+  ws.visited_more.push_back(SearchWorkspace::VisitMore{seg, slot.more});
+  slot.more = static_cast<int>(ws.visited_more.size()) - 1;
+}
 
 }  // namespace ocr::levelb

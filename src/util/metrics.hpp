@@ -55,7 +55,7 @@ class Gauge {
   }
   /// Raises the gauge to \p value if it is below it (atomic max) — for
   /// high-water marks reported independently by several owners (e.g. one
-  /// search arena per worker thread).
+  /// search workspace per worker thread).
   void set_max(long long value) {
     long long cur = value_.load(std::memory_order_relaxed);
     while (cur < value && !value_.compare_exchange_weak(

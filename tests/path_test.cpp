@@ -1,13 +1,17 @@
 /// \file path_test.cpp
 /// \brief Path::canonicalize against the allocating reference it replaced,
-/// and the heap traffic of a steady-state PathFinder::connect.
+/// the MBFS visited set, and the heap traffic of a steady-state
+/// PathFinder::connect.
 ///
 /// The in-place compaction must keep the exact drop-zero-length-leg and
-/// merge-collinear rules of the two-buffer form below, including the empty
-/// result when fewer than two points survive. Random rectilinear polylines
-/// over a small coordinate set make every rule fire often. This binary
-/// counts global operator new calls, so a connect whose workspace has
-/// warmed up can be shown to allocate only the path it returns.
+/// merge-collinear rules of the two-buffer form below, including dropping
+/// a merged leg that doubles back onto its start and the empty result
+/// when fewer than two points survive; its output is a fixed point.
+/// Random rectilinear polylines over a small coordinate set make every
+/// rule fire often. This binary counts global operator new calls, so a
+/// connect whose workspace has warmed up can be shown to allocate only
+/// the path it returns, and the visited set's extra-segment vector to
+/// keep its storage across passes.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +25,7 @@
 #include "levelb/path.hpp"
 #include "levelb/path_finder.hpp"
 #include "levelb/workspace.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -61,7 +66,10 @@ void reference_canonicalize(Path& path) {
          (pts.back().x == path.points[i].x &&
           trk.back().orient == Orientation::kVertical)) &&
         pts.size() >= 2;
-    if (collinear) {
+    if (collinear && pts[pts.size() - 2] == path.points[i]) {
+      pts.pop_back();  // the merged leg would have zero length
+      trk.pop_back();
+    } else if (collinear) {
       pts.back() = path.points[i];  // extend the previous leg
     } else {
       pts.push_back(path.points[i]);
@@ -140,6 +148,13 @@ TEST(PathCanonicalize, MatchesAllocatingReference) {
       EXPECT_EQ(actual.points.data(), storage) << "points were reallocated";
       ASSERT_EQ(actual.tracks.size() + 1, actual.points.size());
     }
+    for (std::size_t i = 0; i + 1 < actual.points.size(); ++i) {
+      ASSERT_NE(actual.points[i], actual.points[i + 1]) << "zero-length leg";
+    }
+    Path again = actual;
+    again.canonicalize();
+    ASSERT_EQ(again.points, actual.points) << "not a fixed point";
+    ASSERT_EQ(again.tracks, actual.tracks) << "not a fixed point";
     if (input.points.size() < 2) continue;
     if (actual.points.empty()) {
       ++emptied;
@@ -274,6 +289,110 @@ TEST(PathFinderAllocations, SteadyStateConnectAllocatesOnlyItsResult) {
   EXPECT_GT(paths, 100);
   EXPECT_GT(candidates, 2 * paths);
   EXPECT_EQ(allocations, 2LL * paths);
+}
+
+
+/// Runs one pass over \p ws that visits \p extra + 1 disjoint segments
+/// of track 0: [0,5], [10,15], [20,25], ...
+void visit_run(SearchWorkspace& ws, int extra) {
+  ws.begin_pass();
+  for (int k = 0; k <= extra; ++k) {
+    visit(ws, ws.visited[0][0], geom::Interval(10 * k, 10 * k + 5));
+  }
+}
+
+/// A workspace with \p tracks horizontal visit slots and no grid.
+SearchWorkspace slots_workspace(int tracks = 1) {
+  SearchWorkspace ws;
+  ws.visited[0].resize(static_cast<std::size_t>(tracks));
+  return ws;
+}
+
+TEST(VisitedSet, RecordsDistinctSegmentsOfOneTrack) {
+  SearchWorkspace ws = slots_workspace();
+  visit_run(ws, 2);
+  const SearchWorkspace::VisitSlot& slot = ws.visited[0][0];
+  for (const geom::Coord v : {0, 5, 10, 15, 20, 25}) {
+    EXPECT_TRUE(visited_holds(ws, slot, v)) << v;
+  }
+  for (const geom::Coord v : {-1, 6, 9, 16, 19, 26}) {
+    EXPECT_FALSE(visited_holds(ws, slot, v)) << v;
+  }
+  EXPECT_EQ(ws.visited_more.size(), 2u);
+}
+
+TEST(VisitedSet, GrowingKeepsEarlierSegments) {
+  SearchWorkspace ws = slots_workspace();
+  visit_run(ws, 200);  // visited_more reallocates several times
+  for (int k = 0; k <= 200; ++k) {
+    EXPECT_TRUE(visited_holds(ws, ws.visited[0][0], 10 * k + 3)) << k;
+  }
+}
+
+TEST(VisitedSet, NewPassForgetsEveryMark) {
+  SearchWorkspace ws = slots_workspace();
+  visit_run(ws, 3);
+  const std::uint64_t generation = ws.generation;
+  ws.begin_pass();
+  EXPECT_GT(ws.generation, generation);
+  EXPECT_TRUE(ws.visited_more.empty());
+  for (int k = 0; k <= 3; ++k) {
+    EXPECT_FALSE(visited_holds(ws, ws.visited[0][0], 10 * k));
+  }
+  // The stale slot is overwritten whole: no segment of the old pass
+  // survives behind the new first one.
+  visit(ws, ws.visited[0][0], geom::Interval(10, 15));
+  EXPECT_EQ(ws.visited[0][0].more, -1);
+  EXPECT_TRUE(visited_holds(ws, ws.visited[0][0], 12));
+  EXPECT_FALSE(visited_holds(ws, ws.visited[0][0], 2));
+}
+
+TEST(VisitedSet, CapacityIsKeptAcrossPasses) {
+  SearchWorkspace ws = slots_workspace();
+  visit_run(ws, 64);
+  const std::size_t capacity = ws.visited_more.capacity();
+  const long long before = g_allocations.load();
+  for (int pass = 0; pass < 10; ++pass) visit_run(ws, 64);
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_EQ(ws.visited_more.capacity(), capacity);
+}
+
+TEST(VisitedSet, HighWaterTracksLargestPass) {
+  SearchWorkspace ws = slots_workspace();
+  visit_run(ws, 1);
+  visit_run(ws, 5);
+  visit_run(ws, 2);
+  EXPECT_EQ(ws.visited_more_high_water, 5u);  // finished passes only
+  visit_run(ws, 7);  // still open: counted when published
+  util::MetricsRegistry& reg = util::MetricsRegistry::global();
+  reg.reset();
+  ws.publish_arena_metrics();
+  constexpr long long kEntry = sizeof(SearchWorkspace::VisitMore);
+  EXPECT_EQ(reg.gauge("levelb.arena_high_water_bytes").value(), 7 * kEntry);
+  EXPECT_EQ(reg.gauge("levelb.arena_reserved_bytes").value(),
+            static_cast<long long>(ws.visited_more.capacity()) * kEntry);
+}
+
+TEST(VisitedSet, InterleavedTracksKeepTheirOwnSegments) {
+  constexpr int kSlots = 50;
+  SearchWorkspace ws = slots_workspace(kSlots);
+  ws.begin_pass();
+  // Track t gets the points 100k + t for k = 0..3, interleaved across
+  // tracks, so each track's chain skips the other tracks' entries.
+  for (int k = 0; k < 4; ++k) {
+    for (int t = 0; t < kSlots; ++t) {
+      const geom::Coord c = 100 * k + t;
+      visit(ws, ws.visited[0][static_cast<std::size_t>(t)],
+            geom::Interval(c, c));
+    }
+  }
+  for (int t = 0; t < kSlots; ++t) {
+    const auto& slot = ws.visited[0][static_cast<std::size_t>(t)];
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_TRUE(visited_holds(ws, slot, 100 * k + t));
+      EXPECT_FALSE(visited_holds(ws, slot, 100 * k + (t + 1) % kSlots));
+    }
+  }
 }
 
 }  // namespace
