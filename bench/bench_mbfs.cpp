@@ -349,52 +349,28 @@ struct RouteRow {
   long long batches = 0;        ///< sharded rows: batches dispatched
   long long boundary_nets = 0;  ///< sharded rows: escapes re-routed
   double speedup_vs_1t = 0.0;  ///< 1-thread engine wall / this wall
-  // Deterministic work counters of one route (engine rows include the
-  // work of re-routed searches).
-  long long mbfs_crossings = 0;
-  long long dup_points_tested = 0;
-  long long mbfs_passes_proven = 0;    ///< h-passes credited, not run
-  long long mbfs_vertices_proven = 0;  ///< their credited vertices
-  long long candidates_evaluated = 0;  ///< cost selections started
+  /// Deterministic work counters of one route: the `levelb.*` registry
+  /// counters' growth, prefix dropped (engine rows include the work of
+  /// re-routed searches).
+  std::vector<std::pair<std::string, long long>> work{};
   // Memory datapoints (see DESIGN.md §11 "Memory model").
   long long grid_bytes = 0;    ///< routed grid's occupancy bytes
   long long peak_rss_kb = 0;   ///< process high-water RSS after the run
 };
 
-/// Registry work counters accumulated while \p route runs, into \p row.
-template <typename F>
-auto count_work(RouteRow& row, F&& route) {
-  util::MetricsRegistry& reg = util::MetricsRegistry::global();
-  util::Counter& crossings = reg.counter("levelb.mbfs_crossings");
-  util::Counter& dup = reg.counter("levelb.dup_points_tested");
-  util::Counter& passes = reg.counter("levelb.mbfs_passes_proven");
-  util::Counter& proven = reg.counter("levelb.mbfs_vertices_proven");
-  util::Counter& evaluated = reg.counter("levelb.candidates_evaluated");
-  const long long crossings0 = crossings.value();
-  const long long dup0 = dup.value();
-  const long long passes0 = passes.value();
-  const long long proven0 = proven.value();
-  const long long evaluated0 = evaluated.value();
-  auto result = route();
-  row.mbfs_crossings = crossings.value() - crossings0;
-  row.dup_points_tested = dup.value() - dup0;
-  row.mbfs_passes_proven = passes.value() - passes0;
-  row.mbfs_vertices_proven = proven.value() - proven0;
-  row.candidates_evaluated = evaluated.value() - evaluated0;
-  return result;
-}
-
 RouteRow route_serial(const Instance& inst, int repeat,
                       levelb::LevelBResult& expected) {
   RouteRow row{"serial", 1, static_cast<int>(inst.nets.size())};
+  const util::MetricsRegistry& reg = util::MetricsRegistry::global();
   std::vector<double> walls;
   for (int r = 0; r <= repeat; ++r) {
     tig::TrackGrid grid = inst.grid;
     levelb::LevelBRouter router(grid);
+    const util::MetricsSnapshot before = reg.snapshot();
     const auto t0 = std::chrono::steady_clock::now();
-    levelb::LevelBResult result =
-        count_work(row, [&] { return router.route(inst.nets); });
+    levelb::LevelBResult result = router.route(inst.nets);
     const double wall = ms_since(t0);
+    row.work = reg.snapshot().counters_since(before, "levelb.");
     if (r > 0) walls.push_back(wall);
     row.routed = result.routed_nets;
     row.vertices = result.vertices_examined;
@@ -409,16 +385,18 @@ RouteRow route_serial(const Instance& inst, int repeat,
 RouteRow route_engine(const Instance& inst, int threads, int repeat,
                       const levelb::LevelBResult& expected) {
   RouteRow row{"sharded", threads, static_cast<int>(inst.nets.size())};
+  const util::MetricsRegistry& reg = util::MetricsRegistry::global();
   std::vector<double> walls;
   for (int r = 0; r <= repeat; ++r) {
     tig::TrackGrid grid = inst.grid;
     engine::EngineOptions options;
     options.threads = threads;
     engine::RoutingEngine router(grid, options);
+    const util::MetricsSnapshot before = reg.snapshot();
     const auto t0 = std::chrono::steady_clock::now();
-    const levelb::LevelBResult result =
-        count_work(row, [&] { return router.route(inst.nets); });
+    const levelb::LevelBResult result = router.route(inst.nets);
     const double wall = ms_since(t0);
+    row.work = reg.snapshot().counters_since(before, "levelb.");
     if (r > 0) walls.push_back(wall);
     row.identical = result == expected;
     row.routed = result.routed_nets;
@@ -495,13 +473,9 @@ void run_route_rows(const Instance& inst, const Config& cfg,
           .add("us_per_net", row.nets > 0 ? row.wall_ms * 1e3 / row.nets : 0.0)
           .add("identical", row.identical)
           .add("routed_nets", row.routed)
-          .add("vertices", static_cast<long long>(row.vertices))
-          .add("mbfs_crossings", row.mbfs_crossings)
-          .add("dup_points_tested", row.dup_points_tested)
-          .add("mbfs_passes_proven", row.mbfs_passes_proven)
-          .add("mbfs_vertices_proven", row.mbfs_vertices_proven)
-          .add("candidates_evaluated", row.candidates_evaluated)
-          .add("speedup_vs_1t", row.speedup_vs_1t)
+          .add("vertices", static_cast<long long>(row.vertices));
+      for (const auto& [name, value] : row.work) ev.add(name, value);
+      ev.add("speedup_vs_1t", row.speedup_vs_1t)
           .add("wasted_vertices", row.wasted_vertices)
           .add("batches", row.batches)
           .add("boundary_nets", row.boundary_nets)

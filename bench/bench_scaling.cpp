@@ -34,6 +34,7 @@
 #include <cstring>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -181,6 +182,15 @@ long long trace_field(const util::TraceEvent& ev, const char* key) {
   return 0;
 }
 
+/// Adds every EngineStats field to \p ev under its registry name, minus
+/// the `engine.` prefix.
+void add_engine_stats(util::TraceEvent& ev, const engine::EngineStats& stats) {
+  constexpr std::string_view kPrefix = "engine.";
+  for (const engine::EngineStatField& f : engine::kEngineStatFields) {
+    ev.add(std::string(f.name).substr(kPrefix.size()), stats.*f.member);
+  }
+}
+
 /// Runs \p body `repeat` times after one untimed warm-up (skipped when
 /// repeat == 1, preserving the single-shot behaviour) and returns the
 /// median of the wall times \p body reports. \p body does its own setup
@@ -269,23 +279,14 @@ void print_engine_comparison(util::TraceSink* json, int repeat) {
       util::TraceEvent ev = bench_record("engine_compare");
       ev.add("mode", mode_name)
           .add("engine_mode", threads > 1 ? "sharded" : "serial")
-          .add("threads", threads)
           .add("wall_ms", ms)
           .add("serial_ms", serial_ms)
           .add("speedup_vs_1t",
                ms > 0.0 && engine_1t_ms > 0.0 ? engine_1t_ms / ms : 0.0)
           .add("identical", identical)
-          .add("batches", stats.batches)
-          .add("sharded_commits", stats.sharded_commits)
-          .add("boundary_nets", stats.boundary_nets)
-          .add("sharded_wasted_vertices", stats.sharded_wasted_vertices)
-          .add("sharded_wasted_search_us", stats.sharded_wasted_search_us)
           .add("max_net_search_us", max_net_us)
-          .add("worker_failures", stats.worker_failures)
-          .add("fault_reroutes", stats.fault_reroutes)
-          .add("fault_drops", stats.fault_drops)
-          .add("pool_task_failures", stats.pool_task_failures)
           .add("failed_nets", result.failed_nets);
+      add_engine_stats(ev, stats);
       json->record(std::move(ev));
     }
   }
@@ -347,17 +348,13 @@ void print_resilience_table(util::TraceSink* json) {
     if (json != nullptr) {
       util::TraceEvent ev = bench_record("resilience");
       ev.add("scenario", s.name)
-          .add("threads", s.threads)
           .add("routed_nets", result.routed_nets)
           .add("failed_nets", result.failed_nets)
-          .add("fault_reroutes", stats.fault_reroutes)
-          .add("worker_failures", stats.worker_failures)
           .add("ripup_recovered", result.ripup_recovered)
-          .add("fault_drops", stats.fault_drops)
           .add("budget_nets", result.budget_nets)
           .add("cancelled_nets", result.cancelled_nets)
-          .add("pool_task_failures", stats.pool_task_failures)
           .add("faults_injected", fired);
+      add_engine_stats(ev, stats);
       json->record(std::move(ev));
     }
   }
@@ -386,101 +383,65 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
                         : bench_data::sparse100k_ci_spec());
 
   util::MetricsRegistry& metrics = util::MetricsRegistry::global();
-  // Work counters of the last route a mode ran: crossings, dup points,
-  // and the h-passes (with their vertices) credited instead of run.
-  struct Work {
-    long long mbfs_crossings = 0;
-    long long dup_points_tested = 0;
-    long long mbfs_passes_proven = 0;
-    long long mbfs_vertices_proven = 0;
-  };
-  const auto count_work = [&metrics](Work& work, const auto& route) {
-    util::Counter& crossings = metrics.counter("levelb.mbfs_crossings");
-    util::Counter& dup = metrics.counter("levelb.dup_points_tested");
-    util::Counter& passes = metrics.counter("levelb.mbfs_passes_proven");
-    util::Counter& proven = metrics.counter("levelb.mbfs_vertices_proven");
-    const Work before{crossings.value(), dup.value(), passes.value(),
-                      proven.value()};
-    route();
-    work = Work{crossings.value() - before.mbfs_crossings,
-                dup.value() - before.dup_points_tested,
-                passes.value() - before.mbfs_passes_proven,
-                proven.value() - before.mbfs_vertices_proven};
+  // Workspaces raise these to their high-water marks (a max over the
+  // process), so each mode starts them from zero and reads them after.
+  util::Gauge& arena_hw = metrics.gauge("levelb.arena_high_water_bytes");
+  util::Gauge& arena_reserved = metrics.gauge("levelb.arena_reserved_bytes");
+  struct Row {
+    const char* mode;
+    double wall_ms = 0.0;
+    levelb::LevelBResult result{};
+    engine::EngineStats stats{};
+    long long grid_bytes = 0;
+    long long rss_kb = 0;  ///< process peak after this mode's first (cold)
+                           ///< route (monotonic: includes what ran before)
+    /// `levelb.*` registry counter growth of the last route, prefix dropped.
+    std::vector<std::pair<std::string, long long>> work{};
+    long long arena_hw = 0;
+    long long arena_reserved = 0;
   };
   for (const bench_data::LevelBSpec& spec : specs) {
     const bench_data::LevelBInstance inst =
         bench_data::generate_levelb_instance(spec);
 
-    levelb::LevelBResult expected;
-    long long serial_grid_bytes = 0;
-    long long serial_rss_kb = 0;
-    Work serial_work;
-    const double serial_ms = median_wall_ms(repeat, [&] {
-      tig::TrackGrid grid = inst.grid;
-      levelb::LevelBRouter router(grid);
-      const auto t0 = std::chrono::steady_clock::now();
-      count_work(serial_work, [&] { expected = router.route(inst.nets); });
-      const double wall = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-      serial_grid_bytes = static_cast<long long>(grid.grid_bytes());
-      // Peak RSS of the *first* (cold) route: later iterations only
-      // measure allocator reuse/fragmentation, not the router.
-      if (serial_rss_kb == 0) serial_rss_kb = util::peak_rss_kb();
-      return wall;
-    });
-
-    levelb::LevelBResult sharded;
-    long long sharded_grid_bytes = 0;
-    long long sharded_rss_kb = 0;
-    Work sharded_work;
-    engine::EngineStats stats;
-    const double sharded_ms = median_wall_ms(repeat, [&] {
-      tig::TrackGrid grid = inst.grid;
-      engine::EngineOptions options;
-      options.threads = 4;
-      engine::RoutingEngine router(grid, options);
-      const auto t0 = std::chrono::steady_clock::now();
-      count_work(sharded_work, [&] { sharded = router.route(inst.nets); });
-      const double wall = std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-      sharded_grid_bytes = static_cast<long long>(grid.grid_bytes());
-      stats = router.stats();
-      if (sharded_rss_kb == 0) sharded_rss_kb = util::peak_rss_kb();
-      return wall;
-    });
-    const bool identical = sharded == expected;
-
-    const long long arena_hw =
-        metrics.gauge("levelb.arena_high_water_bytes").value();
-    struct Row {
-      const char* mode;
-      double wall_ms;
-      int routed;
-      const char* identical;
-      long long grid_bytes;
-      long long batches;
-      long long boundary_nets;
-      long long rss_kb;  ///< process peak after this mode's first (cold)
-                         ///< route (monotonic: includes what ran before)
-      long long vertices;
-      Work work;
+    // One mode: the engine at \p threads (1 is the serial router).
+    const auto run_mode = [&](const char* mode, int threads) {
+      Row row{mode};
+      arena_hw.reset();
+      arena_reserved.reset();
+      row.wall_ms = median_wall_ms(repeat, [&] {
+        tig::TrackGrid grid = inst.grid;
+        engine::EngineOptions options;
+        options.threads = threads;
+        engine::RoutingEngine router(grid, options);
+        const util::MetricsSnapshot before = metrics.snapshot();
+        const auto t0 = std::chrono::steady_clock::now();
+        row.result = router.route(inst.nets);
+        const double wall = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+        row.work = metrics.snapshot().counters_since(before, "levelb.");
+        row.grid_bytes = static_cast<long long>(grid.grid_bytes());
+        row.stats = router.stats();
+        // Peak RSS of the *first* (cold) route: later iterations only
+        // measure allocator reuse/fragmentation, not the router.
+        if (row.rss_kb == 0) row.rss_kb = util::peak_rss_kb();
+        return wall;
+      });
+      row.arena_hw = arena_hw.value();
+      row.arena_reserved = arena_reserved.value();
+      return row;
     };
-    const Row rows[] = {
-        {"serial", serial_ms, expected.routed_nets, "-", serial_grid_bytes, 0,
-         0, serial_rss_kb, expected.vertices_examined, serial_work},
-        {"sharded-4t", sharded_ms, sharded.routed_nets,
-         identical ? "yes" : "NO", sharded_grid_bytes, stats.batches,
-         stats.boundary_nets, sharded_rss_kb, sharded.vertices_examined,
-         sharded_work},
-    };
+    const Row rows[] = {run_mode("serial", 1), run_mode("sharded-4t", 4)};
     for (const Row& row : rows) {
+      const bool serial = row.stats.threads == 1;
+      const bool identical = row.result == rows[0].result;
       table.add_row({spec.name, util::format("%d", spec.num_nets), row.mode,
                      util::format("%.1f", row.wall_ms),
-                     util::format("%d", row.routed), row.identical,
+                     util::format("%d", row.result.routed_nets),
+                     serial ? "-" : identical ? "yes" : "NO",
                      util::format("%.2f", row.grid_bytes / 1e6),
-                     util::format("%lld", arena_hw / 1024),
+                     util::format("%lld", row.arena_hw / 1024),
                      util::format("%.1f", row.rss_kb / 1024.0)});
       if (json != nullptr) {
         util::TraceEvent ev = bench_record("memory");
@@ -491,19 +452,15 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
             .add("grid_v", inst.grid.num_v())
             .add("mode", row.mode)
             .add("wall_ms", row.wall_ms)
-            .add("routed_nets", row.routed)
-            .add("identical", std::strcmp(row.identical, "NO") != 0)
+            .add("routed_nets", row.result.routed_nets)
+            .add("identical", identical)
             .add("grid_bytes", row.grid_bytes)
-            .add("batches", row.batches)
-            .add("boundary_nets", row.boundary_nets)
-            .add("vertices", row.vertices)
-            .add("mbfs_crossings", row.work.mbfs_crossings)
-            .add("dup_points_tested", row.work.dup_points_tested)
-            .add("mbfs_passes_proven", row.work.mbfs_passes_proven)
-            .add("mbfs_vertices_proven", row.work.mbfs_vertices_proven)
-            .add("arena_high_water_bytes", arena_hw)
-            .add("arena_reserved_bytes",
-                 metrics.gauge("levelb.arena_reserved_bytes").value())
+            .add("batches", row.stats.batches)
+            .add("boundary_nets", row.stats.boundary_nets)
+            .add("vertices", row.result.vertices_examined);
+        for (const auto& [name, value] : row.work) ev.add(name, value);
+        ev.add("arena_high_water_bytes", row.arena_hw)
+            .add("arena_reserved_bytes", row.arena_reserved)
             .add("peak_rss_kb", row.rss_kb);
         json->record(std::move(ev));
       }

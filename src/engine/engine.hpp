@@ -44,9 +44,10 @@ struct EngineOptions {
 };
 
 /// Counters from the last route() call (a serial run reports zero
-/// batches). The engine only counts; flow::run publishes `engine.*`.
+/// batches). The engine only counts; flow::run publishes `engine.*`
+/// through kEngineStatFields.
 struct EngineStats {
-  int threads = 1;  ///< resolved worker count; > 1 means sharded
+  long long threads = 1;  ///< resolved worker count; > 1 means sharded
   long long batches = 0;          ///< shard batches dispatched
   long long max_batch_size = 0;   ///< widest batch (parallelism ceiling)
   long long sharded_commits = 0;  ///< batch results committed untouched
@@ -65,6 +66,38 @@ struct EngineStats {
   long long worker_failures = 0;  ///< batch positions a worker left
                                   ///  unrouted, recovered serially
   long long pool_task_failures = 0;  ///< worker tasks that threw
+};
+
+/// How the metrics registry folds an EngineStats field across runs: a
+/// gauge keeps the last run's value, a counter sums every run's.
+enum class StatKind { kCounter, kGauge };
+
+/// An EngineStats field and the registry instrument it is published as.
+struct EngineStatField {
+  const char* name;  ///< `engine.` + the field's name in bench rows
+  StatKind kind;
+  long long EngineStats::*member;
+};
+
+/// The one list of EngineStats fields: the `engine.*` publisher and the
+/// bench_scaling rows loop over it.
+inline constexpr EngineStatField kEngineStatFields[] = {
+    {"engine.threads", StatKind::kGauge, &EngineStats::threads},
+    {"engine.max_batch_size", StatKind::kGauge, &EngineStats::max_batch_size},
+    {"engine.batches", StatKind::kCounter, &EngineStats::batches},
+    {"engine.sharded_commits", StatKind::kCounter,
+     &EngineStats::sharded_commits},
+    {"engine.boundary_nets", StatKind::kCounter, &EngineStats::boundary_nets},
+    {"engine.sharded_wasted_vertices", StatKind::kCounter,
+     &EngineStats::sharded_wasted_vertices},
+    {"engine.sharded_wasted_search_us", StatKind::kCounter,
+     &EngineStats::sharded_wasted_search_us},
+    {"engine.fault_reroutes", StatKind::kCounter, &EngineStats::fault_reroutes},
+    {"engine.fault_drops", StatKind::kCounter, &EngineStats::fault_drops},
+    {"engine.worker_failures", StatKind::kCounter,
+     &EngineStats::worker_failures},
+    {"engine.pool_task_failures", StatKind::kCounter,
+     &EngineStats::pool_task_failures},
 };
 
 class RoutingEngine {

@@ -108,8 +108,8 @@ struct CostContext {
   /// as a (track, interval) dependency. The engine checks batch searches
   /// against it; serial callers leave it null.
   SearchFootprint* footprint = nullptr;
-  /// When set, the dup term uses its scratch and counts its work there
-  /// (`dup_points_tested`); null uses throwaway scratch.
+  /// When set, the dup term uses its scratch and counts the points it
+  /// tests there; null uses throwaway scratch.
   SearchWorkspace* workspace = nullptr;
 };
 

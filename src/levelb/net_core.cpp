@@ -421,9 +421,7 @@ NetResult route_single_net(tig::GridView grid,
       } else {
         found = finder.connect(source, target, ctx, ws);
       }
-      stats.vertices_examined += found.stats.vertices_examined;
-      stats.window_growths += found.stats.window_growths;
-      stats.candidates += found.stats.candidates;
+      stats += found.stats;
       net_vertices += found.stats.vertices_examined;
       if (found.cancelled) {
         result.outcome = util::StatusKind::kCancelled;

@@ -77,8 +77,9 @@ using OrientTag = std::integral_constant<Orientation, O>;
 
 /// One modified BFS pass. Fills \p tree (expansion order) and \p arrivals
 /// (all target attachments at the minimum depth at which any occurs).
-/// All scratch state lives in \p ws.
-void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
+/// All scratch state lives in \p ws. Returns the pass's crossing-loop
+/// iterations.
+long long run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
               Orientation source_orient, const Window& w,
               SearchWorkspace& ws, PathSelectionTree& tree,
               std::vector<SearchArrival>& arrivals, SearchStats& stats,
@@ -106,7 +107,7 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
     const auto seg = grid.free_segment_span(t, geom::along(a, t.orient),
                                             &cross_lo, &cross_hi);
     note(t, seg);
-    if (!seg) return;  // terminal buried under an obstacle on this layer
+    if (!seg) return 0;  // terminal buried under an obstacle on this layer
     tree.nodes.push_back(TreeNode{t, *seg, a, -1, 0, cross_lo, cross_hi});
     visit(ws,
           ws.visited[geom::axis(t.orient)][static_cast<std::size_t>(t.index)],
@@ -117,6 +118,7 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
   ws.queue.push_back(0);
   std::size_t queue_head = 0;
   int arrival_depth = -1;
+  long long crossings = 0;
 
   // Target attachment test, hoisted out of the expansion loop: a crossing
   // p on a target track completes the connection iff the free gap
@@ -165,7 +167,7 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
       }
       return;
     }
-    if (last >= first) ws.mbfs_crossings += last - first + 1;
+    if (last >= first) crossings += last - first + 1;
     std::vector<SearchWorkspace::VisitSlot>& visited = ws.visited[kP];
     for (int k = first; k <= last; ++k) {
       const Coord c = perp[static_cast<std::size_t>(k)];
@@ -199,13 +201,14 @@ void run_mbfs(const tig::GridView& grid, const Point& a, const Point& b,
     // nothing deeper is expanded.
     if (arrival_depth >= 0 && node.depth > arrival_depth) continue;
     ++stats.vertices_examined;
-    if (limits.should_stop(stats.vertices_examined)) return;
+    if (limits.should_stop(stats.vertices_examined)) return crossings;
     if (node.track.orient == Orientation::kHorizontal) {
       expand(OrientTag<Orientation::kHorizontal>{}, n, node);
     } else {
       expand(OrientTag<Orientation::kVertical>{}, n, node);
     }
   }
+  return crossings;
 }
 
 /// Stands in for the h-rooted pass when the v-rooted pass that just ran
@@ -401,19 +404,21 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
         final_step ? full_window(grid_) : make_window(grid_, a, b, margin);
 
     const int vertices0 = result.stats.vertices_examined;
-    const long long crossings0 = ws.mbfs_crossings;
-    run_mbfs(grid_, a, b, Orientation::kVertical, w, ws, ws.tree_v,
-             ws.arrivals_v, result.stats, ctx.footprint, limits);
+    const long long v_crossings =
+        run_mbfs(grid_, a, b, Orientation::kVertical, w, ws, ws.tree_v,
+                 ws.arrivals_v, result.stats, ctx.footprint, limits);
+    ws.mbfs_crossings += v_crossings;
     // The footprint needs nothing from a proven pass: every read it would
     // make, the v-pass made.
     if (!limits.hit_cancel && !limits.hit_budget &&
         (options_.keep_trees ||
          !prove_h_pass_fails(
              a, track_a[geom::axis(Orientation::kHorizontal)],
-             result.stats.vertices_examined - vertices0,
-             ws.mbfs_crossings - crossings0, ws, result.stats, limits))) {
-      run_mbfs(grid_, a, b, Orientation::kHorizontal, w, ws, ws.tree_h,
-               ws.arrivals_h, result.stats, ctx.footprint, limits);
+             result.stats.vertices_examined - vertices0, v_crossings, ws,
+             result.stats, limits))) {
+      ws.mbfs_crossings +=
+          run_mbfs(grid_, a, b, Orientation::kHorizontal, w, ws, ws.tree_h,
+                   ws.arrivals_h, result.stats, ctx.footprint, limits);
     }
     if (limits.hit_cancel || limits.hit_budget) {
       // Abort the whole connect: a partial pass could miss arrivals, and

@@ -60,6 +60,13 @@ struct SearchStats {
   int vertices_examined = 0;
   int candidates = 0;
   int window_growths = 0;
+
+  SearchStats& operator+=(const SearchStats& o) {
+    vertices_examined += o.vertices_examined;
+    candidates += o.candidates;
+    window_growths += o.window_growths;
+    return *this;
+  }
 };
 
 /// Options for PathFinder (top-level so its defaults are usable as a

@@ -52,9 +52,7 @@ void RouteRun::commit(std::size_t k, RoutedNet routed, TraceFields extra) {
       sensitive_.add(c.track, c.extent);
     }
   }
-  stats_.vertices_examined += routed.stats.vertices_examined;
-  stats_.window_growths += routed.stats.window_growths;
-  stats_.candidates += routed.stats.candidates;
+  stats_ += routed.stats;
   hists_.search_us.observe(routed.search_us);
   hists_.vertices.observe(routed.stats.vertices_examined);
 

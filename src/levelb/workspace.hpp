@@ -29,8 +29,9 @@
 /// * **Work counters** — plain integers the search bumps as it goes
 ///   (crossing-loop iterations, dup points tested, second passes proven
 ///   to fail and the vertices credited for them, candidates whose cost
-///   selection started), folded into the metrics registry once per run
-///   by publish_metrics(). They count work, never steer it.
+///   selection started), named once in kWorkCounters and folded into the
+///   metrics registry once per run by publish_metrics(). They count work,
+///   never steer it.
 ///
 /// Thread contract: a workspace belongs to exactly one thread at a time
 /// (a level-B run's serial step, or one engine worker slot). It never
@@ -105,18 +106,12 @@ struct SearchWorkspace {
   std::vector<geom::Point> own_terminals;  ///< the net's unattached terminals
   std::vector<PointBuckets::Hit> dup_hits;  ///< corner_dup scratch
 
-  /// Crossing-loop iterations of run_mbfs (`levelb.mbfs_crossings`).
-  long long mbfs_crossings = 0;
-  /// Points whose distance corner_dup computed (`levelb.dup_points_tested`).
-  long long dup_points_tested = 0;
-  /// h-rooted passes skipped because the failing v-rooted pass proved
-  /// they fail (`levelb.mbfs_passes_proven`), and the vertices credited
-  /// for them without being expanded (`levelb.mbfs_vertices_proven`).
-  long long mbfs_passes_proven = 0;
-  long long mbfs_vertices_proven = 0;
-  /// Minimum-corner distinct candidates whose cost selection started
-  /// (`levelb.candidates_evaluated`).
-  long long candidates_evaluated = 0;
+  // Work counters, named in kWorkCounters below.
+  long long mbfs_crossings = 0;        ///< run_mbfs crossing-loop iterations
+  long long dup_points_tested = 0;     ///< points corner_dup measured
+  long long mbfs_passes_proven = 0;    ///< h-passes proven to fail, not run
+  long long mbfs_vertices_proven = 0;  ///< vertices credited for them
+  long long candidates_evaluated = 0;  ///< cost selections started
 
   /// Fills `unique` with the distinct non-empty polylines among
   /// candidates[0, count), in first-occurrence order, and
@@ -165,25 +160,37 @@ struct SearchWorkspace {
                                         sizeof(VisitMore)));
   }
 
-  /// publish_arena_metrics() plus the work counters, added to the
-  /// `levelb.*` registry counters of the same names (summed over every
-  /// workspace that reports) and zeroed, so a workspace reused across
-  /// runs reports each run once.
-  void publish_metrics() {
-    publish_arena_metrics();
-    util::MetricsRegistry& reg = util::MetricsRegistry::global();
-    reg.counter("levelb.mbfs_crossings").add(mbfs_crossings);
-    reg.counter("levelb.dup_points_tested").add(dup_points_tested);
-    reg.counter("levelb.mbfs_passes_proven").add(mbfs_passes_proven);
-    reg.counter("levelb.mbfs_vertices_proven").add(mbfs_vertices_proven);
-    reg.counter("levelb.candidates_evaluated").add(candidates_evaluated);
-    mbfs_crossings = 0;
-    dup_points_tested = 0;
-    mbfs_passes_proven = 0;
-    mbfs_vertices_proven = 0;
-    candidates_evaluated = 0;
-  }
+  /// publish_arena_metrics() plus the work counters, added to their
+  /// registry counters (summed over every workspace that reports) and
+  /// zeroed, so a workspace reused across runs reports each run once.
+  void publish_metrics();
 };
+
+/// A SearchWorkspace work counter and its registry name.
+struct WorkCounter {
+  const char* name;
+  long long SearchWorkspace::*member;
+};
+
+/// The one list of work counters: publish_metrics() folds each into the
+/// registry counter it names, and the benches read them back as registry
+/// deltas under `levelb.`, so a new counter is a member plus a line here.
+inline constexpr WorkCounter kWorkCounters[] = {
+    {"levelb.mbfs_crossings", &SearchWorkspace::mbfs_crossings},
+    {"levelb.dup_points_tested", &SearchWorkspace::dup_points_tested},
+    {"levelb.mbfs_passes_proven", &SearchWorkspace::mbfs_passes_proven},
+    {"levelb.mbfs_vertices_proven", &SearchWorkspace::mbfs_vertices_proven},
+    {"levelb.candidates_evaluated", &SearchWorkspace::candidates_evaluated},
+};
+
+inline void SearchWorkspace::publish_metrics() {
+  publish_arena_metrics();
+  util::MetricsRegistry& reg = util::MetricsRegistry::global();
+  for (const WorkCounter& c : kWorkCounters) {
+    reg.counter(c.name).add(this->*c.member);
+    this->*c.member = 0;
+  }
+}
 
 /// True when the current pass visited a free segment of \p slot's track
 /// that contains \p v. A pure read: a stale stamp means "not visited".

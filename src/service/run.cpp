@@ -78,21 +78,15 @@ void publish_metrics(const flow::RunReport& report, flow::FlowKind kind,
   if (report.deadline_fired) registry.counter("flow.deadline_fired").add();
 
   if (kind != flow::FlowKind::kOverCell) return;
-  const engine::EngineStats& e = m.engine;
   registry.counter("engine.routes").add();
-  registry.gauge("engine.threads").set(e.threads);
-  registry.gauge("engine.max_batch_size").set(e.max_batch_size);
-  registry.counter("engine.batches").add(e.batches);
-  registry.counter("engine.sharded_commits").add(e.sharded_commits);
-  registry.counter("engine.boundary_nets").add(e.boundary_nets);
-  registry.counter("engine.sharded_wasted_vertices")
-      .add(e.sharded_wasted_vertices);
-  registry.counter("engine.sharded_wasted_search_us")
-      .add(e.sharded_wasted_search_us);
-  registry.counter("engine.fault_reroutes").add(e.fault_reroutes);
-  registry.counter("engine.fault_drops").add(e.fault_drops);
-  registry.counter("engine.worker_failures").add(e.worker_failures);
-  registry.counter("engine.pool_task_failures").add(e.pool_task_failures);
+  for (const engine::EngineStatField& f : engine::kEngineStatFields) {
+    const long long value = m.engine.*f.member;
+    if (f.kind == engine::StatKind::kGauge) {
+      registry.gauge(f.name).set(value);
+    } else {
+      registry.counter(f.name).add(value);
+    }
+  }
 }
 
 }  // namespace

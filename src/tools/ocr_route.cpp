@@ -244,7 +244,7 @@ void print_metrics(const flow::RunReport& report) {
     std::printf("level B complete:  %.1f%%\n",
                 100.0 * m.levelb_completion);
     const engine::EngineStats& e = m.engine;
-    std::printf("engine threads:    %d (%s)\n", e.threads,
+    std::printf("engine threads:    %lld (%s)\n", e.threads,
                 e.threads > 1 ? "sharded" : "serial");
     std::printf("engine vertices:   %s\n",
                 util::with_commas(m.levelb_vertices).c_str());

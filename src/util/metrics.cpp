@@ -49,6 +49,18 @@ long long MetricsSnapshot::gauge_value(std::string_view name,
   return missing;
 }
 
+std::vector<std::pair<std::string, long long>>
+MetricsSnapshot::counters_since(const MetricsSnapshot& before,
+                                std::string_view prefix) const {
+  std::vector<std::pair<std::string, long long>> out;
+  for (const auto& [name, value] : counters) {
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    out.emplace_back(name.substr(prefix.size()),
+                     value - before.counter_value(name, 0));
+  }
+  return out;
+}
+
 std::string MetricsSnapshot::to_json() const {
   const auto scalar_section =
       [](const std::vector<std::pair<std::string, long long>>& values) {

@@ -116,6 +116,13 @@ struct MetricsSnapshot {
   long long counter_value(std::string_view name, long long missing = -1) const;
   long long gauge_value(std::string_view name, long long missing = -1) const;
 
+  /// The counters named \p prefix + "..." as their growth since
+  /// \p before, an earlier snapshot of the same registry (one missing
+  /// there counts from zero), keyed by the rest of the name and sorted by
+  /// it. Gauges and histograms are left out: they do not accumulate.
+  std::vector<std::pair<std::string, long long>> counters_since(
+      const MetricsSnapshot& before, std::string_view prefix) const;
+
   /// `{"counters":{...},"gauges":{...},"histograms":{...}}`, names sorted.
   std::string to_json() const;
   bool write_json_file(const std::string& path) const;

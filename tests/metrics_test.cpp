@@ -100,6 +100,39 @@ TEST(MetricsRegistry, SnapshotSortsAndCopies) {
   EXPECT_EQ(snap.counter_value("a"), 1);
 }
 
+TEST(MetricsSnapshot, CountersSinceIsExactPrefixFilteredCounterGrowth) {
+  MetricsRegistry reg;
+  Counter& a = reg.counter("levelb.a");
+  a.add(5);
+  reg.counter("levelb.b").add(2);
+  Counter& other = reg.counter("engine.c");
+  other.add(7);
+  Gauge& g = reg.gauge("levelb.g");
+  g.set(9);
+  reg.histogram("levelb.h", {5}).observe(3);
+  const MetricsSnapshot before = reg.snapshot();
+
+  a.add(3);
+  reg.counter("levelb.new").add(4);  // registered after `before`
+  other.add(1);
+  g.set(100);
+  reg.histogram("levelb.h", {5}).observe(1);
+  const MetricsSnapshot after = reg.snapshot();
+
+  // Counters only, prefix dropped, sorted; unchanged ones report zero.
+  const std::vector<std::pair<std::string, long long>> expected = {
+      {"a", 3}, {"b", 0}, {"new", 4}};
+  EXPECT_EQ(after.counters_since(before, "levelb."), expected);
+  const std::vector<std::pair<std::string, long long>> engine = {{"c", 1}};
+  EXPECT_EQ(after.counters_since(before, "engine."), engine);
+  EXPECT_EQ(after.counters_since(before, "").size(), 4u);
+  EXPECT_TRUE(after.counters_since(before, "flow.").empty());
+  // Against itself every counter grew by zero.
+  for (const auto& [name, delta] : after.counters_since(after, "")) {
+    EXPECT_EQ(delta, 0) << name;
+  }
+}
+
 TEST(MetricsRegistry, SnapshotJsonShape) {
   MetricsRegistry reg;
   reg.counter("runs").add(1);

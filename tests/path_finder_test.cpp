@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "levelb/figure1.hpp"
 #include "levelb/path_finder.hpp"
 #include "levelb/workspace.hpp"
@@ -434,6 +438,62 @@ TEST(PathFinderProperty, ProvenSecondPassMatchesRunningBoth) {
   EXPECT_GE(ws.mbfs_passes_proven * 4, failing_steps)
       << ws.mbfs_passes_proven << " proven of " << failing_steps
       << " failing steps";
+}
+
+TEST(PathFinderProperty, PublishMetricsFoldsEveryWorkCounter) {
+  // Connects on congested grids, with the dup term counting into the
+  // workspace, until every listed counter has moved; publish_metrics()
+  // must then add each to `levelb.<name>` and zero the workspace.
+  util::Rng rng(2404);
+  SearchWorkspace ws;
+  const auto all_moved = [&ws] {
+    for (const WorkCounter& c : kWorkCounters) {
+      if (ws.*c.member == 0) return false;
+    }
+    return true;
+  };
+  const PathFinderOptions options;
+  for (int g = 0; g < 40 && !all_moved(); ++g) {
+    auto grid = tig::TrackGrid::uniform(Rect(0, 0, 300, 300), 10, 10);
+    for (int k = 0; k < 70; ++k) {
+      const geom::Coord x = rng.uniform_int(0, 290);
+      const geom::Coord y = rng.uniform_int(0, 290);
+      const Rect r(x, y, x + rng.uniform_int(2, 40),
+                   y + rng.uniform_int(2, 40));
+      grid.block_region_h(r);
+      grid.block_region_v(r);
+    }
+    const auto random_crossing = [&rng, &grid] {
+      return grid.crossing(
+          static_cast<int>(rng.uniform_int(0, grid.num_h() - 1)),
+          static_cast<int>(rng.uniform_int(0, grid.num_v() - 1)));
+    };
+    const std::vector<Point> own = {random_crossing(), random_crossing()};
+    CostContext ctx = make_cost_context(grid, &own);
+    ctx.workspace = &ws;
+    const PathFinder finder(grid, options);
+    for (int c = 0; c < 30; ++c) {
+      const Point a = random_crossing();
+      const Point b = random_crossing();
+      if (a != b) finder.connect(a, b, ctx, ws);
+    }
+  }
+  ASSERT_TRUE(all_moved());
+
+  util::MetricsRegistry& reg = util::MetricsRegistry::global();
+  std::vector<long long> expected;
+  std::vector<long long> before;
+  for (const WorkCounter& c : kWorkCounters) {
+    EXPECT_EQ(std::string(c.name).rfind("levelb.", 0), 0u) << c.name;
+    expected.push_back(ws.*c.member);
+    before.push_back(reg.counter(c.name).value());
+  }
+  ws.publish_metrics();
+  for (std::size_t i = 0; i < std::size(kWorkCounters); ++i) {
+    const WorkCounter& c = kWorkCounters[i];
+    EXPECT_EQ(reg.counter(c.name).value() - before[i], expected[i]) << c.name;
+    EXPECT_EQ(ws.*c.member, 0) << c.name;
+  }
 }
 
 TEST(PathFinderProperty, LengthAtLeastManhattan) {
