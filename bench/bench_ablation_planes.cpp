@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "bench_data/levelb_instance.hpp"
 #include "levelb/multi_plane.hpp"
 #include "util/rng.hpp"
 #include "util/str.hpp"
@@ -13,24 +14,7 @@
 namespace {
 
 using namespace ocr;
-using geom::Point;
 using geom::Rect;
-
-std::vector<levelb::BNet> random_nets(std::uint64_t seed, int count,
-                                      geom::Coord size) {
-  util::Rng rng(seed);
-  std::vector<levelb::BNet> nets;
-  for (int n = 0; n < count; ++n) {
-    levelb::BNet net{n, {}};
-    const int degree = static_cast<int>(rng.uniform_int(2, 4));
-    for (int t = 0; t < degree; ++t) {
-      net.terminals.push_back(
-          Point{rng.uniform_int(0, size - 1), rng.uniform_int(0, size - 1)});
-    }
-    nets.push_back(std::move(net));
-  }
-  return nets;
-}
 
 }  // namespace
 
@@ -39,7 +23,8 @@ int main() {
   table.set_header({"Nets (600x600 die)", "Planes", "Completion",
                     "Wire length", "Vias", "Rescued"});
   for (const int count : {40, 80, 160, 240}) {
-    const auto nets = random_nets(4242, count, 600);
+    util::Rng rng(4242);
+    const auto nets = bench_data::uniform_random_nets(rng, 600, count);
 
     auto single = tig::TrackGrid::uniform(Rect(0, 0, 600, 600), 9, 11);
     levelb::LevelBRouter router(single);

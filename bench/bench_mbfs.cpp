@@ -90,29 +90,12 @@ struct Instance {
   bool serial_only = false;
 };
 
-std::vector<levelb::BNet> random_nets(util::Rng& rng, geom::Coord size,
-                                      int count) {
-  // Same generator as bench_scaling so the instances line up across the
-  // two harnesses.
-  std::vector<levelb::BNet> nets;
-  for (int n = 0; n < count; ++n) {
-    levelb::BNet net{n, {}, false};
-    const int degree = static_cast<int>(rng.uniform_int(2, 4));
-    for (int t = 0; t < degree; ++t) {
-      net.terminals.push_back(
-          Point{rng.uniform_int(0, size - 1), rng.uniform_int(0, size - 1)});
-    }
-    nets.push_back(std::move(net));
-  }
-  return nets;
-}
-
 Instance synthetic_instance(const char* name, geom::Coord size, int count,
                             std::uint64_t seed) {
   util::Rng rng(seed);
   Instance inst{name, tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11),
                 {}};
-  inst.nets = random_nets(rng, size, count);
+  inst.nets = bench_data::uniform_random_nets(rng, size, count);
   return inst;
 }
 

@@ -56,7 +56,6 @@
 namespace {
 
 using namespace ocr;
-using geom::Point;
 using geom::Rect;
 
 /// `--label S`, carried by every JSON record.
@@ -69,21 +68,6 @@ util::TraceEvent bench_record(const char* kind) {
   return ev;
 }
 
-std::vector<levelb::BNet> random_nets(util::Rng& rng, geom::Coord size,
-                                      int count) {
-  std::vector<levelb::BNet> nets;
-  for (int n = 0; n < count; ++n) {
-    levelb::BNet net{n, {}};
-    const int degree = static_cast<int>(rng.uniform_int(2, 4));
-    for (int t = 0; t < degree; ++t) {
-      net.terminals.push_back(
-          Point{rng.uniform_int(0, size - 1), rng.uniform_int(0, size - 1)});
-    }
-    nets.push_back(std::move(net));
-  }
-  return nets;
-}
-
 /// Full level-B run: grid size and net count as benchmark args.
 void BM_LevelBRoute(benchmark::State& state) {
   const auto size = static_cast<geom::Coord>(state.range(0));
@@ -92,7 +76,7 @@ void BM_LevelBRoute(benchmark::State& state) {
     state.PauseTiming();
     util::Rng rng(5);
     auto grid = tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
-    auto bnets = random_nets(rng, size, nets);
+    auto bnets = bench_data::uniform_random_nets(rng, size, nets);
     levelb::LevelBRouter router(grid);
     state.ResumeTiming();
     benchmark::DoNotOptimize(router.route(bnets));
@@ -115,7 +99,7 @@ void BM_EngineRoute(benchmark::State& state) {
     state.PauseTiming();
     util::Rng rng(5);
     auto grid = tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
-    auto bnets = random_nets(rng, size, nets);
+    auto bnets = bench_data::uniform_random_nets(rng, size, nets);
     engine::EngineOptions options;
     options.threads = threads;
     engine::RoutingEngine router(grid, options);
@@ -141,7 +125,7 @@ void print_scaling_table(util::TraceSink* json) {
   for (const auto& [size, nets] : scaling_instances()) {
     util::Rng rng(5);
     auto grid = tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
-    auto bnets = random_nets(rng, size, nets);
+    auto bnets = bench_data::uniform_random_nets(rng, size, nets);
     levelb::LevelBRouter router(grid);
     const auto result = router.route(bnets);
     const double hv = static_cast<double>(grid.num_h()) * grid.num_v();
@@ -217,7 +201,8 @@ void print_engine_comparison(util::TraceSink* json, int repeat) {
   const auto make_instance = [&] {
     util::Rng rng(5);
     auto grid = tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
-    return std::make_pair(std::move(grid), random_nets(rng, size, nets));
+    return std::make_pair(std::move(grid),
+                          bench_data::uniform_random_nets(rng, size, nets));
   };
 
   levelb::LevelBResult expected;
@@ -327,7 +312,7 @@ void print_resilience_table(util::TraceSink* json) {
     if (registry.configure(s.faults).ok() == false) continue;
     util::Rng rng(5);
     auto grid = tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
-    auto bnets = random_nets(rng, size, nets);
+    auto bnets = bench_data::uniform_random_nets(rng, size, nets);
     engine::EngineOptions options;
     options.threads = s.threads;
     options.levelb.net_vertex_budget = s.budget;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/rng.hpp"
-
 namespace ocr::bench_data {
 
 using geom::Coord;
@@ -42,6 +40,21 @@ LevelBInstance generate_levelb_instance(const LevelBSpec& spec) {
     inst.nets.push_back(std::move(net));
   }
   return inst;
+}
+
+std::vector<levelb::BNet> uniform_random_nets(util::Rng& rng, Coord size,
+                                              int count) {
+  std::vector<levelb::BNet> nets;
+  for (int n = 0; n < count; ++n) {
+    levelb::BNet net{n, {}, false};
+    const int degree = static_cast<int>(rng.uniform_int(2, 4));
+    for (int t = 0; t < degree; ++t) {
+      net.terminals.push_back(
+          Point{rng.uniform_int(0, size - 1), rng.uniform_int(0, size - 1)});
+    }
+    nets.push_back(std::move(net));
+  }
+  return nets;
 }
 
 LevelBSpec sparse5000_spec() {

@@ -17,6 +17,7 @@
 
 #include "levelb/net_core.hpp"
 #include "tig/track_grid.hpp"
+#include "util/rng.hpp"
 
 namespace ocr::bench_data {
 
@@ -50,6 +51,14 @@ struct LevelBInstance {
 
 /// Generates the instance for \p spec. Deterministic in the spec.
 LevelBInstance generate_levelb_instance(const LevelBSpec& spec);
+
+/// \p count dense nets drawn from \p rng: net n has id n, a degree
+/// uniform in [2, 4] and terminals uniform over a \p size x \p size die;
+/// none is sensitive. The benches' and tests' fully-conflicting
+/// generator; callers that keep drawing from \p rng rely on its exact
+/// stream.
+std::vector<levelb::BNet> uniform_random_nets(util::Rng& rng,
+                                              geom::Coord size, int count);
 
 /// `sparse-5000`: ~1.2k local nets scattered over a 5000-dbu die — wide
 /// shard batches, the parallel engine's headline scaling instance.

@@ -4,6 +4,7 @@
 #include "levelb/optimize.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
@@ -23,9 +24,27 @@ std::vector<int> to_indices(const std::vector<netlist::NetId>& ids) {
   return out;
 }
 
-/// Level-A routing of \p nets: global route into channels, then greedy
-/// two-layer detail routing per channel. Produces channel heights and the
-/// level-A share of the metrics.
+/// Every net of \p ml, for the flows that route all of them in channels.
+std::vector<int> all_nets(const MacroLayout& ml) {
+  std::vector<int> out(ml.nets().size());
+  std::iota(out.begin(), out.end(), 0);
+  return out;
+}
+
+/// Wire length of one channel route: horizontal runs at the column
+/// pitch, vertical runs at \p track_pitch.
+long long channel_wire_length(const channel::ChannelRoute& route,
+                              Coord col_pitch, Coord track_pitch) {
+  long long h_len = 0;
+  long long v_len = 0;
+  for (const channel::HSeg& h : route.hsegs) h_len += h.col_hi - h.col_lo;
+  for (const channel::VSeg& v : route.vsegs) v_len += v.row_hi - v.row_lo;
+  return h_len * col_pitch + v_len * track_pitch;
+}
+
+/// Channel routing of a net subset: the global route, each channel's
+/// routes, and the channel heights and level-A share of the metrics they
+/// give.
 struct LevelAOutcome {
   bool success = true;
   std::vector<std::string> problems;
@@ -37,25 +56,36 @@ struct LevelAOutcome {
   int total_tracks = 0;
 };
 
-LevelAOutcome route_level_a(const MacroLayout& ml,
-                            const std::vector<int>& nets,
-                            const FlowOptions& options) {
-  OCR_SPAN("flow.levelA");
+/// Global routing of \p nets into the channels, the first step of every
+/// channel flow: the outcome carries the feedthroughs' wire length and
+/// vias, and zero channel heights.
+LevelAOutcome route_global(const MacroLayout& ml,
+                           const std::vector<int>& nets) {
   LevelAOutcome out;
-  const geom::DesignRules& rules = ml.rules();
-  const Coord col_pitch =
-      rules.channel_pitch(geom::Layer::kMetal1, geom::Layer::kMetal2);
-  const Coord track_pitch = col_pitch;
-
   global::GlobalOptions gopt;
-  gopt.column_pitch = col_pitch;
+  gopt.column_pitch =
+      ml.rules().channel_pitch(geom::Layer::kMetal1, geom::Layer::kMetal2);
   out.global = global::global_route(ml, nets, gopt);
   if (!out.global.success) {
     out.success = false;
     out.problems = out.global.problems;
   }
-
   out.heights.resize(static_cast<std::size_t>(ml.num_channels()), 0);
+  out.wire_length = out.global.feedthrough_length;
+  out.vias = out.global.feedthrough_vias;
+  return out;
+}
+
+/// Level-A routing of \p nets: global route into channels, then greedy
+/// two-layer detail routing per channel.
+LevelAOutcome route_level_a(const MacroLayout& ml,
+                            const std::vector<int>& nets,
+                            const FlowOptions& options) {
+  OCR_SPAN("flow.levelA");
+  LevelAOutcome out = route_global(ml, nets);
+  const Coord col_pitch =
+      ml.rules().channel_pitch(geom::Layer::kMetal1, geom::Layer::kMetal2);
+  const Coord track_pitch = col_pitch;
   for (int c = 0; c < ml.num_channels(); ++c) {
     // Deadline/cancel support (flow::run): remaining channels are skipped
     // and reported, never half-routed.
@@ -81,16 +111,10 @@ LevelAOutcome route_level_a(const MacroLayout& ml,
             (has_pins ? options.channel_margin : 0),
         options.min_channel_height);
     out.total_tracks += route.num_tracks;
-    long long h_len = 0;
-    long long v_len = 0;
-    for (const channel::HSeg& h : route.hsegs) h_len += h.col_hi - h.col_lo;
-    for (const channel::VSeg& v : route.vsegs) v_len += v.row_hi - v.row_lo;
-    out.wire_length += h_len * col_pitch + v_len * track_pitch;
+    out.wire_length += channel_wire_length(route, col_pitch, track_pitch);
     out.vias += route.via_count();
     out.routes.push_back(std::move(route));
   }
-  out.wire_length += out.global.feedthrough_length;
-  out.vias += out.global.feedthrough_vias;
   return out;
 }
 
@@ -136,13 +160,9 @@ FlowMetrics run_two_layer_flow(const MacroLayout& ml,
                                FlowArtifacts* artifacts) {
   FlowMetrics m;
   m.flow_name = "2-layer channel";
-  std::vector<int> all_nets;
-  for (int n = 0; n < static_cast<int>(ml.nets().size()); ++n) {
-    all_nets.push_back(n);
-  }
-  const LevelAOutcome a = route_level_a(ml, all_nets, options);
+  const LevelAOutcome a = route_level_a(ml, all_nets(ml), options);
   fill_common(m, ml, a);
-  m.levela_nets = static_cast<int>(all_nets.size());
+  m.levela_nets = static_cast<int>(ml.nets().size());
   if (artifacts != nullptr) {
     artifacts->layout = ml.assemble(a.heights);
     artifacts->channel_heights = a.heights;
@@ -234,24 +254,8 @@ FlowMetrics run_four_layer_channel_flow(const MacroLayout& ml,
                                         FlowArtifacts* artifacts) {
   FlowMetrics m;
   m.flow_name = "4-layer channel";
+  LevelAOutcome a = route_global(ml, all_nets(ml));
   const geom::DesignRules& rules = ml.rules();
-  const Coord col_pitch =
-      rules.channel_pitch(geom::Layer::kMetal1, geom::Layer::kMetal2);
-
-  std::vector<int> all_nets;
-  for (int n = 0; n < static_cast<int>(ml.nets().size()); ++n) {
-    all_nets.push_back(n);
-  }
-  global::GlobalOptions gopt;
-  gopt.column_pitch = col_pitch;
-  global::GlobalRouteResult global = global_route(ml, all_nets, gopt);
-  if (!global.success) {
-    m.success = false;
-    m.problems = global.problems;
-  }
-
-  std::vector<Coord> heights(static_cast<std::size_t>(ml.num_channels()),
-                             0);
   const Coord pitch12 =
       rules.channel_pitch(geom::Layer::kMetal1, geom::Layer::kMetal2);
   const Coord pitch34 =
@@ -261,48 +265,34 @@ FlowMetrics run_four_layer_channel_flow(const MacroLayout& ml,
   OCR_SPAN("flow.mlchannel");
   for (int c = 0; c < ml.num_channels(); ++c) {
     const channel::ChannelProblem& problem =
-        global.channels[static_cast<std::size_t>(c)];
+        a.global.channels[static_cast<std::size_t>(c)];
     mlchannel::MultiLayerChannelResult result =
         mlchannel::route_multilayer(problem, mlopt);
     if (!result.success) {
-      m.success = false;
-      m.problems.push_back("channel " + std::to_string(c) + ": " +
+      a.success = false;
+      a.problems.push_back("channel " + std::to_string(c) + ": " +
                            result.failure_reason);
     }
     const bool has_pins = problem.max_net() > 0;
-    heights[static_cast<std::size_t>(c)] =
+    a.heights[static_cast<std::size_t>(c)] =
         result.channel_height(rules) +
         (has_pins ? options.channel_margin : 0);
     // Wire length: horizontal runs at the column pitch; vertical runs at
     // each group's track pitch (group 1 pays the metal3/4 pitch).
     for (std::size_t g = 0; g < result.group_routes.size(); ++g) {
       const channel::ChannelRoute& route = result.group_routes[g];
-      const Coord vpitch = g == 0 ? pitch12 : pitch34;
-      long long h_len = 0;
-      long long v_len = 0;
-      for (const channel::HSeg& h : route.hsegs) {
-        h_len += h.col_hi - h.col_lo;
-      }
-      for (const channel::VSeg& v : route.vsegs) {
-        v_len += v.row_hi - v.row_lo;
-      }
-      m.wire_length += h_len * col_pitch + v_len * vpitch;
-      m.total_channel_tracks += route.num_tracks;
+      a.wire_length += channel_wire_length(route, pitch12,
+                                           g == 0 ? pitch12 : pitch34);
+      a.total_tracks += route.num_tracks;
     }
-    m.vias += result.via_count();
+    a.vias += result.via_count();
   }
-  m.wire_length += global.feedthrough_length;
-  m.vias += global.feedthrough_vias;
-
-  m.example_name = ml.name();
-  m.die_width = ml.die_width();
-  m.die_height = ml.die_height(heights);
-  m.layout_area = m.die_width * m.die_height;
-  m.levela_nets = static_cast<int>(all_nets.size());
+  fill_common(m, ml, a);
+  m.levela_nets = static_cast<int>(ml.nets().size());
   if (artifacts != nullptr) {
-    artifacts->layout = ml.assemble(heights);
-    artifacts->channel_heights = heights;
-    artifacts->global = std::move(global);
+    artifacts->layout = ml.assemble(a.heights);
+    artifacts->channel_heights = a.heights;
+    artifacts->global = std::move(a.global);
   }
   return m;
 }
@@ -311,37 +301,25 @@ FlowMetrics run_fifty_percent_model_flow(const MacroLayout& ml,
                                          const FlowOptions& options) {
   // Paper's Table-3 comparator: take the two-layer solution and halve each
   // channel's track count at the metal1/2 pitch (optimistically ignoring
-  // the coarser upper-layer rules). Only the area is meaningful.
+  // the coarser upper-layer rules). Only the area is meaningful: the
+  // model replaces each channel's height and track count, and keeps the
+  // two-layer wire length and vias.
   FlowMetrics m;
   m.flow_name = "50% track model";
-  std::vector<int> all_nets;
-  for (int n = 0; n < static_cast<int>(ml.nets().size()); ++n) {
-    all_nets.push_back(n);
-  }
-  const LevelAOutcome a = route_level_a(ml, all_nets, options);
+  LevelAOutcome a = route_level_a(ml, all_nets(ml), options);
   const Coord pitch =
       ml.rules().channel_pitch(geom::Layer::kMetal1, geom::Layer::kMetal2);
-
-  std::vector<Coord> heights(a.heights.size(), 0);
+  a.total_tracks = 0;
   for (std::size_t c = 0; c < a.routes.size(); ++c) {
     const int halved =
         mlchannel::fifty_percent_track_model(a.routes[c].num_tracks);
-    const bool has_pins =
-        a.global.channels[c].max_net() > 0;
-    heights[c] = static_cast<Coord>(halved) * pitch +
-                 (has_pins ? options.channel_margin : 0);
-    m.total_channel_tracks += halved;
+    const bool has_pins = a.global.channels[c].max_net() > 0;
+    a.heights[c] = static_cast<Coord>(halved) * pitch +
+                   (has_pins ? options.channel_margin : 0);
+    a.total_tracks += halved;
   }
-  m.example_name = ml.name();
-  m.flow_name = "50% track model";
-  m.die_width = ml.die_width();
-  m.die_height = ml.die_height(heights);
-  m.layout_area = m.die_width * m.die_height;
-  m.wire_length = a.wire_length;  // model adjusts area only
-  m.vias = a.vias;
-  m.levela_nets = static_cast<int>(all_nets.size());
-  m.success = a.success;
-  m.problems = a.problems;
+  fill_common(m, ml, a);
+  m.levela_nets = static_cast<int>(ml.nets().size());
   return m;
 }
 

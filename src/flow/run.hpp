@@ -3,7 +3,9 @@
 /// \brief Fault-tolerant flow orchestrator: wraps the routing flows in
 /// deadlines, effort budgets, fault injection and a degradation ladder.
 ///
-/// `flow::run` is what `ocr_route` calls. It owns the run-wide
+/// `flow::run` is what `ocr_route` calls, with the RunOptions that
+/// service::job_run_options builds from the same JobSpec a daemon job
+/// has (service/job.hpp). It owns the run-wide
 /// CancelSource, starts the engine watchdog when a deadline is set,
 /// threads budgets/tokens into the level-B options, arms the fault
 /// registry, and classifies the outcome:

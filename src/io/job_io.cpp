@@ -21,35 +21,35 @@ StatusOr<JobRequest> parse_job_request(const std::string& line) {
   if (!s.ok()) return s;
 
   JobRequest request;
-  long long threads = request.threads;
-  if (!(s = take_string(fields, "id", request.id)).ok()) return s;
-  if (!(s = take_string(fields, "example", request.example)).ok()) return s;
-  if (!(s = take_string(fields, "input", request.input)).ok()) return s;
-  if (!(s = take_string(fields, "flow", request.flow)).ok()) return s;
-  if (!(s = take_string(fields, "partition", request.partition)).ok()) {
-    return s;
+  for (const JobKnob& knob : kJobKnobs) {
+    s = knob.text != nullptr
+            ? take_string(fields, knob.key, request.*knob.text)
+            : take_int(fields, knob.key, request.*knob.number);
+    if (!s.ok()) return s;
   }
-  if (!(s = take_int(fields, "threads", threads)).ok()) return s;
-  if (!(s = take_string(fields, "engine_mode", request.engine_mode)).ok()) {
-    return s;
-  }
-  if (!(s = take_int(fields, "deadline_ms", request.deadline_ms)).ok()) {
-    return s;
-  }
-  if (!(s = take_int(fields, "net_effort", request.net_effort)).ok()) return s;
-  if (!(s = take_string(fields, "fail_policy", request.fail_policy)).ok()) {
-    return s;
-  }
-  if (!(s = take_string(fields, "faults", request.faults)).ok()) return s;
-  if (!(s = take_string(fields, "manifest", request.manifest)).ok()) return s;
-  request.threads = static_cast<int>(threads);
-
   if (!fields.empty()) {
     return Status::parse_error("unknown field '" + fields.begin()->first +
                                "'")
         .with_stage("job-io");
   }
   return request;
+}
+
+std::vector<util::Flag> job_knob_flags(JobRequest& request) {
+  std::vector<util::Flag> flags;
+  for (const JobKnob& knob : kJobKnobs) {
+    if (knob.flag == nullptr) continue;
+    flags.push_back({knob.flag, [&request, &knob](const std::string& value) {
+                       if (knob.text != nullptr) {
+                         request.*knob.text = value;
+                       } else if (!util::parse_integer(
+                                      value, &(request.*knob.number))) {
+                         return internal::type_error(knob.key, "number");
+                       }
+                       return Status();
+                     }});
+  }
+  return flags;
 }
 
 std::string render_job_response(const JobResponse& response) {

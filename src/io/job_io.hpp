@@ -43,13 +43,16 @@
 /// ```
 
 #include <string>
+#include <vector>
 
+#include "util/flags.hpp"
 #include "util/status.hpp"
 
 namespace ocr::io {
 
-/// One decoded job-request line. Plain data; validation beyond JSON
-/// structure (legal flow names, spec consistency) happens in
+/// One decoded job request: a JSONL line (`ocr_served`) or the job flags
+/// of an `ocr_route` command line. Plain data; validation beyond the
+/// value types (legal flow names, spec consistency) happens in
 /// service::spec_from_request so the codec stays policy-free.
 struct JobRequest {
   std::string id;
@@ -57,7 +60,7 @@ struct JobRequest {
   std::string input;
   std::string flow = "overcell";
   std::string partition = "class";
-  int threads = 1;
+  long long threads = 1;
   std::string engine_mode = "sharded";
   long long deadline_ms = 0;
   long long net_effort = 0;
@@ -68,10 +71,41 @@ struct JobRequest {
   std::string manifest;
 };
 
+/// One JobRequest field: its JSONL key, its `ocr_route` flag (nullptr
+/// for the wire-only `id`) and its member, a string or an integer.
+struct JobKnob {
+  const char* key;
+  const char* flag;
+  std::string JobRequest::*text;
+  long long JobRequest::*number;
+};
+
+/// Every JobRequest field, in the order the codec checks them.
+inline constexpr JobKnob kJobKnobs[] = {
+    {"id", nullptr, &JobRequest::id, nullptr},
+    {"example", "--example", &JobRequest::example, nullptr},
+    {"input", "--input", &JobRequest::input, nullptr},
+    {"flow", "--flow", &JobRequest::flow, nullptr},
+    {"partition", "--partition", &JobRequest::partition, nullptr},
+    {"threads", "--threads", nullptr, &JobRequest::threads},
+    {"engine_mode", "--engine-mode", &JobRequest::engine_mode, nullptr},
+    {"deadline_ms", "--deadline-ms", nullptr, &JobRequest::deadline_ms},
+    {"net_effort", "--net-effort", nullptr, &JobRequest::net_effort},
+    {"fail_policy", "--fail-policy", &JobRequest::fail_policy, nullptr},
+    {"faults", "--faults", &JobRequest::faults, nullptr},
+    {"manifest", "--manifest", &JobRequest::manifest, nullptr},
+};
+
 /// Parses one JSONL request line. Strict: the line must be a flat JSON
 /// object, every key must be known, and values must have the right type.
 /// Returns kParseError with a byte offset in the message otherwise.
 util::StatusOr<JobRequest> parse_job_request(const std::string& line);
+
+/// The `ocr_route` flag of every knob that has one, each setting its
+/// field of \p request. An integer knob rejects text that is not a whole
+/// decimal integer with the same kParseError a JSONL line of the wrong
+/// type gets.
+std::vector<util::Flag> job_knob_flags(JobRequest& request);
 
 /// One job-response line (not yet newline-terminated).
 struct JobResponse {

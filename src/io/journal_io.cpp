@@ -3,6 +3,7 @@
 #include <map>
 
 #include "io/flat_json.hpp"
+#include "util/str.hpp"
 
 namespace ocr::io {
 
@@ -29,21 +30,12 @@ const char* journal_event_name(JournalEvent event) {
 
 namespace {
 
-bool event_from_name(const std::string& name, JournalEvent& out) {
-  static constexpr JournalEvent kAll[] = {
-      JournalEvent::kAccepted,  JournalEvent::kStarted,
-      JournalEvent::kRetry,     JournalEvent::kCompleted,
-      JournalEvent::kFailed,    JournalEvent::kResponded,
-      JournalEvent::kDrain,
-  };
-  for (const JournalEvent event : kAll) {
-    if (name == journal_event_name(event)) {
-      out = event;
-      return true;
-    }
-  }
-  return false;
-}
+constexpr JournalEvent kEvents[] = {
+    JournalEvent::kAccepted,  JournalEvent::kStarted,
+    JournalEvent::kRetry,     JournalEvent::kCompleted,
+    JournalEvent::kFailed,    JournalEvent::kResponded,
+    JournalEvent::kDrain,
+};
 
 bool has_digest(JournalEvent event) {
   return event == JournalEvent::kCompleted || event == JournalEvent::kFailed;
@@ -100,7 +92,8 @@ StatusOr<JournalRecord> parse_journal_record(const std::string& line) {
   std::string event_name;
   if (!(s = take_string(fields, "event", event_name)).ok()) return s;
   JournalRecord record;
-  if (!event_from_name(event_name, record.event)) {
+  if (!util::parse_name(event_name, kEvents, journal_event_name,
+                        &record.event)) {
     return Status::parse_error("unknown journal event '" + event_name + "'")
         .with_stage("journal-io");
   }

@@ -335,7 +335,9 @@ std::string PathSelectionTree::to_string() const {
     const TreeNode& node = nodes[static_cast<std::size_t>(n)];
     const char tag =
         node.track.orient == Orientation::kHorizontal ? 'h' : 'v';
-    return std::string(1, tag) + std::to_string(node.track.index + 1);
+    std::string text(1, tag);
+    text += std::to_string(node.track.index + 1);
+    return text;
   };
   std::vector<std::pair<int, int>> stack;  // (node, indent)
   if (!nodes.empty()) stack.emplace_back(0, 0);

@@ -58,18 +58,6 @@ RouteEstimate estimate_route(const floorplan::MacroLayout& ml,
   return est;
 }
 
-const char* admission_decision_name(AdmissionDecision decision) {
-  switch (decision) {
-    case AdmissionDecision::kAdmit:
-      return "admit";
-    case AdmissionDecision::kDowntier:
-      return "downtier";
-    case AdmissionDecision::kReject:
-      return "reject";
-  }
-  return "unknown";
-}
-
 AdmissionDecision admit(const AdmissionPolicy& policy,
                         const RouteEstimate& estimate, std::string* reason) {
   if (policy.max_nets > 0 && estimate.nets > policy.max_nets) {

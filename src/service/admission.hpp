@@ -51,8 +51,6 @@ RouteEstimate estimate_route(const floorplan::MacroLayout& ml,
 /// What the executor decided about a submitted job.
 enum class AdmissionDecision { kAdmit, kDowntier, kReject };
 
-const char* admission_decision_name(AdmissionDecision decision);
-
 /// Thresholds; zero disables the corresponding check.
 struct AdmissionPolicy {
   /// Bounded job queue: submissions beyond this many pending jobs are

@@ -459,18 +459,9 @@ JobResult JobExecutor::execute_job(RoutingJob& job, int slot) {
   if (!job.spec.manifest_path.empty()) {
     util::RunManifest manifest("ocr_served");
     manifest.add_config("job_id", job.spec.id);
-    manifest.add_config("flow", flow::flow_kind_name(job.spec.kind));
-    manifest.add_config("partition", job.spec.partition);
-    manifest.add_config("threads", job.spec.threads);
-    manifest.add_config("fail_policy",
-                        flow::fail_policy_name(job.spec.fail_policy));
-    manifest.add_config("deadline_ms", job.spec.deadline_ms);
-    manifest.add_config("net_effort", job.spec.net_effort);
+    add_job_config(manifest, job.spec);
     manifest.add_config("downtiered", job.downtiered);
     manifest.add_config("attempt", job.attempt);
-    manifest.add_provenance("instance", job.spec.example.empty()
-                                            ? job.spec.input
-                                            : job.spec.example);
     manifest.add_provenance("estimated_nets", job.estimate.nets);
     manifest.add_provenance("estimated_congestion", job.estimate.congestion);
     manifest.add_outcome("status", result.status_name());

@@ -1,6 +1,7 @@
 #include "service/job.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "bench_data/synthetic.hpp"
@@ -24,15 +25,11 @@ StatusOr<JobSpec> spec_from_request(const io::JobRequest& request) {
         .with_stage("job");
   }
 
-  if (request.flow == "overcell") {
-    spec.kind = flow::FlowKind::kOverCell;
-  } else if (request.flow == "2layer") {
-    spec.kind = flow::FlowKind::kTwoLayer;
-  } else if (request.flow == "4layer") {
-    spec.kind = flow::FlowKind::kFourLayer;
-  } else if (request.flow == "50pct") {
-    spec.kind = flow::FlowKind::kFiftyPercent;
-  } else {
+  constexpr flow::FlowKind kKinds[] = {
+      flow::FlowKind::kOverCell, flow::FlowKind::kTwoLayer,
+      flow::FlowKind::kFourLayer, flow::FlowKind::kFiftyPercent};
+  if (!util::parse_name(request.flow, kKinds, flow::flow_kind_name,
+                        &spec.kind)) {
     return Status::invalid_argument("unknown flow '" + request.flow + "'")
         .with_stage("job");
   }
@@ -45,20 +42,20 @@ StatusOr<JobSpec> spec_from_request(const io::JobRequest& request) {
         .with_stage("job");
   }
 
-  if (request.fail_policy == "abort") {
-    spec.fail_policy = flow::FailPolicy::kAbort;
-  } else if (request.fail_policy == "degrade") {
-    spec.fail_policy = flow::FailPolicy::kDegrade;
-  } else if (request.fail_policy == "partial") {
-    spec.fail_policy = flow::FailPolicy::kPartial;
-  } else {
+  constexpr flow::FailPolicy kPolicies[] = {flow::FailPolicy::kAbort,
+                                            flow::FailPolicy::kDegrade,
+                                            flow::FailPolicy::kPartial};
+  if (!util::parse_name(request.fail_policy, kPolicies,
+                        flow::fail_policy_name, &spec.fail_policy)) {
     return Status::invalid_argument("unknown fail policy '" +
                                     request.fail_policy + "'")
         .with_stage("job");
   }
 
-  if (request.threads < 0) {
-    return Status::invalid_argument("threads must be >= 0").with_stage("job");
+  if (request.threads < 0 ||
+      request.threads > std::numeric_limits<int>::max()) {
+    return Status::invalid_argument("threads must be >= 0 and fit an int")
+        .with_stage("job");
   }
   engine::EngineMode mode{};
   if (!engine::parse_engine_mode(request.engine_mode, &mode)) {
@@ -70,13 +67,15 @@ StatusOr<JobSpec> spec_from_request(const io::JobRequest& request) {
     return Status::invalid_argument("deadline_ms / net_effort must be >= 0")
         .with_stage("job");
   }
-  spec.threads = request.threads;
+  spec.threads = static_cast<int>(request.threads);
   spec.deadline_ms = request.deadline_ms;
   spec.net_effort = request.net_effort;
   spec.faults = request.faults;
   spec.manifest_path = request.manifest;
   return spec;
 }
+
+namespace {
 
 StatusOr<floorplan::MacroLayout> make_instance(
     const JobSpec& spec, std::vector<std::string>* warnings) {
@@ -133,8 +132,11 @@ StatusOr<partition::NetPartition> make_partition(
       .with_stage("job");
 }
 
-StatusOr<RoutingJob> materialize(const JobSpec& spec) {
-  StatusOr<floorplan::MacroLayout> instance = make_instance(spec);
+}  // namespace
+
+StatusOr<RoutingJob> materialize(const JobSpec& spec,
+                                 std::vector<std::string>* warnings) {
+  StatusOr<floorplan::MacroLayout> instance = make_instance(spec, warnings);
   if (!instance.ok()) return instance.status();
 
   RoutingJob job;
@@ -165,6 +167,18 @@ flow::RunOptions job_run_options(const RoutingJob& job) {
   options.net_effort = job.spec.net_effort;
   options.faults = job.spec.faults;
   return options;
+}
+
+void add_job_config(util::RunManifest& manifest, const JobSpec& spec) {
+  manifest.add_config("flow", flow::flow_kind_name(spec.kind));
+  manifest.add_config("partition", spec.partition);
+  manifest.add_config("threads", spec.threads);
+  manifest.add_config("fail_policy", flow::fail_policy_name(spec.fail_policy));
+  manifest.add_config("deadline_ms", spec.deadline_ms);
+  manifest.add_config("net_effort", spec.net_effort);
+  if (!spec.faults.empty()) manifest.add_config("faults", spec.faults);
+  manifest.add_provenance("instance",
+                          spec.example.empty() ? spec.input : spec.example);
 }
 
 io::JobResponse to_response(const JobResult& result) {

@@ -15,8 +15,11 @@
 ///    flow::RunReport, queue/run wall times, and a per-job
 ///    MetricsSnapshot scoped to this job alone.
 ///
-/// The CLI (`ocr_route`) shares stages 1-2 with the daemon so both front
-/// ends construct byte-identical routing problems from the same knobs.
+/// The CLI (`ocr_route`) decodes its job flags into the same
+/// io::JobRequest (io::job_knob_flags) and shares stages 1-2 and
+/// `job_run_options` with the daemon, so both front ends validate the
+/// same knobs the same way and construct byte-identical routing problems
+/// from them. `add_job_config` writes both tools' manifest config.
 
 #include <chrono>
 #include <string>
@@ -28,6 +31,7 @@
 #include "partition/partition.hpp"
 #include "service/admission.hpp"
 #include "util/cancel.hpp"
+#include "util/manifest.hpp"
 #include "util/metrics.hpp"
 #include "util/status.hpp"
 
@@ -51,21 +55,9 @@ struct JobSpec {
 };
 
 /// Validates a decoded request into a JobSpec (kInvalidArgument on bad
-/// flow/partition/fail-policy names, missing or ambiguous instance,
-/// negative knobs).
+/// flow/partition/fail-policy/engine-mode names, missing or ambiguous
+/// instance, negative knobs).
 util::StatusOr<JobSpec> spec_from_request(const io::JobRequest& request);
-
-/// Builds the MacroLayout a spec names: a bench_data generator for
-/// `example`, an .oclay parse for `input` (lenient unless the job's fail
-/// policy is abort — the same contract as the CLI). Parser warnings from
-/// lenient mode are appended to \p warnings when non-null.
-util::StatusOr<floorplan::MacroLayout> make_instance(
-    const JobSpec& spec, std::vector<std::string>* warnings = nullptr);
-
-/// Resolves a partition policy string ("class", "allb", "length=<dbu>")
-/// against \p layout.
-util::StatusOr<partition::NetPartition> make_partition(
-    const std::string& policy, const netlist::Layout& layout);
 
 /// A materialized, ready-to-execute job.
 struct RoutingJob {
@@ -89,14 +81,23 @@ struct RoutingJob {
   std::string request_line;
 };
 
-/// Materializes \p spec: builds the instance, assembles the zero-height
-/// layout once, and derives both the net partition and the pre-route
-/// estimate from it.
-util::StatusOr<RoutingJob> materialize(const JobSpec& spec);
+/// Materializes \p spec: builds the instance (a bench_data generator for
+/// `example`, an .oclay parse for `input`, lenient unless the fail policy
+/// is abort), assembles the zero-height layout once, and derives both the
+/// net partition ("class", "allb" or "length=<dbu>"; over-cell flow only)
+/// and the pre-route estimate from it. Warnings of a lenient parse are
+/// appended to \p warnings when non-null.
+util::StatusOr<RoutingJob> materialize(
+    const JobSpec& spec, std::vector<std::string>* warnings = nullptr);
 
 /// The flow::RunOptions a job's knobs translate to (flow kind, threads,
 /// deadline, effort, fail policy, faults).
 flow::RunOptions job_run_options(const RoutingJob& job);
+
+/// Writes \p spec's knobs into a run manifest: config `flow`,
+/// `partition`, `threads`, `fail_policy`, `deadline_ms`, `net_effort`
+/// and `faults` (when set), and provenance `instance`.
+void add_job_config(util::RunManifest& manifest, const JobSpec& spec);
 
 /// Everything the service reports about one finished (or refused) job.
 struct JobResult {

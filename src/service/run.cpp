@@ -22,22 +22,6 @@ namespace {
 
 using util::Status;
 
-/// Arms the fault registry per RunOptions::faults. Returns the fired
-/// count baseline so the report can count only this run's faults.
-Status arm_faults(const flow::RunOptions& options, long long& baseline) {
-  util::FaultRegistry& registry = util::FaultRegistry::global();
-  Status status;
-  if (options.faults == "-") {
-    registry.clear();
-  } else if (!options.faults.empty()) {
-    status = registry.configure(options.faults);
-  } else {
-    status = registry.configure_from_env();
-  }
-  baseline = registry.fired_count();
-  return status;
-}
-
 /// Publishes one run into \p registry: FlowMetrics under `flow.*` and,
 /// for over-cell runs only, FlowMetrics::engine under `engine.*` (see
 /// docs/OBSERVABILITY.md for the catalogue).
@@ -154,6 +138,16 @@ RunReport run(const floorplan::MacroLayout& ml,
 
 namespace service {
 
+Status arm_faults(const std::string& faults) {
+  util::FaultRegistry& registry = util::FaultRegistry::global();
+  if (faults == "-") {
+    registry.clear();
+    return Status();
+  }
+  return faults.empty() ? registry.configure_from_env()
+                        : registry.configure(faults);
+}
+
 flow::RunReport execute_run(const floorplan::MacroLayout& ml,
                             const partition::NetPartition& partition,
                             const flow::RunOptions& options,
@@ -167,8 +161,8 @@ flow::RunReport execute_run(const floorplan::MacroLayout& ml,
 
   RunReport report;
 
-  long long fault_baseline = 0;
-  const Status fault_status = arm_faults(options, fault_baseline);
+  const Status fault_status = arm_faults(options.faults);
+  const long long fault_baseline = util::FaultRegistry::global().fired_count();
   if (!fault_status.ok()) {
     report.status = RunStatus::kFailed;
     report.error = fault_status;

@@ -7,24 +7,28 @@
 ///   ocr_route --input chip.oclay --svg routed.svg  # your own instance
 ///   ocr_route --example xerox --partition length=2000
 ///   ocr_route --example ami33 --save ami33.oclay   # export the instance
+///
+/// The job flags are the `ocr_served` request keys (io::kJobKnobs) and
+/// take the daemon's path: service::spec_from_request ->
+/// service::materialize -> service::job_run_options -> flow::run. This
+/// file adds only the outputs around the run: report, checks, artifacts,
+/// trace, profile, metrics and manifest.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
-#include <utility>
+#include <vector>
 
 #include "engine/engine.hpp"
-#include "flow/flow.hpp"
 #include "flow/check.hpp"
 #include "flow/run.hpp"
+#include "io/job_io.hpp"
 #include "io/layout_io.hpp"
 #include "io/route_io.hpp"
-#include "partition/partition.hpp"
-#include "service/job.hpp"
 #include "report/tables.hpp"
-#include "util/fault.hpp"
+#include "service/executor.hpp"
+#include "service/job.hpp"
+#include "util/flags.hpp"
 #include "util/log.hpp"
 #include "util/manifest.hpp"
 #include "util/metrics.hpp"
@@ -78,153 +82,23 @@ void usage() {
       "serial re-route -> rip-up -> mark unrouted, partial = mark\n"
       "unrouted immediately. --faults SPEC arms the fault-injection\n"
       "registry (see util/fault.hpp; also via OCR_FAULTS env).\n"
-      "Exit codes: 0 = clean, 1 = failed, 2 = usage, 3 = partial.");
+      "Exit codes: 0 = clean, 1 = failed, 2 = usage or an invalid job\n"
+      "knob (the ocr_served request checks), 3 = partial.");
 }
 
-struct Args {
-  std::string example;
-  std::string input;
-  std::string flow = "overcell";
-  std::string partition = "class";
+/// The flags that are not job knobs: what to write and print around
+/// the run. The job knobs go through io::job_knob_flags.
+struct Outputs {
   std::string svg;
   std::string save;
   std::string wiring;
   std::string trace;
   std::string profile;
   std::string metrics_json;
-  std::string manifest;
-  int threads = 1;
   bool verbose = false;
   bool check = false;
-  long long deadline_ms = 0;
-  long long net_effort = 0;
-  flow::FailPolicy fail_policy = flow::FailPolicy::kDegrade;
-  std::string faults;
+  bool help = false;
 };
-
-std::optional<Args> parse_args(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    if (arg == "--example") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.example = v;
-    } else if (arg == "--input") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.input = v;
-    } else if (arg == "--flow") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.flow = v;
-    } else if (arg == "--partition") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.partition = v;
-    } else if (arg == "--svg") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.svg = v;
-    } else if (arg == "--save") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.save = v;
-    } else if (arg == "--wiring") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.wiring = v;
-    } else if (arg == "--trace") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.trace = v;
-    } else if (arg == "--profile") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.profile = v;
-    } else if (arg == "--metrics-json") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.metrics_json = v;
-    } else if (arg == "--manifest") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.manifest = v;
-    } else if (arg == "--threads") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.threads = std::atoi(v);
-    } else if (arg == "--engine-mode") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      engine::EngineMode mode{};
-      if (!engine::parse_engine_mode(v, &mode)) {
-        std::fprintf(stderr, "unknown engine mode '%s'\n", v);
-        return std::nullopt;
-      }
-    } else if (arg == "--deadline-ms") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.deadline_ms = std::atoll(v);
-    } else if (arg == "--net-effort") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.net_effort = std::atoll(v);
-    } else if (arg == "--fail-policy") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      if (std::strcmp(v, "abort") == 0) {
-        args.fail_policy = flow::FailPolicy::kAbort;
-      } else if (std::strcmp(v, "degrade") == 0) {
-        args.fail_policy = flow::FailPolicy::kDegrade;
-      } else if (std::strcmp(v, "partial") == 0) {
-        args.fail_policy = flow::FailPolicy::kPartial;
-      } else {
-        std::fprintf(stderr, "unknown fail policy '%s'\n", v);
-        return std::nullopt;
-      }
-    } else if (arg == "--faults") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.faults = v;
-    } else if (arg == "--verbose") {
-      args.verbose = true;
-    } else if (arg == "--check") {
-      args.check = true;
-    } else if (arg == "--help" || arg == "-h") {
-      return std::nullopt;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      return std::nullopt;
-    }
-  }
-  if (args.example.empty() == args.input.empty()) {
-    std::fputs("exactly one of --example / --input is required\n", stderr);
-    return std::nullopt;
-  }
-  return args;
-}
-
-/// The CLI's knobs as a service JobSpec, so instance construction and
-/// partitioning go through the same code path as the daemon's jobs
-/// (service/job.hpp). `faults` keeps the CLI-only "" = inherit-OCR_FAULTS
-/// semantics; the flow kind is parsed separately to preserve the usage
-/// (exit 2) contract for unknown names.
-service::JobSpec spec_from_args(const Args& args) {
-  service::JobSpec spec;
-  spec.example = args.example;
-  spec.input = args.input;
-  spec.partition = args.partition;
-  spec.threads = args.threads;
-  spec.fail_policy = args.fail_policy;
-  spec.deadline_ms = args.deadline_ms;
-  spec.net_effort = args.net_effort;
-  spec.faults = args.faults;
-  return spec;
-}
 
 void print_metrics(const flow::RunReport& report) {
   const flow::FlowMetrics& m = report.metrics;
@@ -302,94 +176,78 @@ void print_metrics(const flow::RunReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = parse_args(argc, argv);
-  if (!args) {
+  io::JobRequest request;
+  request.faults = "";  // unlike a daemon job, the CLI inherits OCR_FAULTS
+  Outputs out;
+  std::vector<util::Flag> flags = io::job_knob_flags(request);
+  flags.insert(flags.end(), {util::text_flag("--svg", &out.svg),
+                             util::text_flag("--save", &out.save),
+                             util::text_flag("--wiring", &out.wiring),
+                             util::text_flag("--trace", &out.trace),
+                             util::text_flag("--profile", &out.profile),
+                             util::text_flag("--metrics-json",
+                                             &out.metrics_json),
+                             util::switch_flag("--verbose", &out.verbose),
+                             util::switch_flag("--check", &out.check),
+                             util::switch_flag("--help", &out.help),
+                             util::switch_flag("-h", &out.help)});
+  const util::Status parsed = util::parse_flags(argc, argv, flags);
+  if (!parsed.ok() || out.help) {
+    if (!parsed.ok()) std::fprintf(stderr, "%s\n", parsed.message().c_str());
     usage();
     return 2;
   }
-  if (args->verbose) util::set_log_level(util::LogLevel::kInfo);
+  const auto spec = service::spec_from_request(request);
+  if (!spec.ok()) {
+    std::fprintf(stderr, "error: %s\n", spec.status().to_string().c_str());
+    return 2;
+  }
+  if (out.verbose) util::set_log_level(util::LogLevel::kInfo);
+  const bool overcell = spec->kind == flow::FlowKind::kOverCell;
 
   util::Profiler& profiler = util::Profiler::global();
-  if (!args->profile.empty() || !args->manifest.empty()) {
+  if (!out.profile.empty() || !spec->manifest_path.empty()) {
     profiler.enable();
   }
 
   // Arm fault injection before the input parse so io.* sites fire too
   // (flow::run re-arms the same spec for the routing stages).
-  {
-    util::FaultRegistry& registry = util::FaultRegistry::global();
-    const util::Status armed = args->faults == "-"
-                                   ? (registry.clear(), util::Status())
-                               : args->faults.empty()
-                                   ? registry.configure_from_env()
-                                   : registry.configure(args->faults);
-    if (!armed.ok()) {
-      std::fprintf(stderr, "error: %s\n", armed.to_string().c_str());
-      return 1;
-    }
-  }
-
-  const service::JobSpec spec = spec_from_args(*args);
-  auto ml = [&] {
-    OCR_SPAN("cli.parse");
-    std::vector<std::string> warnings;
-    auto instance = service::make_instance(spec, &warnings);
-    for (const std::string& warning : warnings) {
-      std::fprintf(stderr, "warning: %s\n", warning.c_str());
-    }
-    return instance;
-  }();
-  if (!ml.ok()) {
-    std::fprintf(stderr, "error: %s\n", ml.status().to_string().c_str());
+  const util::Status armed = service::arm_faults(spec->faults);
+  if (!armed.ok()) {
+    std::fprintf(stderr, "error: %s\n", armed.to_string().c_str());
     return 1;
   }
 
-  if (!args->save.empty()) {
-    if (!io::save_layout(*ml, args->save)) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
-                   args->save.c_str());
+  auto job = [&] {
+    OCR_SPAN("cli.parse");
+    std::vector<std::string> warnings;
+    auto materialized = service::materialize(*spec, &warnings);
+    for (const std::string& warning : warnings) {
+      std::fprintf(stderr, "warning: %s\n", warning.c_str());
+    }
+    return materialized;
+  }();
+  if (!job.ok()) {
+    std::fprintf(stderr, "error: %s\n", job.status().to_string().c_str());
+    return 1;
+  }
+
+  if (!out.save.empty()) {
+    if (!io::save_layout(job->layout, out.save)) {
+      std::fprintf(stderr, "error: cannot write '%s'\n", out.save.c_str());
       return 1;
     }
-    std::printf("saved instance to %s\n", args->save.c_str());
+    std::printf("saved instance to %s\n", out.save.c_str());
   }
 
   util::TraceSink trace;
   trace.set_mirror(profiler.enabled() ? &profiler : nullptr);
   flow::FlowArtifacts artifacts;
-  flow::RunOptions ropt;
-  ropt.flow.levelb_threads = args->threads;
-  ropt.fail_policy = args->fail_policy;
-  ropt.deadline_ms = args->deadline_ms;
-  ropt.net_effort = args->net_effort;
-  ropt.faults = args->faults;
+  flow::RunOptions ropt = service::job_run_options(*job);
   ropt.artifacts = &artifacts;
-  if (!args->trace.empty()) ropt.trace = &trace;
+  if (!out.trace.empty()) ropt.trace = &trace;
 
-  partition::NetPartition part;
-  if (args->flow == "overcell") {
-    ropt.kind = flow::FlowKind::kOverCell;
-    OCR_SPAN("cli.partition");
-    const auto zero = ml->assemble(std::vector<geom::Coord>(
-        static_cast<std::size_t>(ml->num_channels()), 0));
-    auto made = service::make_partition(args->partition, zero);
-    if (!made.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   made.status().to_string().c_str());
-      return 1;
-    }
-    part = std::move(made).value();
-  } else if (args->flow == "2layer") {
-    ropt.kind = flow::FlowKind::kTwoLayer;
-  } else if (args->flow == "4layer") {
-    ropt.kind = flow::FlowKind::kFourLayer;
-  } else if (args->flow == "50pct") {
-    ropt.kind = flow::FlowKind::kFiftyPercent;
-  } else {
-    std::fprintf(stderr, "unknown flow '%s'\n", args->flow.c_str());
-    return 2;
-  }
-
-  const flow::RunReport report = flow::run(*ml, part, ropt);
+  const flow::RunReport report = flow::run(job->layout, job->partition, ropt);
 
   // Reporting, checks and artifact writes are one "cli.report" stage. A
   // failure in here overrides the flow's exit code with 1; the
@@ -398,24 +256,23 @@ int main(int argc, char** argv) {
   const std::optional<int> output_failure = [&]() -> std::optional<int> {
     OCR_SPAN("cli.report");
     print_metrics(report);
-    if (args->verbose) {
+    if (out.verbose) {
       std::fputs(report::render_metrics_summary(
                      util::MetricsRegistry::global().snapshot())
                      .c_str(),
                  stdout);
     }
 
-    if (!args->trace.empty()) {
-      if (!trace.write_json_file(args->trace)) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     args->trace.c_str());
+    if (!out.trace.empty()) {
+      if (!trace.write_json_file(out.trace)) {
+        std::fprintf(stderr, "error: cannot write '%s'\n", out.trace.c_str());
         return 1;
       }
-      std::printf("wrote %s (%zu trace events)\n", args->trace.c_str(),
+      std::printf("wrote %s (%zu trace events)\n", out.trace.c_str(),
                   trace.size());
     }
 
-    if (args->check && args->flow == "overcell") {
+    if (out.check && overcell) {
       const auto violations = flow::check_over_cell_result(artifacts);
       if (violations.empty()) {
         std::puts("check:             clean (no violations)");
@@ -429,67 +286,55 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (!args->wiring.empty() && args->flow == "overcell") {
-      if (!io::save_wiring(artifacts.levelb, args->wiring)) {
+    if (!out.wiring.empty() && overcell) {
+      if (!io::save_wiring(artifacts.levelb, out.wiring)) {
         std::fprintf(stderr, "error: cannot write '%s'\n",
-                     args->wiring.c_str());
+                     out.wiring.c_str());
         return 1;
       }
-      std::printf("wrote %s (level-B wiring)\n", args->wiring.c_str());
+      std::printf("wrote %s (level-B wiring)\n", out.wiring.c_str());
     }
 
-    if (!args->svg.empty()) {
-      const std::string svg =
-          args->flow == "overcell"
-              ? viz::render_levelb_routing(artifacts)
-              : viz::render_layout(artifacts.layout);
-      if (!viz::write_file(args->svg, svg)) {
-        std::fprintf(stderr, "error: cannot write '%s'\n",
-                     args->svg.c_str());
+    if (!out.svg.empty()) {
+      const std::string svg = overcell
+                                  ? viz::render_levelb_routing(artifacts)
+                                  : viz::render_layout(artifacts.layout);
+      if (!viz::write_file(out.svg, svg)) {
+        std::fprintf(stderr, "error: cannot write '%s'\n", out.svg.c_str());
         return 1;
       }
-      std::printf("wrote %s\n", args->svg.c_str());
+      std::printf("wrote %s\n", out.svg.c_str());
     }
     return std::nullopt;
   }();
   const int exit_code = output_failure.value_or(report.exit_code());
 
-  if (!args->metrics_json.empty()) {
+  if (!out.metrics_json.empty()) {
     const util::MetricsSnapshot snapshot =
         util::MetricsRegistry::global().snapshot();
-    if (!snapshot.write_json_file(args->metrics_json)) {
+    if (!snapshot.write_json_file(out.metrics_json)) {
       std::fprintf(stderr, "error: cannot write '%s'\n",
-                   args->metrics_json.c_str());
+                   out.metrics_json.c_str());
       return 1;
     }
     std::printf("wrote %s (%zu counters, %zu gauges, %zu histograms)\n",
-                args->metrics_json.c_str(), snapshot.counters.size(),
+                out.metrics_json.c_str(), snapshot.counters.size(),
                 snapshot.gauges.size(), snapshot.histograms.size());
   }
 
-  if (!args->profile.empty()) {
-    if (!profiler.write_chrome_json(args->profile)) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
-                   args->profile.c_str());
+  if (!out.profile.empty()) {
+    if (!profiler.write_chrome_json(out.profile)) {
+      std::fprintf(stderr, "error: cannot write '%s'\n", out.profile.c_str());
       return 1;
     }
     std::printf("wrote %s (%zu profile records; open at "
                 "https://ui.perfetto.dev)\n",
-                args->profile.c_str(), profiler.records().size());
+                out.profile.c_str(), profiler.records().size());
   }
 
-  if (!args->manifest.empty()) {
+  if (!spec->manifest_path.empty()) {
     util::RunManifest manifest("ocr_route");
-    manifest.add_config("flow", args->flow);
-    manifest.add_config("partition", args->partition);
-    manifest.add_config("threads", args->threads);
-    manifest.add_config("fail_policy",
-                        flow::fail_policy_name(args->fail_policy));
-    manifest.add_config("deadline_ms", args->deadline_ms);
-    manifest.add_config("net_effort", args->net_effort);
-    if (!args->faults.empty()) manifest.add_config("faults", args->faults);
-    manifest.add_provenance(
-        "instance", args->input.empty() ? args->example : args->input);
+    service::add_job_config(manifest, *spec);
     manifest.add_outcome("status", flow::run_status_name(report.status));
     manifest.add_outcome("exit_code", exit_code);
     manifest.add_outcome("deadline_fired", report.deadline_fired);
@@ -497,12 +342,12 @@ int main(int argc, char** argv) {
         "problems", static_cast<long long>(report.metrics.problems.size()));
     manifest.capture_stages(profiler);
     manifest.capture_metrics(util::MetricsRegistry::global());
-    if (!manifest.write_json_file(args->manifest)) {
+    if (!manifest.write_json_file(spec->manifest_path)) {
       std::fprintf(stderr, "error: cannot write '%s'\n",
-                   args->manifest.c_str());
+                   spec->manifest_path.c_str());
       return 1;
     }
-    std::printf("wrote %s (run manifest)\n", args->manifest.c_str());
+    std::printf("wrote %s (run manifest)\n", spec->manifest_path.c_str());
   }
 
   return exit_code;

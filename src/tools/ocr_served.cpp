@@ -44,6 +44,7 @@
 #include "service/job.hpp"
 #include "service/journal.hpp"
 #include "util/fault.hpp"
+#include "util/flags.hpp"
 #include "util/log.hpp"
 #include "util/manifest.hpp"
 #include "util/metrics.hpp"
@@ -92,16 +93,16 @@ void usage() {
 }
 
 struct Args {
-  int workers = 1;
-  std::size_t queue_limit = 16;
-  int max_nets = 0;
+  long long workers = 1;
+  long long queue_limit = 16;
+  long long max_nets = 0;
   double reject_congestion = 0.0;
   double downtier_congestion = 0.0;
   long long downtier_net_effort = 100000;
   std::string journal_path;
   bool recover = false;
   long long drain_deadline_ms = 5000;
-  int retry_max = 1;
+  long long retry_max = 1;
   long long retry_base_ms = 10;
   long long retry_seed = 1;
   long long hang_ms = 0;
@@ -114,95 +115,34 @@ struct Args {
 
 std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return (i + 1 < argc) ? argv[++i] : nullptr;
-    };
-    if (arg == "--workers") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.workers = std::atoi(v);
-    } else if (arg == "--queue-limit") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      const long long limit = std::atoll(v);
-      if (limit < 1) {
-        std::fputs("--queue-limit must be >= 1\n", stderr);
-        return std::nullopt;
-      }
-      args.queue_limit = static_cast<std::size_t>(limit);
-    } else if (arg == "--max-nets") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.max_nets = std::atoi(v);
-    } else if (arg == "--reject-congestion") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.reject_congestion = std::atof(v);
-    } else if (arg == "--downtier-congestion") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.downtier_congestion = std::atof(v);
-    } else if (arg == "--downtier-net-effort") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.downtier_net_effort = std::atoll(v);
-    } else if (arg == "--journal") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.journal_path = v;
-    } else if (arg == "--recover") {
-      args.recover = true;
-    } else if (arg == "--drain-deadline-ms") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.drain_deadline_ms = std::atoll(v);
-    } else if (arg == "--retry-max") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.retry_max = std::atoi(v);
-      if (args.retry_max < 1) {
-        std::fputs("--retry-max must be >= 1\n", stderr);
-        return std::nullopt;
-      }
-    } else if (arg == "--retry-base-ms") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.retry_base_ms = std::atoll(v);
-    } else if (arg == "--retry-seed") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.retry_seed = std::atoll(v);
-    } else if (arg == "--hang-ms") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.hang_ms = std::atoll(v);
-    } else if (arg == "--service-faults") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.service_faults = v;
-    } else if (arg == "--manifest") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.manifest_path = v;
-    } else if (arg == "--socket") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.socket_path = v;
-    } else if (arg == "--metrics-json") {
-      const char* v = value();
-      if (v == nullptr) return std::nullopt;
-      args.metrics_json = v;
-    } else if (arg == "--verbose") {
-      args.verbose = true;
-    } else if (arg == "--help" || arg == "-h") {
-      return std::nullopt;
-    } else {
-      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
-      return std::nullopt;
-    }
+  bool help = false;
+  const util::Status parsed = util::parse_flags(
+      argc, argv,
+      {util::int_flag("--workers", &args.workers),
+       util::int_flag("--queue-limit", &args.queue_limit, 1),
+       util::int_flag("--max-nets", &args.max_nets),
+       util::real_flag("--reject-congestion", &args.reject_congestion),
+       util::real_flag("--downtier-congestion", &args.downtier_congestion),
+       util::int_flag("--downtier-net-effort", &args.downtier_net_effort),
+       util::text_flag("--journal", &args.journal_path),
+       util::switch_flag("--recover", &args.recover),
+       util::int_flag("--drain-deadline-ms", &args.drain_deadline_ms),
+       util::int_flag("--retry-max", &args.retry_max, 1),
+       util::int_flag("--retry-base-ms", &args.retry_base_ms),
+       util::int_flag("--retry-seed", &args.retry_seed),
+       util::int_flag("--hang-ms", &args.hang_ms),
+       util::text_flag("--service-faults", &args.service_faults),
+       util::text_flag("--manifest", &args.manifest_path),
+       util::text_flag("--socket", &args.socket_path),
+       util::text_flag("--metrics-json", &args.metrics_json),
+       util::switch_flag("--verbose", &args.verbose),
+       util::switch_flag("--help", &help),
+       util::switch_flag("-h", &help)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    return std::nullopt;
   }
+  if (help) return std::nullopt;
   if (!args.journal_path.empty() && !args.socket_path.empty()) {
     std::fputs("--journal requires stdin mode (no --socket)\n", stderr);
     return std::nullopt;
@@ -217,13 +157,13 @@ std::optional<Args> parse_args(int argc, char** argv) {
 service::JobExecutor::Options executor_options(const Args& args,
                                                service::Journal* journal) {
   service::JobExecutor::Options options;
-  options.workers = args.workers;
-  options.admission.queue_limit = args.queue_limit;
-  options.admission.max_nets = args.max_nets;
+  options.workers = static_cast<int>(args.workers);
+  options.admission.queue_limit = static_cast<std::size_t>(args.queue_limit);
+  options.admission.max_nets = static_cast<int>(args.max_nets);
   options.admission.reject_congestion = args.reject_congestion;
   options.admission.downtier_congestion = args.downtier_congestion;
   options.admission.downtier_net_effort = args.downtier_net_effort;
-  options.retry.max_attempts = args.retry_max;
+  options.retry.max_attempts = static_cast<int>(args.retry_max);
   options.retry.base_ms = args.retry_base_ms;
   options.retry.seed = static_cast<std::uint64_t>(args.retry_seed);
   options.journal = journal;
@@ -550,8 +490,7 @@ int serve_stdin(const Args& args) {
   if (!args.manifest_path.empty()) {
     util::RunManifest manifest("ocr_served");
     manifest.add_config("workers", args.workers);
-    manifest.add_config("queue_limit",
-                        static_cast<long long>(args.queue_limit));
+    manifest.add_config("queue_limit", args.queue_limit);
     manifest.add_config("journal", args.journal_path);
     manifest.add_config("recover", args.recover);
     manifest.add_config("retry_max", args.retry_max);

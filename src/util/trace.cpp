@@ -59,8 +59,12 @@ std::string TraceValue::to_json() const {
       // JSON has no NaN/Inf; clamp to null.
       if (!std::isfinite(double_)) return "null";
       return format("%.6g", double_);
-    case Kind::kString:
-      return "\"" + json_escape(str_) + "\"";
+    case Kind::kString: {
+      std::string out = "\"";
+      out += json_escape(str_);
+      out += '"';
+      return out;
+    }
   }
   return "null";
 }

@@ -31,8 +31,9 @@ TEST(GlobalEdge, FeedthroughSaturationReported) {
   ml.add_cell(MacroCell{"a", 196, 80, 0, 0});
   ml.add_cell(MacroCell{"b", 196, 80, 0, 204});
   for (int n = 0; n < 2; ++n) {
-    const int net = ml.add_net(MacroNet{"n" + std::to_string(n),
-                                        netlist::NetClass::kSignal});
+    const int net =
+        ml.add_net(MacroNet{std::string("n").append(std::to_string(n)),
+                            netlist::NetClass::kSignal});
     ml.add_pin(MacroPin{net, 0, false, 20 + 12 * n});  // channel 0
     ml.add_pin(MacroPin{net, 0, true, 20 + 12 * n});   // channel 1
   }
@@ -134,8 +135,9 @@ TEST(FlowEdge, InstanceWithoutCriticalNets) {
   ml.add_cell(MacroCell{"c", 600, 300, 1, 100});
   ml.add_cell(MacroCell{"d", 600, 300, 1, 900});
   for (int n = 0; n < 6; ++n) {
-    const int net = ml.add_net(MacroNet{"n" + std::to_string(n),
-                                        netlist::NetClass::kSignal});
+    const int net =
+        ml.add_net(MacroNet{std::string("n").append(std::to_string(n)),
+                            netlist::NetClass::kSignal});
     ml.add_pin(MacroPin{net, n % 4, true, 60 + 30 * n});
     ml.add_pin(MacroPin{net, (n + 1) % 4, false, 90 + 30 * n});
   }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench_data/levelb_instance.hpp"
 #include "engine/engine.hpp"
 #include "levelb/figure1.hpp"
 #include "levelb/router.hpp"
@@ -16,7 +17,6 @@ namespace {
 constexpr geom::Orientation kH = geom::Orientation::kHorizontal;
 constexpr geom::Orientation kV = geom::Orientation::kVertical;
 
-using geom::Point;
 using geom::Rect;
 using levelb::BNet;
 using levelb::LevelBResult;
@@ -25,23 +25,13 @@ tig::TrackGrid make_grid(geom::Coord size) {
   return tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
 }
 
-/// Same generator shape as bench_scaling: degree-2..4 nets with uniform
-/// random terminals; every fifth net is sensitive so batches also close
-/// on sensitive commits.
+/// The bench generator (bench_data::uniform_random_nets); every fifth
+/// net is sensitive so batches also close on sensitive commits.
 std::vector<BNet> random_nets(std::uint64_t seed, geom::Coord size,
                               int count, bool with_sensitive) {
   util::Rng rng(seed);
-  std::vector<BNet> nets;
-  for (int n = 0; n < count; ++n) {
-    BNet net{n, {}};
-    const int degree = static_cast<int>(rng.uniform_int(2, 4));
-    for (int t = 0; t < degree; ++t) {
-      net.terminals.push_back(
-          Point{rng.uniform_int(0, size - 1), rng.uniform_int(0, size - 1)});
-    }
-    net.sensitive = with_sensitive && n % 5 == 2;
-    nets.push_back(std::move(net));
-  }
+  std::vector<BNet> nets = bench_data::uniform_random_nets(rng, size, count);
+  for (BNet& net : nets) net.sensitive = with_sensitive && net.id % 5 == 2;
   return nets;
 }
 

@@ -11,6 +11,7 @@
 #include <set>
 #include <vector>
 
+#include "bench_data/levelb_instance.hpp"
 #include "bench_data/synthetic.hpp"
 #include "engine/engine.hpp"
 #include "flow/check.hpp"
@@ -23,28 +24,12 @@
 namespace ocr {
 namespace {
 
-using geom::Point;
 using geom::Rect;
-
-std::vector<levelb::BNet> random_nets(util::Rng& rng, geom::Coord size,
-                                      int count) {
-  std::vector<levelb::BNet> nets;
-  for (int n = 0; n < count; ++n) {
-    levelb::BNet net{n, {}};
-    const int degree = static_cast<int>(rng.uniform_int(2, 4));
-    for (int t = 0; t < degree; ++t) {
-      net.terminals.push_back(
-          Point{rng.uniform_int(0, size - 1), rng.uniform_int(0, size - 1)});
-    }
-    nets.push_back(std::move(net));
-  }
-  return nets;
-}
 
 levelb::LevelBResult route_instance(int threads, int nets = 60) {
   util::Rng rng(5);
   auto grid = tig::TrackGrid::uniform(Rect(0, 0, 1000, 1000), 9, 11);
-  auto bnets = random_nets(rng, 1000, nets);
+  auto bnets = bench_data::uniform_random_nets(rng, 1000, nets);
   engine::EngineOptions options;
   options.threads = threads;
   engine::RoutingEngine router(grid, options);
@@ -61,7 +46,7 @@ class FaultLadder : public ::testing::Test {
                                         int ripup_rounds = 1) {
     util::Rng rng(5);
     auto grid = tig::TrackGrid::uniform(Rect(0, 0, 1000, 1000), 9, 11);
-    auto bnets = random_nets(rng, 1000, 60);
+    auto bnets = bench_data::uniform_random_nets(rng, 1000, 60);
     engine::EngineOptions options;
     options.threads = threads;
     options.levelb.ripup_rounds = ripup_rounds;

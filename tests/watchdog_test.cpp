@@ -9,6 +9,7 @@
 #include <chrono>
 #include <thread>
 
+#include "bench_data/levelb_instance.hpp"
 #include "engine/engine.hpp"
 #include "engine/watchdog.hpp"
 #include "levelb/router.hpp"
@@ -18,23 +19,7 @@
 namespace ocr::engine {
 namespace {
 
-using geom::Point;
 using geom::Rect;
-
-std::vector<levelb::BNet> random_nets(util::Rng& rng, geom::Coord size,
-                                      int count) {
-  std::vector<levelb::BNet> nets;
-  for (int n = 0; n < count; ++n) {
-    levelb::BNet net{n, {}};
-    const int degree = static_cast<int>(rng.uniform_int(2, 4));
-    for (int t = 0; t < degree; ++t) {
-      net.terminals.push_back(
-          Point{rng.uniform_int(0, size - 1), rng.uniform_int(0, size - 1)});
-    }
-    nets.push_back(std::move(net));
-  }
-  return nets;
-}
 
 TEST(Watchdog, NoLimitsNeverFires) {
   util::CancelSource source;
@@ -119,7 +104,7 @@ TEST(Watchdog, DeadlinedRouteTerminatesPromptlyAtAnyThreadCount) {
   for (const int threads : {1, 4}) {
     util::Rng rng(11);
     auto grid = tig::TrackGrid::uniform(Rect(0, 0, 4000, 4000), 9, 11);
-    auto nets = random_nets(rng, 4000, 400);
+    auto nets = bench_data::uniform_random_nets(rng, 4000, 400);
 
     util::CancelSource source;
     EngineOptions options;
@@ -164,7 +149,7 @@ TEST(Watchdog, EffortBudgetIsThreadCountInvariant) {
   const auto route_with_budget = [](int threads) {
     util::Rng rng(5);
     auto grid = tig::TrackGrid::uniform(Rect(0, 0, 1000, 1000), 9, 11);
-    auto nets = random_nets(rng, 1000, 100);
+    auto nets = bench_data::uniform_random_nets(rng, 1000, 100);
     EngineOptions options;
     options.threads = threads;
     options.levelb.net_vertex_budget = 400;
@@ -184,7 +169,7 @@ TEST(Watchdog, EffortBudgetIsThreadCountInvariant) {
 TEST(Watchdog, BudgetStoppedNetsAreCleanlyAbandoned) {
   util::Rng rng(5);
   auto grid = tig::TrackGrid::uniform(Rect(0, 0, 1000, 1000), 9, 11);
-  auto nets = random_nets(rng, 1000, 100);
+  auto nets = bench_data::uniform_random_nets(rng, 1000, 100);
   levelb::LevelBOptions options;
   options.net_vertex_budget = 400;
   options.ripup_rounds = 0;
