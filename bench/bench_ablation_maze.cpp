@@ -3,12 +3,12 @@
 /// router on the same grid (§3: "faster completion of the interconnections
 /// on the average when compared to maze type algorithms").
 ///
-/// Reports wall-clock per connection (google-benchmark) and a quality
-/// summary: vertices/cells examined, wire length and corners.
-
-#include <benchmark/benchmark.h>
+/// Reports one table over the same trials: vertices/cells examined, wire
+/// length, corners, connections found, and the "us/connect" column, the
+/// mean wall time of one connect call in microseconds.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 #include "levelb/path_finder.hpp"
@@ -53,58 +53,33 @@ std::pair<Point, Point> far_pair(const tig::TrackGrid& grid,
   return {a, b};
 }
 
-void BM_Mbfs(benchmark::State& state) {
-  const auto size = static_cast<geom::Coord>(state.range(0));
-  const auto grid = make_grid(size, static_cast<int>(size) / 100, 7);
-  const levelb::PathFinder finder(grid);
-  const auto ctx = levelb::make_cost_context(grid, nullptr);
-  util::Rng rng(99);
-  for (auto _ : state) {
-    auto [a, b] = far_pair(grid, rng);
-    benchmark::DoNotOptimize(finder.connect(a, b, ctx));
-  }
+/// Wall time since \p start, in µs.
+double us_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
-BENCHMARK(BM_Mbfs)->Arg(500)->Arg(1000)->Arg(2000);
-
-void BM_Lee(benchmark::State& state) {
-  const auto size = static_cast<geom::Coord>(state.range(0));
-  const auto grid = make_grid(size, static_cast<int>(size) / 100, 7);
-  util::Rng rng(99);
-  for (auto _ : state) {
-    auto [a, b] = far_pair(grid, rng);
-    benchmark::DoNotOptimize(maze::lee_connect(grid, a, b));
-  }
-}
-BENCHMARK(BM_Lee)->Arg(500)->Arg(1000)->Arg(2000);
-
-void BM_Hightower(benchmark::State& state) {
-  const auto size = static_cast<geom::Coord>(state.range(0));
-  const auto grid = make_grid(size, static_cast<int>(size) / 100, 7);
-  util::Rng rng(99);
-  for (auto _ : state) {
-    auto [a, b] = far_pair(grid, rng);
-    benchmark::DoNotOptimize(maze::hightower_connect(grid, a, b));
-  }
-}
-BENCHMARK(BM_Hightower)->Arg(500)->Arg(1000)->Arg(2000);
 
 void print_quality_table() {
   util::TextTable table;
   table.set_header({"Grid", "Router", "Examined", "Wire length", "Corners",
-                    "Found"});
+                    "Found", "us/connect"});
   for (geom::Coord size : {500, 1000, 2000}) {
     const auto grid = make_grid(size, static_cast<int>(size) / 100, 7);
     const levelb::PathFinder finder(grid);
     const auto ctx = levelb::make_cost_context(grid, nullptr);
     util::Rng rng(99);
+    double mbfs_us = 0.0;
     long long mbfs_examined = 0;
     long long mbfs_wl = 0;
     int mbfs_corners = 0;
     int mbfs_found = 0;
+    double lee_us = 0.0;
     long long lee_examined = 0;
     long long lee_wl = 0;
     int lee_corners = 0;
     int lee_found = 0;
+    double ht_us = 0.0;
     long long ht_examined = 0;
     long long ht_wl = 0;
     int ht_corners = 0;
@@ -112,21 +87,27 @@ void print_quality_table() {
     constexpr int kTrials = 20;
     for (int t = 0; t < kTrials; ++t) {
       auto [a, b] = far_pair(grid, rng);
+      auto start = std::chrono::steady_clock::now();
       const auto m = finder.connect(a, b, ctx);
+      mbfs_us += us_since(start);
       if (m.found) {
         ++mbfs_found;
         mbfs_examined += m.stats.vertices_examined;
         mbfs_wl += m.path.length();
         mbfs_corners += m.corners;
       }
+      start = std::chrono::steady_clock::now();
       const auto l = maze::lee_connect(grid, a, b);
+      lee_us += us_since(start);
       if (l.found) {
         ++lee_found;
         lee_examined += l.cells_expanded;
         lee_wl += l.path.length();
         lee_corners += l.path.corners();
       }
+      start = std::chrono::steady_clock::now();
       const auto h = maze::hightower_connect(grid, a, b);
+      ht_us += us_since(start);
       if (h.found) {
         ++ht_found;
         ht_examined += h.probes_expanded;
@@ -141,23 +122,27 @@ void print_quality_table() {
                    util::format("%lld", mbfs_wl / kTrials),
                    util::format("%.1f",
                                 static_cast<double>(mbfs_corners) / kTrials),
-                   util::format("%d/%d", mbfs_found, kTrials)});
+                   util::format("%d/%d", mbfs_found, kTrials),
+                   util::format("%.1f", mbfs_us / kTrials)});
     table.add_row({label, "Lee maze",
                    util::format("%lld", lee_examined / kTrials),
                    util::format("%lld", lee_wl / kTrials),
                    util::format("%.1f",
                                 static_cast<double>(lee_corners) / kTrials),
-                   util::format("%d/%d", lee_found, kTrials)});
+                   util::format("%d/%d", lee_found, kTrials),
+                   util::format("%.1f", lee_us / kTrials)});
     const int ht_n = std::max(ht_found, 1);
     table.add_row({label, "Hightower",
                    util::format("%lld", ht_examined / ht_n),
                    util::format("%lld", ht_wl / ht_n),
                    util::format("%.1f",
                                 static_cast<double>(ht_corners) / ht_n),
-                   util::format("%d/%d", ht_found, kTrials)});
+                   util::format("%d/%d", ht_found, kTrials),
+                   util::format("%.1f", ht_us / kTrials)});
     table.add_separator();
   }
-  std::puts("\nAblation A: MBFS track search vs Lee maze router (quality)");
+  std::puts("\nAblation A: MBFS track search vs Lee maze router (quality "
+            "and time)");
   std::fputs(table.render().c_str(), stdout);
   std::puts("MBFS examines track segments; Lee expands grid cells — the "
             "paper's efficiency argument.");
@@ -165,9 +150,7 @@ void print_quality_table() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
   print_quality_table();
   return 0;
 }

@@ -1,10 +1,10 @@
 /// \file bench_ablation_steiner.cpp
 /// \brief Ablation C: the paper's modified-Prim rectilinear Steiner
 /// heuristic (§3.3) vs the plain rectilinear MST and, for tiny nets, the
-/// exact RSMT.
+/// exact RSMT. The "MST us/tree" and "RST us/tree" columns are the mean
+/// wall time of one tree over the same trials, in microseconds.
 
-#include <benchmark/benchmark.h>
-
+#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -29,39 +29,34 @@ std::vector<Point> random_terminals(util::Rng& rng, int n) {
   return pts;
 }
 
-void BM_Rmst(benchmark::State& state) {
-  util::Rng rng(1);
-  const auto pts = random_terminals(rng, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(steiner::rectilinear_mst(pts));
-  }
+/// Wall time since \p start, in µs.
+double us_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - start)
+      .count();
 }
-BENCHMARK(BM_Rmst)->Arg(8)->Arg(32)->Arg(128);
-
-void BM_ModifiedPrimRst(benchmark::State& state) {
-  util::Rng rng(1);
-  const auto pts = random_terminals(rng, static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(steiner::modified_prim_rst(pts));
-  }
-}
-BENCHMARK(BM_ModifiedPrimRst)->Arg(8)->Arg(32)->Arg(128);
 
 void print_quality_table() {
   util::TextTable table;
   table.set_header({"Terminals", "RST/MST length", "RST/exact length",
-                    "Steiner pts/net"});
+                    "Steiner pts/net", "MST us/tree", "RST us/tree"});
   util::Rng rng(2024);
   for (int n : {3, 4, 5, 8, 16, 40}) {
     double ratio_sum = 0.0;
     double exact_ratio_sum = 0.0;
     int exact_count = 0;
     double steiner_points = 0.0;
+    double mst_us = 0.0;
+    double rst_us = 0.0;
     constexpr int kTrials = 50;
     for (int t = 0; t < kTrials; ++t) {
       const auto pts = random_terminals(rng, n);
+      auto start = std::chrono::steady_clock::now();
       const auto mst = steiner::rectilinear_mst(pts);
+      mst_us += us_since(start);
+      start = std::chrono::steady_clock::now();
       const auto rst = steiner::modified_prim_rst(pts);
+      rst_us += us_since(start);
       if (mst.length > 0) {
         ratio_sum += static_cast<double>(rst.length) /
                      static_cast<double>(mst.length);
@@ -84,7 +79,9 @@ void print_quality_table() {
          exact_count > 0
              ? util::format("%.4f", exact_ratio_sum / exact_count)
              : std::string("-"),
-         util::format("%.1f", steiner_points / kTrials)});
+         util::format("%.1f", steiner_points / kTrials),
+         util::format("%.2f", mst_us / kTrials),
+         util::format("%.2f", rst_us / kTrials)});
   }
   std::puts("\nAblation C: modified-Prim RST quality (paper §3.3)");
   std::fputs(table.render().c_str(), stdout);
@@ -95,9 +92,7 @@ void print_quality_table() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
   print_quality_table();
   return 0;
 }

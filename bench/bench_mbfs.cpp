@@ -24,12 +24,12 @@
 /// warm-up and reports the median. `--quick` shrinks the instance set and
 /// repeats for CI smoke use. `--json` writes BENCH_mbfs.json. `--label S`
 /// tags every JSON record (used to distinguish before/after captures).
+/// `--connect-only` skips the full-route rows and `--only NAME` runs one
+/// instance, both profiling aids.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -43,6 +43,7 @@
 #include "levelb/workspace.hpp"
 #include "netlist/layout.hpp"
 #include "tig/track_grid.hpp"
+#include "util/flags.hpp"
 #include "util/manifest.hpp"
 #include "util/mem.hpp"
 #include "util/metrics.hpp"
@@ -132,43 +133,27 @@ Instance ami33_instance() {
 /// Final-occupancy grid plus the snapped terminals that produced it.
 struct Prepared {
   tig::TrackGrid grid;
-  std::vector<std::vector<Point>> snapped;  ///< by net index
+  std::vector<std::vector<Point>> snapped;  ///< by ordering position
 };
 
-/// Routes the instance serially (first pass only, no rip-up) so the sweep
+/// Routes the instance serially through levelb::RouteRun, committing
+/// every position but never calling finish() (so no rip-up), so the sweep
 /// queries run against realistic end-state congestion.
 Prepared prepare_final_occupancy(const Instance& inst) {
   Prepared p{inst.grid, {}};
-  const std::vector<std::size_t> order =
-      levelb::order_nets(inst.nets, levelb::NetOrdering::kLongestFirst);
-  p.snapped = levelb::snap_and_reserve_terminals(p.grid, inst.nets);
   const levelb::LevelBOptions options;
-  const levelb::UnroutedSuffix unrouted(
-      p.snapped, order, levelb::unrouted_bucket_edge(p.grid, options));
-  levelb::SearchStats stats;
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    const levelb::BNet& net = inst.nets[order[k]];
-    for (const Point& pt : p.snapped[order[k]]) {
-      levelb::unblock_terminal(p.grid, pt);
-    }
-    std::vector<levelb::Committed> committed;
-    levelb::route_single_net(
-        p.grid, options,
-        levelb::NetRouteRequest{net.id, &p.snapped[order[k]],
-                                unrouted.suffix(k), nullptr},
-        committed, stats);
-    for (const Point& pt : p.snapped[order[k]]) {
-      levelb::block_terminal(p.grid, pt);
-    }
-    levelb::commit_extents(p.grid, committed);
+  levelb::RouteRun run(p.grid, options, inst.nets);
+  for (std::size_t k = 0; k < run.size(); ++k) {
+    run.commit(k, run.route_serial(k));
+    p.snapped.push_back(*run.terminals()[k]);
   }
   return p;
 }
 
 /// One two-terminal search of the sweep.
 struct Query {
-  std::size_t net = 0;  ///< net index (its terminals are unblocked around
-                        ///< the connect, like a real retry)
+  std::size_t net = 0;  ///< ordering position (its terminals are unblocked
+                        ///< around the connect, like a real retry)
   Point a;
   Point b;
 };
@@ -341,33 +326,14 @@ struct RouteRow {
   long long peak_rss_kb = 0;   ///< process high-water RSS after the run
 };
 
-RouteRow route_serial(const Instance& inst, int repeat,
-                      levelb::LevelBResult& expected) {
-  RouteRow row{"serial", 1, static_cast<int>(inst.nets.size())};
-  const util::MetricsRegistry& reg = util::MetricsRegistry::global();
-  std::vector<double> walls;
-  for (int r = 0; r <= repeat; ++r) {
-    tig::TrackGrid grid = inst.grid;
-    levelb::LevelBRouter router(grid);
-    const util::MetricsSnapshot before = reg.snapshot();
-    const auto t0 = std::chrono::steady_clock::now();
-    levelb::LevelBResult result = router.route(inst.nets);
-    const double wall = ms_since(t0);
-    row.work = reg.snapshot().counters_since(before, "levelb.");
-    if (r > 0) walls.push_back(wall);
-    row.routed = result.routed_nets;
-    row.vertices = result.vertices_examined;
-    row.grid_bytes = static_cast<long long>(grid.grid_bytes());
-    expected = std::move(result);
-  }
-  row.wall_ms = median(walls);
-  row.peak_rss_kb = util::peak_rss_kb();
-  return row;
-}
-
-RouteRow route_engine(const Instance& inst, int threads, int repeat,
-                      const levelb::LevelBResult& expected) {
-  RouteRow row{"sharded", threads, static_cast<int>(inst.nets.size())};
+/// Routes \p inst `repeat` times after one warm-up through the engine at
+/// \p threads (at 1 thread the engine is the serial LevelBRouter). The
+/// "serial" row stores its result in \p expected; every other row is
+/// checked against it.
+RouteRow route_row(const Instance& inst, const char* mode, int threads,
+                   int repeat, levelb::LevelBResult& expected) {
+  RouteRow row{mode, threads, static_cast<int>(inst.nets.size())};
+  const bool reference = row.mode == "serial";
   const util::MetricsRegistry& reg = util::MetricsRegistry::global();
   std::vector<double> walls;
   for (int r = 0; r <= repeat; ++r) {
@@ -377,18 +343,22 @@ RouteRow route_engine(const Instance& inst, int threads, int repeat,
     engine::RoutingEngine router(grid, options);
     const util::MetricsSnapshot before = reg.snapshot();
     const auto t0 = std::chrono::steady_clock::now();
-    const levelb::LevelBResult result = router.route(inst.nets);
+    levelb::LevelBResult result = router.route(inst.nets);
     const double wall = ms_since(t0);
     row.work = reg.snapshot().counters_since(before, "levelb.");
     if (r > 0) walls.push_back(wall);
-    row.identical = result == expected;
     row.routed = result.routed_nets;
     row.vertices = result.vertices_examined;
+    row.grid_bytes = static_cast<long long>(grid.grid_bytes());
     const engine::EngineStats& stats = router.stats();
     row.wasted_vertices = stats.sharded_wasted_vertices;
     row.batches = stats.batches;
     row.boundary_nets = stats.boundary_nets;
-    row.grid_bytes = static_cast<long long>(grid.grid_bytes());
+    if (reference) {
+      expected = std::move(result);
+    } else {
+      row.identical = result == expected;
+    }
   }
   row.wall_ms = median(walls);
   row.peak_rss_kb = util::peak_rss_kb();
@@ -415,7 +385,7 @@ void run_route_rows(const Instance& inst, const Config& cfg,
   route_table.set_header({"Mode", "Threads", "Wall ms", "Speedup",
                           "Identical", "Routed", "Batches", "Boundary"});
   levelb::LevelBResult expected;
-  const RouteRow serial = route_serial(inst, cfg.repeat, expected);
+  const RouteRow serial = route_row(inst, "serial", 1, cfg.repeat, expected);
   route_table.add_row({serial.mode, "1", util::format("%.1f", serial.wall_ms),
                        "1.00x", "-", util::format("%d", serial.routed), "-",
                        "-"});
@@ -428,7 +398,7 @@ void run_route_rows(const Instance& inst, const Config& cfg,
                        : std::vector<int>{1, 2, 4, 8};
   double engine_1t_ms = 0.0;
   for (const int threads : route_threads) {
-    RouteRow row = route_engine(inst, threads, cfg.repeat, expected);
+    RouteRow row = route_row(inst, "sharded", threads, cfg.repeat, expected);
     if (threads == 1) engine_1t_ms = row.wall_ms;
     row.speedup_vs_1t = row.wall_ms > 0.0 && engine_1t_ms > 0.0
                             ? engine_1t_ms / row.wall_ms
@@ -536,25 +506,31 @@ void bench_instance(const Instance& inst, const Config& cfg,
 
 int main(int argc, char** argv) {
   Config cfg;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      cfg.quick = true;
-      cfg.repeat = 1;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      cfg.json = true;
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      cfg.repeat = std::max(1, std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-      cfg.label = argv[++i];
-    } else if (std::strcmp(argv[i], "--connect-only") == 0) {
-      cfg.connect_only = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_mbfs [--quick] [--json] [--repeat N] "
-                   "[--label S] [--connect-only]\n");
-      return 2;
-    }
+  long long repeat = cfg.repeat;
+  std::string only;  ///< run this one instance (profiling aid)
+  const util::Status parsed = util::parse_flags(
+      argc, argv,
+      {// --quick resets the repeat count; a later --repeat overrides it.
+       {"--quick",
+        [&](const std::string&) {
+          cfg.quick = true;
+          repeat = 1;
+          return util::Status();
+        },
+        true},
+       util::switch_flag("--json", &cfg.json),
+       util::int_flag("--repeat", &repeat, 1),
+       util::text_flag("--label", &cfg.label),
+       util::switch_flag("--connect-only", &cfg.connect_only),
+       util::text_flag("--only", &only)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    std::fputs("usage: bench_mbfs [--quick] [--json] [--repeat N] "
+               "[--label S] [--connect-only] [--only NAME]\n",
+               stderr);
+    return 2;
   }
+  cfg.repeat = static_cast<int>(repeat);
 
   util::TraceSink json;
   util::TraceSink* sink = cfg.json ? &json : nullptr;
@@ -605,10 +581,8 @@ int main(int argc, char** argv) {
     inst.serial_only = true;
     instances.push_back(std::move(inst));
   }
-  // Undocumented profiling aid: run a single instance by name.
-  const char* only = std::getenv("BENCH_MBFS_ONLY");
   for (const Instance& inst : instances) {
-    if (only != nullptr && inst.name != only) continue;
+    if (!only.empty() && inst.name != only) continue;
     bench_instance(inst, cfg, sink);
   }
 

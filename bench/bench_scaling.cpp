@@ -24,14 +24,11 @@
 /// `--label S` tags every JSON record (default "current"), so before/after
 /// captures can be appended to the committed file as they are.
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -45,6 +42,7 @@
 #include "service/job.hpp"
 #include "service/journal.hpp"
 #include "util/fault.hpp"
+#include "util/flags.hpp"
 #include "util/manifest.hpp"
 #include "util/mem.hpp"
 #include "util/metrics.hpp"
@@ -67,52 +65,6 @@ util::TraceEvent bench_record(const char* kind) {
   ev.add("label", g_label);
   return ev;
 }
-
-/// Full level-B run: grid size and net count as benchmark args.
-void BM_LevelBRoute(benchmark::State& state) {
-  const auto size = static_cast<geom::Coord>(state.range(0));
-  const int nets = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    state.PauseTiming();
-    util::Rng rng(5);
-    auto grid = tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
-    auto bnets = bench_data::uniform_random_nets(rng, size, nets);
-    levelb::LevelBRouter router(grid);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(router.route(bnets));
-  }
-}
-BENCHMARK(BM_LevelBRoute)
-    ->Args({500, 25})
-    ->Args({1000, 25})
-    ->Args({2000, 25})
-    ->Args({1000, 50})
-    ->Args({1000, 100})
-    ->Unit(benchmark::kMillisecond);
-
-/// Same instance through the parallel engine; third arg = worker threads.
-void BM_EngineRoute(benchmark::State& state) {
-  const auto size = static_cast<geom::Coord>(state.range(0));
-  const int nets = static_cast<int>(state.range(1));
-  const int threads = static_cast<int>(state.range(2));
-  for (auto _ : state) {
-    state.PauseTiming();
-    util::Rng rng(5);
-    auto grid = tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11);
-    auto bnets = bench_data::uniform_random_nets(rng, size, nets);
-    engine::EngineOptions options;
-    options.threads = threads;
-    engine::RoutingEngine router(grid, options);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(router.route(bnets));
-  }
-}
-BENCHMARK(BM_EngineRoute)
-    ->Args({1000, 100, 1})
-    ->Args({1000, 100, 2})
-    ->Args({1000, 100, 4})
-    ->Args({1000, 100, 8})
-    ->Unit(benchmark::kMillisecond);
 
 std::vector<std::pair<geom::Coord, int>> scaling_instances() {
   return {{500, 25}, {1000, 25}, {2000, 25}, {1000, 50}, {1000, 100}};
@@ -585,43 +537,26 @@ int main(int argc, char** argv) {
   bool write_json = false;
   bool service_mode = false;
   bool large = false;
+  // Run just the memory study in a fresh process, so its peak-RSS rows
+  // are not inflated by the preceding studies' footprints — this is how
+  // comparable before/after capture runs are made.
   bool memory_only = false;
-  int repeat = 1;
-  // Strip our flags before google-benchmark parses the rest.
-  for (int i = 1; i < argc;) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      write_json = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-    } else if (std::strcmp(argv[i], "--service") == 0) {
-      service_mode = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-    } else if (std::strcmp(argv[i], "--large") == 0) {
-      large = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-    } else if (std::strcmp(argv[i], "--memory-only") == 0) {
-      // Run just the memory study in a fresh process, so its peak-RSS
-      // rows are not inflated by the preceding studies' footprints —
-      // this is how comparable before/after capture runs are made.
-      memory_only = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-    } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = std::max(1, std::atoi(argv[i + 1]));
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-    } else if (std::strcmp(argv[i], "--label") == 0 && i + 1 < argc) {
-      g_label = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) argv[j] = argv[j + 2];
-      argc -= 2;
-    } else {
-      ++i;
-    }
+  long long repeat = 1;
+  const util::Status parsed = util::parse_flags(
+      argc, argv,
+      {util::switch_flag("--json", &write_json),
+       util::switch_flag("--service", &service_mode),
+       util::switch_flag("--large", &large),
+       util::switch_flag("--memory-only", &memory_only),
+       util::int_flag("--repeat", &repeat, 1),
+       util::text_flag("--label", &g_label)});
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.message().c_str());
+    std::fputs("usage: bench_scaling [--json] [--repeat N] [--label S] "
+               "[--service] [--memory-only] [--large]\n",
+               stderr);
+    return 2;
   }
-  benchmark::Initialize(&argc, argv);
-  if (!service_mode) benchmark::RunSpecifiedBenchmarks();
 
   util::TraceSink json;
   util::TraceSink* sink = write_json ? &json : nullptr;

@@ -8,8 +8,14 @@ service contract of docs/SERVICE.md:
   mandatory fields, and the daemon exits 0 after draining on EOF;
 * statuses map to the exit-class contract (clean=0, failed=1,
   rejected=2, partial=3) and the stream exercises all four;
-* the over-deadline job reports deadline_fired, the fault-injected job
-  reports faults_injected, and neither leaks into the clean jobs;
+* the effort-budget job reports partial (a net_effort of 1 can only
+  stop level B, so its outcome does not depend on timing);
+* the over-deadline job reports deadline_fired and the deadline as its
+  error, and its status follows the run contract of flow/run.hpp:
+  failed when the deadline cut level A, partial (with cancelled nets)
+  when it fired after level A;
+* the fault-injected job reports faults_injected, and none of the three
+  leaks into the clean jobs;
 * daemon results are deterministic and identical to ocr_route on the
   same spec (wire_length/vias compared against --metrics-json);
 * under a 1-deep queue a burst is partially rejected — immediately,
@@ -61,10 +67,11 @@ def main():
     check(os.path.exists(served), f"missing binary {served}")
     check(os.path.exists(route), f"missing binary {route}")
 
-    # --- Mixed stream: clean jobs + one over-deadline + one fault-armed
-    # + one broken instance + one malformed line. -----------------------
+    # --- Mixed stream: clean jobs + one over-budget + one over-deadline
+    # + one fault-armed + one broken instance + one malformed line. -----
     requests = [{"id": f"clean-{i}", "example": "ami33",
-                 "threads": 1 + i % 2} for i in range(args.jobs - 4)]
+                 "threads": 1 + i % 2} for i in range(args.jobs - 5)]
+    requests.append({"id": "budget", "example": "ami33", "net_effort": 1})
     requests.append({"id": "deadline", "example": "ex3", "deadline_ms": 1})
     requests.append({"id": "faulty", "example": "ami33", "threads": 2,
                      "faults": "engine.committer.commit=2"})
@@ -98,10 +105,19 @@ def main():
 
     check(statuses == {"clean", "partial", "failed", "rejected"},
           f"stream should exercise all four statuses, got {statuses}")
-    check(by_id["deadline"]["deadline_fired"] is True,
+    check(by_id["budget"]["status"] == "partial",
+          "over-budget job should degrade to partial")
+    deadline = by_id["deadline"]
+    check(deadline["deadline_fired"] is True,
           "over-deadline job did not report deadline_fired")
-    check(by_id["deadline"]["status"] == "partial",
-          "over-deadline job should degrade to partial")
+    # The run contract (flow/run.hpp): a deadline that cuts level A is a
+    # hard failure; one that fires after it leaves a usable layout with
+    # cancelled level-B nets. Either way the deadline is the error.
+    check(deadline["status"] in ("partial", "failed")
+          and deadline["error"].startswith("[deadline]"),
+          f"over-deadline job breaks the run contract: {deadline}")
+    check(deadline["status"] == "failed" or deadline["cancelled_nets"] > 0,
+          f"partial over-deadline job cancelled no nets: {deadline}")
     check(by_id["faulty"]["faults_injected"] >= 1,
           "fault-armed job reported no injected faults")
     check(by_id["broken"]["exit_class"] == 1,

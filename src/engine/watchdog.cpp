@@ -14,7 +14,7 @@ void Watchdog::set_test_clock(ProgressClock clock) {
 Watchdog::Watchdog(util::CancelSource& source, Options options)
     : source_(source), options_(options), clock_(g_test_clock.load()),
       start_(std::chrono::steady_clock::now()) {
-  if (options_.deadline.count() > 0 || options_.stall.count() > 0) {
+  if (options_.deadline.count() > 0) {
     thread_ = std::thread([this] { monitor(); });
   }
 }
@@ -40,21 +40,15 @@ bool Watchdog::deadline_passed() const {
 }
 
 void Watchdog::fire_deadline() {
-  fire(util::Status::deadline_exceeded(
-      util::format("deadline of %lld ms exceeded",
-                   static_cast<long long>(options_.deadline.count()))));
-}
-
-void Watchdog::fire(util::Status reason) {
   fired_.store(true, std::memory_order_relaxed);
-  reason.with_stage("watchdog");
-  source_.cancel(std::move(reason));
+  source_.cancel(util::Status::deadline_exceeded(
+                     util::format("deadline of %lld ms exceeded",
+                                  static_cast<long long>(
+                                      options_.deadline.count())))
+                     .with_stage("watchdog"));
 }
 
 void Watchdog::monitor() {
-  long long last_progress = source_.progress();
-  auto last_advance = start_;
-
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_.load(std::memory_order_relaxed)) {
     cv_.wait_for(lock, options_.poll, [this] {
@@ -66,19 +60,6 @@ void Watchdog::monitor() {
     if (deadline_passed()) {
       fire_deadline();
       return;
-    }
-    if (options_.stall.count() > 0) {
-      const auto now = std::chrono::steady_clock::now();
-      const long long progress = source_.progress();
-      if (progress != last_progress) {
-        last_progress = progress;
-        last_advance = now;
-      } else if (now - last_advance >= options_.stall) {
-        fire(util::Status::cancelled(
-            util::format("no progress for %lld ms",
-                         static_cast<long long>(options_.stall.count()))));
-        return;
-      }
     }
   }
 }

@@ -1,23 +1,18 @@
 #pragma once
 /// \file watchdog.hpp
-/// \brief Deadline and stall enforcement for routing runs.
+/// \brief Deadline enforcement for routing runs.
 ///
 /// The watchdog owns a small monitor thread that fires a CancelSource
-/// when either limit trips:
-///
-/// * **deadline** — wall clock since construction exceeds the limit
-///   (`StatusKind::kDeadlineExceeded`), checked every poll and once more
-///   by stop(), so a run that ends past its deadline between two polls
-///   still reports it;
-/// * **stall** — the cancel token's progress counter (bumped by the MBFS
-///   inner loops and the committer) has not advanced for the stall
-///   window (`StatusKind::kCancelled`, "stalled"), which catches a stuck
-///   worker that stopped examining vertices entirely.
+/// (`StatusKind::kDeadlineExceeded`) once the wall clock since
+/// construction exceeds the deadline. It checks every poll and once more
+/// in stop(), so a run that ends past its deadline between two polls
+/// still reports it.
 ///
 /// Cancellation is cooperative: search loops observe the token within a
 /// bounded number of vertex expansions, so a run terminates well inside
-/// 2x the deadline at any thread count. Zero limits disable the
-/// corresponding check; with both zero no thread is started at all.
+/// 2x the deadline at any thread count. A zero deadline starts no thread
+/// at all. A job whose worker stops making progress altogether is the
+/// daemon's concern (service::JobExecutor::Options::hang_ms).
 
 #include <atomic>
 #include <chrono>
@@ -34,13 +29,11 @@ class Watchdog {
   struct Options {
     /// Wall-clock budget for the whole run; 0 = no deadline.
     std::chrono::milliseconds deadline{0};
-    /// Cancel if progress stands still this long; 0 = disabled.
-    std::chrono::milliseconds stall{0};
     /// Monitor poll interval.
     std::chrono::milliseconds poll{5};
   };
 
-  /// Starts monitoring \p source immediately (if any limit is set).
+  /// Starts monitoring \p source immediately (if a deadline is set).
   Watchdog(util::CancelSource& source, Options options);
 
   /// stop(). Does not un-cancel the source.
@@ -54,7 +47,7 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  /// Whether this watchdog fired the cancel (deadline or stall).
+  /// Whether this watchdog fired the cancel.
   bool fired() const { return fired_.load(std::memory_order_relaxed); }
 
   /// Maps the source's progress counter to the elapsed time a deadline
@@ -72,7 +65,6 @@ class Watchdog {
   void monitor();
   bool deadline_passed() const;
   void fire_deadline();
-  void fire(util::Status reason);
 
   util::CancelSource& source_;
   Options options_;

@@ -80,9 +80,10 @@ flow::RunReport execute_run(const floorplan::MacroLayout& ml,
 
 /// Arms the process-global fault registry with a job's `faults` spec:
 /// "-" disarms it, "" reads the OCR_FAULTS environment variable, anything
-/// else is parsed with the util/fault.hpp grammar. execute_run calls it
-/// first; `ocr_route` also calls it before the input parse so `io.*`
-/// sites fire.
+/// else is parsed with the util/fault.hpp grammar. A spec that does not
+/// parse, or names a site util::kFaultSites lacks, is kInvalidArgument and
+/// leaves the registry disarmed. execute_run calls it first; `ocr_route`
+/// also calls it before the input parse so `io.*` sites fire.
 util::Status arm_faults(const std::string& faults);
 
 class JobExecutor {

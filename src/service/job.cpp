@@ -7,6 +7,7 @@
 #include "bench_data/synthetic.hpp"
 #include "engine/engine.hpp"
 #include "io/layout_io.hpp"
+#include "util/fault.hpp"
 #include "util/str.hpp"
 
 namespace ocr::service {
@@ -66,6 +67,11 @@ StatusOr<JobSpec> spec_from_request(const io::JobRequest& request) {
   if (request.deadline_ms < 0 || request.net_effort < 0) {
     return Status::invalid_argument("deadline_ms / net_effort must be >= 0")
         .with_stage("job");
+  }
+  if (request.faults != "-") {  // "" inherits OCR_FAULTS, checked when armed
+    const StatusOr<util::FaultSpec> faults =
+        util::parse_fault_spec(request.faults, util::kFaultSites);
+    if (!faults.ok()) return faults.status();
   }
   spec.threads = static_cast<int>(request.threads);
   spec.deadline_ms = request.deadline_ms;

@@ -56,7 +56,8 @@ struct JobSpec {
 
 /// Validates a decoded request into a JobSpec (kInvalidArgument on bad
 /// flow/partition/fail-policy/engine-mode names, missing or ambiguous
-/// instance, negative knobs).
+/// instance, negative knobs, and a `faults` spec that does not parse or
+/// names a site util::kFaultSites lacks).
 util::StatusOr<JobSpec> spec_from_request(const io::JobRequest& request);
 
 /// A materialized, ready-to-execute job.

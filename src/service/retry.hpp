@@ -13,7 +13,7 @@
 /// |--------------------|------------|----------------------------------|
 /// | kFaultInjected     | transient  | chaos plan, passes when disarmed |
 /// | kCancelled         | transient  | supervisor kill / external cancel|
-/// | kDeadlineExceeded  | transient  | watchdog stall, load dependent   |
+/// | kDeadlineExceeded  | transient  | deadline fired, load dependent   |
 /// | kTaskFailed        | transient  | worker crashed mid-job           |
 /// | kBudgetExhausted   | transient iff stage == "admission" (overload) |
 /// | kParseError        | permanent  | same bytes parse the same way    |

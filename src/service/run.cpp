@@ -9,6 +9,8 @@
 #include "flow/run.hpp"
 
 #include <chrono>
+#include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "engine/watchdog.hpp"
@@ -139,13 +141,10 @@ RunReport run(const floorplan::MacroLayout& ml,
 namespace service {
 
 Status arm_faults(const std::string& faults) {
-  util::FaultRegistry& registry = util::FaultRegistry::global();
-  if (faults == "-") {
-    registry.clear();
-    return Status();
-  }
-  return faults.empty() ? registry.configure_from_env()
-                        : registry.configure(faults);
+  const char* env = std::getenv("OCR_FAULTS");
+  std::string spec = faults == "-" ? "" : faults;
+  if (faults.empty() && env != nullptr) spec = env;
+  return util::FaultRegistry::global().configure(spec, util::kFaultSites);
 }
 
 flow::RunReport execute_run(const floorplan::MacroLayout& ml,

@@ -211,11 +211,12 @@ int main(int argc, char** argv) {
   }
 
   // Arm fault injection before the input parse so io.* sites fire too
-  // (flow::run re-arms the same spec for the routing stages).
+  // (flow::run re-arms the same spec for the routing stages). Only an
+  // invalid OCR_FAULTS spec gets here unchecked: a usage error as well.
   const util::Status armed = service::arm_faults(spec->faults);
   if (!armed.ok()) {
     std::fprintf(stderr, "error: %s\n", armed.to_string().c_str());
-    return 1;
+    return 2;
   }
 
   auto job = [&] {

@@ -604,13 +604,11 @@ int main(int argc, char** argv) {
   // Arm the service-layer chaos plan once at startup; per-job fault
   // arming (FaultRegistry::global()) never touches this registry.
   {
-    util::FaultRegistry& chaos = util::FaultRegistry::service();
-    const util::Status status =
-        args->service_faults.empty()
-            ? (std::getenv("OCR_SERVICE_FAULTS") != nullptr
-                   ? chaos.configure(std::getenv("OCR_SERVICE_FAULTS"))
-                   : util::Status())
-            : chaos.configure(args->service_faults);
+    const char* env = std::getenv("OCR_SERVICE_FAULTS");
+    std::string spec = args->service_faults;
+    if (spec.empty() && env != nullptr) spec = env;
+    const util::Status status = util::FaultRegistry::service().configure(
+        spec, util::kServiceFaultSites);
     if (!status.ok()) {
       std::fprintf(stderr, "ocr_served: %s\n", status.to_string().c_str());
       return 2;

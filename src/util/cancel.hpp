@@ -8,8 +8,9 @@
 /// wins, later calls are ignored, and a cancelled token never resets.
 ///
 /// Tokens also carry a progress counter that search loops bump as they
-/// examine vertices; the engine watchdog reads it to distinguish a slow
-/// run (progress advancing) from a stuck one (counter frozen).
+/// examine vertices; the daemon's hang supervision
+/// (service::JobExecutor::Options::hang_ms) reads it to distinguish a
+/// slow job (progress advancing) from a stuck one (counter frozen).
 ///
 /// Determinism note: a token that never fires is free of side effects on
 /// routing results — checks are pure reads — so cancelled()-guarded code
@@ -50,7 +51,7 @@ class CancelToken {
   /// Why the source cancelled; OK status while not cancelled.
   Status reason() const;
 
-  /// Bumps the shared progress counter (relaxed; watchdog heartbeat).
+  /// Bumps the shared progress counter (relaxed; hang heartbeat).
   void note_progress(long long amount = 1) const {
     if (state_ != nullptr) {
       state_->progress.fetch_add(amount, std::memory_order_relaxed);

@@ -1,7 +1,9 @@
 #include "util/fault.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <utility>
 
 #include "util/str.hpp"
 
@@ -71,19 +73,13 @@ FaultRegistry& FaultRegistry::service() {
   return registry;
 }
 
-Status FaultRegistry::configure(const std::string& spec) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  seed_ = 1;
-  sites_.clear();
-  fired_.clear();
-
-  // A rejected spec leaves the registry fully disarmed, never half-armed.
-  const auto reject = [this](std::string why) {
-    sites_.clear();
-    armed_.store(false, std::memory_order_relaxed);
+StatusOr<FaultSpec> parse_fault_spec(const std::string& spec,
+                                     std::span<const std::string_view> known) {
+  const auto reject = [](std::string why) {
     return Status::invalid_argument(std::move(why)).with_stage("fault-spec");
   };
 
+  FaultSpec parsed;
   for (const std::string& raw : split(spec, ';')) {
     const std::string entry = trim(raw);
     if (entry.empty()) continue;
@@ -99,11 +95,15 @@ Status FaultRegistry::configure(const std::string& spec) {
       if (!parse_ll(value, &s) || s < 0) {
         return reject("bad seed '" + value + "'");
       }
-      seed_ = static_cast<std::uint64_t>(s);
+      parsed.seed = static_cast<std::uint64_t>(s);
       continue;
     }
+    if (!known.empty() &&
+        std::find(known.begin(), known.end(), site) == known.end()) {
+      return reject("unknown fault site '" + site + "'");
+    }
 
-    Trigger trigger;
+    FaultTrigger trigger;
     if (value == "*") {
       trigger.always = true;
     } else if (!value.empty() && value[0] == '~') {
@@ -135,16 +135,25 @@ Status FaultRegistry::configure(const std::string& spec) {
       }
       trigger.nth = n;
     }
-    sites_[site].trigger = trigger;
+    parsed.sites[site] = std::move(trigger);
   }
-
-  armed_.store(!sites_.empty(), std::memory_order_relaxed);
-  return Status();
+  return parsed;
 }
 
-Status FaultRegistry::configure_from_env() {
-  const char* env = std::getenv("OCR_FAULTS");
-  return configure(env == nullptr ? "" : env);
+Status FaultRegistry::configure(const std::string& spec,
+                                std::span<const std::string_view> known) {
+  StatusOr<FaultSpec> parsed = parse_fault_spec(spec, known);
+  const std::lock_guard<std::mutex> lock(mu_);
+  seed_ = parsed.ok() ? parsed->seed : 1;
+  sites_.clear();
+  fired_.clear();
+  if (parsed.ok()) {
+    for (auto& [name, trigger] : parsed->sites) {
+      sites_[name].trigger = std::move(trigger);
+    }
+  }
+  armed_.store(!sites_.empty(), std::memory_order_relaxed);
+  return parsed.status();
 }
 
 void FaultRegistry::clear() {
@@ -157,7 +166,7 @@ void FaultRegistry::clear() {
 
 bool FaultRegistry::decide(const Site& site, long long hit_index,
                            long long key, const std::string& name) const {
-  const Trigger& t = site.trigger;
+  const FaultTrigger& t = site.trigger;
   if (t.always) return true;
   if (!t.keys.empty()) {
     for (const long long k : t.keys) {

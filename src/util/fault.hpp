@@ -24,22 +24,78 @@
 ///                                 sites only; counter hits never match)
 /// ```
 ///
-/// Example: `OCR_FAULTS="engine.commit=2;io.layout.line=@7;seed=3"`.
+/// Example: `OCR_FAULTS="engine.committer.commit=2;io.layout.line=@7;seed=3"`.
 /// Every decision is a pure function of (spec, site, hit index, key), so
 /// a run with a fixed spec is reproducible at any thread count for
 /// key-based sites, and on the single-threaded committer/parser paths
 /// for counter-based ones.
+///
+/// The sites are a closed list: kFaultSites for OCR_FAULT, and
+/// kServiceFaultSites for OCR_SERVICE_FAULT. A macro naming a site its
+/// list lacks does not compile, and the front ends parse a spec against
+/// its list (parse_fault_spec, or configure() with the list), so a
+/// misspelt site is an invalid argument rather than a fault that never
+/// fires.
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.hpp"
 
 namespace ocr::util {
+
+/// Every OCR_FAULT site: the names a job's `faults` spec may arm.
+inline constexpr std::string_view kFaultSites[] = {
+    "engine.committer.apply", "engine.committer.commit",
+    "engine.worker.route",    "io.layout.line",
+    "levelb.connect",         "util.pool.task",
+};
+
+/// Every OCR_SERVICE_FAULT site: the names the daemon's chaos plan may arm.
+inline constexpr std::string_view kServiceFaultSites[] = {
+    "service.journal.append", "service.journal.replay",
+    "service.socket.drop",    "service.worker.fail",
+    "service.worker.hang",
+};
+
+/// \p site itself when \p sites lists it. Any other name is not a
+/// constant expression, so a macro naming it does not compile.
+template <std::size_t N>
+consteval const char* listed_site(const char* site,
+                                  const std::string_view (&sites)[N]) {
+  for (const std::string_view listed : sites) {
+    if (listed == site) return site;
+  }
+  throw "fault site missing from its list";
+}
+
+/// When one armed site fires (see the file comment's grammar).
+struct FaultTrigger {
+  bool always = false;
+  long long nth = 0;         ///< fire on this hit (1-based), 0 = unused
+  bool from_nth = false;     ///< nth and onward
+  double probability = -1.0; ///< seeded per-hit probability, <0 = unused
+  std::vector<long long> keys;  ///< '@' key matches
+};
+
+/// A parsed spec: the probability seed and each armed site's trigger.
+struct FaultSpec {
+  std::uint64_t seed = 1;
+  std::map<std::string, FaultTrigger> sites;
+};
+
+/// Parses \p spec without arming anything. A syntax error is
+/// kInvalidArgument, and so is a site \p known does not list, unless
+/// \p known is empty.
+StatusOr<FaultSpec> parse_fault_spec(
+    const std::string& spec, std::span<const std::string_view> known = {});
 
 class FaultRegistry {
  public:
@@ -56,13 +112,11 @@ class FaultRegistry {
   /// `OCR_SERVICE_FAULTS`; consulted by the OCR_SERVICE_FAULT macros.
   static FaultRegistry& service();
 
-  /// Replaces the configuration with \p spec (see file comment) and
-  /// resets all hit counters and the fired log. Empty spec = disarm.
-  Status configure(const std::string& spec);
-
-  /// configure() from the OCR_FAULTS environment variable (missing or
-  /// empty variable = disarm).
-  Status configure_from_env();
+  /// Replaces the configuration with \p spec (parse_fault_spec against
+  /// \p known) and resets all hit counters and the fired log. An empty
+  /// spec disarms; so does a rejected one, never leaving it half-armed.
+  Status configure(const std::string& spec,
+                   std::span<const std::string_view> known = {});
 
   /// Disarms every site and clears counters and the fired log.
   void clear();
@@ -88,16 +142,8 @@ class FaultRegistry {
  private:
   static constexpr long long kNoKey = -1;
 
-  struct Trigger {
-    bool always = false;
-    long long nth = 0;         ///< fire on this hit (1-based), 0 = unused
-    bool from_nth = false;     ///< nth and onward
-    double probability = -1.0; ///< seeded per-hit probability, <0 = unused
-    std::vector<long long> keys;  ///< '@' key matches
-  };
-
   struct Site {
-    Trigger trigger;
+    FaultTrigger trigger;
     long long hits = 0;
     long long fired = 0;
   };
@@ -116,21 +162,28 @@ class FaultRegistry {
 }  // namespace ocr::util
 
 /// True when the registry says this hit of \p site must fail. Zero-cost
-/// (one relaxed load) while no faults are configured.
-#define OCR_FAULT(site)                                       \
-  (::ocr::util::FaultRegistry::global().armed() &&            \
-   ::ocr::util::FaultRegistry::global().should_fail((site)))
+/// (one relaxed load) while no faults are configured. \p site must be a
+/// kFaultSites entry.
+#define OCR_FAULT(site)                                    \
+  (::ocr::util::FaultRegistry::global().armed() &&         \
+   ::ocr::util::FaultRegistry::global().should_fail(       \
+       ::ocr::util::listed_site((site), ::ocr::util::kFaultSites)))
 
-#define OCR_FAULT_KEY(site, key)                                       \
-  (::ocr::util::FaultRegistry::global().armed() &&                     \
-   ::ocr::util::FaultRegistry::global().should_fail((site), (key)))
+#define OCR_FAULT_KEY(site, key)                                         \
+  (::ocr::util::FaultRegistry::global().armed() &&                       \
+   ::ocr::util::FaultRegistry::global().should_fail(                     \
+       ::ocr::util::listed_site((site), ::ocr::util::kFaultSites), (key)))
 
 /// Service-layer variants consulting FaultRegistry::service() — armed by
-/// the daemon's chaos plan, untouched by per-job fault arming.
-#define OCR_SERVICE_FAULT(site)                             \
-  (::ocr::util::FaultRegistry::service().armed() &&         \
-   ::ocr::util::FaultRegistry::service().should_fail((site)))
+/// the daemon's chaos plan, untouched by per-job fault arming. \p site
+/// must be a kServiceFaultSites entry.
+#define OCR_SERVICE_FAULT(site)                                   \
+  (::ocr::util::FaultRegistry::service().armed() &&               \
+   ::ocr::util::FaultRegistry::service().should_fail(             \
+       ::ocr::util::listed_site((site), ::ocr::util::kServiceFaultSites)))
 
-#define OCR_SERVICE_FAULT_KEY(site, key)                            \
-  (::ocr::util::FaultRegistry::service().armed() &&                 \
-   ::ocr::util::FaultRegistry::service().should_fail((site), (key)))
+#define OCR_SERVICE_FAULT_KEY(site, key)                                 \
+  (::ocr::util::FaultRegistry::service().armed() &&                      \
+   ::ocr::util::FaultRegistry::service().should_fail(                    \
+       ::ocr::util::listed_site((site), ::ocr::util::kServiceFaultSites), \
+       (key)))

@@ -8,10 +8,12 @@
 
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/job_io.hpp"
 #include "service/job.hpp"
+#include "util/fault.hpp"
 #include "util/flags.hpp"
 
 namespace ocr {
@@ -117,6 +119,8 @@ TEST(JobKnobs, InvalidValuesGetTheSameSpecStatusOnBothFrontEnds) {
       {"fail_policy", "bogus"},  {"engine_mode", "bogus"},
       {"threads", "-1"},         {"threads", "4294967296"},
       {"deadline_ms", "-1"},     {"net_effort", "-5"},
+      {"faults", "levelb.conect=@5"},  // a misspelt site
+      {"faults", "levelb.connect=@@"},
   };
   for (const Case& c : cases) {
     const JobKnob& knob = knob_named(c.key);
@@ -142,6 +146,33 @@ TEST(JobKnobs, InvalidValuesGetTheSameSpecStatusOnBothFrontEnds) {
     EXPECT_EQ(cli_spec.status().kind(), util::StatusKind::kInvalidArgument);
     EXPECT_EQ(cli_spec.status(), wire_spec.status()) << c.key;
   }
+}
+
+TEST(JobKnobs, FaultSpecsNameOnlyListedSites) {
+  JobRequest request;
+  request.example = "ami33";
+  for (const std::string_view site : util::kFaultSites) {
+    request.faults = std::string(site) + "=@5;seed=2";
+    EXPECT_TRUE(service::spec_from_request(request).ok()) << site;
+  }
+  for (const char* unchecked : {"-", ""}) {  // disarmed; OCR_FAULTS
+    request.faults = unchecked;
+    EXPECT_TRUE(service::spec_from_request(request).ok()) << unchecked;
+  }
+  // A job arms the OCR_FAULT sites only; the chaos plan arms the others.
+  request.faults = "service.worker.fail=@0";
+  EXPECT_FALSE(service::spec_from_request(request).ok());
+  for (const std::string_view site : util::kServiceFaultSites) {
+    EXPECT_TRUE(util::parse_fault_spec(std::string(site) + "=1",
+                                       util::kServiceFaultSites)
+                    .ok())
+        << site;
+  }
+  const auto unknown =
+      util::parse_fault_spec("levelb.connect=1", util::kServiceFaultSites);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().message(),
+            "unknown fault site 'levelb.connect'");
 }
 
 TEST(JobKnobs, NonIntegerFlagIsTheJsonlTypeError) {
