@@ -6,9 +6,9 @@
 /// `flow::run` is what `ocr_route` calls, with the RunOptions that
 /// service::job_run_options builds from the same JobSpec a daemon job
 /// has (service/job.hpp). It owns the run-wide
-/// CancelSource, starts the engine watchdog when a deadline is set,
-/// threads budgets/tokens into the level-B options, arms the fault
-/// registry, and classifies the outcome:
+/// CancelSource and sets the run's deadline on it, threads
+/// budgets/tokens into the level-B options, arms the fault registry, and
+/// classifies the outcome:
 ///
 /// * **clean**   — every net routed, no problems (exit code 0);
 /// * **partial** — the layout is usable but degraded: some nets are
@@ -58,8 +58,8 @@ struct RunOptions {
   FlowOptions flow;
   FlowKind kind = FlowKind::kOverCell;
   FailPolicy fail_policy = FailPolicy::kDegrade;
-  /// Wall-clock deadline for the whole run in ms; 0 = none. Enforced by
-  /// an engine::Watchdog through the run's cancel token; the run
+  /// Wall-clock deadline for the whole run in ms; 0 = none. Carried by
+  /// the run's CancelSource and enforced by every cancel check; the run
   /// terminates well within 2x this value at any thread count.
   long long deadline_ms = 0;
   /// Per-net vertex-expansion budget (levelb net_vertex_budget); 0 =
@@ -79,7 +79,7 @@ struct RunReport {
   RunStatus status = RunStatus::kClean;
   /// Primary failure (or cancellation reason); OK when clean.
   util::Status error;
-  /// Whether the deadline watchdog fired.
+  /// Whether the run's cancel source was cancelled by its deadline.
   bool deadline_fired = false;
 
   /// Process exit code contract: 0 clean, 1 failed, 3 partial (2 is

@@ -270,7 +270,7 @@ void JobExecutor::schedule_retry(JobQueue::Entry entry,
   }
   entry.job.attempt += 1;
   // Cancellation is sticky; a retried attempt needs its own source so a
-  // previous cancel (supervisor, watchdog) cannot pre-cancel it.
+  // previous cancel (supervisor, deadline) cannot pre-cancel it.
   entry.job.cancel = util::CancelSource();
   {
     const std::lock_guard<std::mutex> lock(retry_mu_);

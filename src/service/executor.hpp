@@ -27,8 +27,8 @@
 /// those stay journaled as unfinished for a later `--recover` pass.
 ///
 /// Per-job isolation guarantees:
-///  * every job gets its own CancelSource and deadline watchdog — one
-///    job's cancellation can never leak into another; every retry
+///  * every job gets its own CancelSource, which carries its deadline —
+///    one job's cancellation can never leak into another; every retry
 ///    attempt gets a *fresh* CancelSource (cancellation is sticky);
 ///  * every job gets its own MetricsRegistry scope; the `flow.*` and
 ///    `engine.*` metrics in a JobResult describe that job alone (the
@@ -40,9 +40,10 @@
 ///    untouched by per-job arming.
 ///
 /// Supervision: when `Options::hang_ms > 0`, a supervisor thread polls
-/// every busy worker's progress heartbeat (the same counter the engine
-/// watchdog reads). A slot whose counter stays frozen past hang_ms is
-/// cancelled with stage "supervise"; the cooperative cancel unwinds the
+/// every busy worker's progress heartbeat (the cancel token's counter,
+/// which level B's search bumps); like every cancel check, its poll also
+/// enforces the job's deadline. A slot whose counter stays frozen past
+/// hang_ms is cancelled with stage "supervise"; the cooperative cancel unwinds the
 /// worker back into its drain loop — the slot restarts on the next pop —
 /// and the job is re-queued as a retry when the policy allows.
 
@@ -66,9 +67,10 @@
 namespace ocr::service {
 
 /// Orchestrates one routing run on the calling thread: arms faults,
-/// starts the per-run deadline watchdog against \p cancel, dispatches
-/// the flow, and classifies the outcome. This is the single code path
-/// behind both `flow::run` (CLI) and the executor workers (daemon).
+/// sets the run's deadline on \p cancel, dispatches the flow, checks
+/// the deadline once more, and classifies the outcome. This is the
+/// single code path behind both `flow::run` (CLI) and the executor
+/// workers (daemon).
 /// When \p job_registry is non-null, every flow.* metric (and, for an
 /// over-cell run, every engine.* counter) is published there as well as
 /// to the global registry.

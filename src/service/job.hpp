@@ -66,7 +66,7 @@ struct RoutingJob {
   floorplan::MacroLayout layout{"unmaterialized", 0};
   partition::NetPartition partition;
   RouteEstimate estimate;
-  /// Per-job cancellation: the job's own watchdog fires it on deadline;
+  /// Per-job cancellation, carrying the job's deadline while it runs;
   /// it is never shared between jobs.
   util::CancelSource cancel;
   /// Set by JobExecutor::submit; queue_ms measures from here.

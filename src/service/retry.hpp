@@ -4,7 +4,7 @@
 ///
 /// A failed job is retried only when the failure could plausibly pass on
 /// a second attempt — an injected fault, a hung/cancelled worker, a
-/// watchdog deadline, a crashed pool task, or queue overload. Failures
+/// run deadline, a crashed pool task, or queue overload. Failures
 /// that are a pure function of the request (parse errors, invalid
 /// arguments, unroutable instances, exhausted per-net budgets) would
 /// fail identically every time and are never retried:

@@ -13,7 +13,6 @@
 #include <string>
 #include <utility>
 
-#include "engine/watchdog.hpp"
 #include "service/executor.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
@@ -178,37 +177,35 @@ flow::RunReport execute_run(const floorplan::MacroLayout& ml,
     flow_options.levelb.ripup_rounds = 0;
   }
 
-  // The job-wide cancel source: the watchdog fires it on deadline, the
-  // MBFS loops and the level-A channel loop observe it. The source is
-  // injected per job, so one job's cancellation never touches another.
+  // The job-wide cancel source carries the run's deadline; the MBFS
+  // loops and the level-A channel loop observe it, and each of their
+  // checks enforces the deadline. The source is injected per job, so one
+  // job's cancellation never touches another.
   flow_options.levelb.finder.cancel = source.token();
+  source.set_deadline(std::chrono::milliseconds(options.deadline_ms));
 
-  {
-    engine::Watchdog::Options wopt;
-    wopt.deadline = std::chrono::milliseconds(
-        options.deadline_ms > 0 ? options.deadline_ms : 0);
-    engine::Watchdog watchdog(source, wopt);
-
-    switch (options.kind) {
-      case FlowKind::kOverCell:
-        report.metrics = flow::run_over_cell_flow(ml, partition, flow_options,
-                                                  options.artifacts);
-        break;
-      case FlowKind::kTwoLayer:
-        report.metrics =
-            flow::run_two_layer_flow(ml, flow_options, options.artifacts);
-        break;
-      case FlowKind::kFourLayer:
-        report.metrics = flow::run_four_layer_channel_flow(
-            ml, flow_options, options.artifacts);
-        break;
-      case FlowKind::kFiftyPercent:
-        report.metrics = flow::run_fifty_percent_model_flow(ml, flow_options);
-        break;
-    }
-    watchdog.stop();  // joins it and makes fired() final
-    report.deadline_fired = watchdog.fired();
+  switch (options.kind) {
+    case FlowKind::kOverCell:
+      report.metrics = flow::run_over_cell_flow(ml, partition, flow_options,
+                                                options.artifacts);
+      break;
+    case FlowKind::kTwoLayer:
+      report.metrics =
+          flow::run_two_layer_flow(ml, flow_options, options.artifacts);
+      break;
+    case FlowKind::kFourLayer:
+      report.metrics = flow::run_four_layer_channel_flow(ml, flow_options,
+                                                         options.artifacts);
+      break;
+    case FlowKind::kFiftyPercent:
+      report.metrics = flow::run_fifty_percent_model_flow(ml, flow_options);
+      break;
   }
+  // The end-of-run check: a deadline that passed after the flow's last
+  // check still cancels the run (unless something cancelled it first).
+  report.deadline_fired =
+      source.cancelled() &&
+      source.reason().kind() == util::StatusKind::kDeadlineExceeded;
 
   FlowMetrics& m = report.metrics;
   m.faults_injected =

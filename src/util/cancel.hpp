@@ -1,11 +1,22 @@
 #pragma once
 /// \file cancel.hpp
-/// \brief Cooperative cancellation for long-running routing loops.
+/// \brief Cooperative cancellation and deadlines for long-running routing
+/// loops.
 ///
 /// A `CancelSource` owns the cancellation state; `CancelToken`s are cheap
 /// shared views handed down through options structs into the MBFS inner
 /// loops. Cancellation is cooperative and *sticky*: the first cancel()
 /// wins, later calls are ignored, and a cancelled token never resets.
+///
+/// A source may carry a deadline (set_deadline). No thread watches it:
+/// every cancelled() check, on a token or on the source, enforces it, and
+/// the first check past it cancels with StatusKind::kDeadlineExceeded
+/// unless something cancelled first. The checks sit in the search loops
+/// (every 64 vertex expansions), so a run stops within a bounded amount
+/// of work after its deadline at any thread count; the run's owner makes
+/// one final check when the run returns, so a deadline that passed
+/// between two checks is still reported. Without a deadline a check
+/// costs one more relaxed load.
 ///
 /// Tokens also carry a progress counter that search loops bump as they
 /// examine vertices; the daemon's hang supervision
@@ -30,9 +41,23 @@ namespace internal {
 struct CancelState {
   std::atomic<bool> cancelled{false};
   std::atomic<long long> progress{0};
+  std::atomic<long long> deadline_ms{0};  // 0 = none; released after start
+  std::atomic<long long> start_ns{0};     // steady clock at set_deadline
   std::mutex mu;              // guards reason
   Status reason;              // first cancel() wins
 };
+
+void cancel(CancelState& state, Status reason);
+
+/// Cancels \p state with kDeadlineExceeded when its deadline has passed;
+/// returns whether it is cancelled.
+bool check_deadline(CancelState& state);
+
+inline bool cancelled(CancelState& state) {
+  return state.cancelled.load(std::memory_order_relaxed) ||
+         (state.deadline_ms.load(std::memory_order_relaxed) != 0 &&
+          check_deadline(state));
+}
 }  // namespace internal
 
 /// Read-side view of a CancelSource. Copyable, cheap, thread-safe.
@@ -43,9 +68,9 @@ class CancelToken {
 
   bool valid() const { return state_ != nullptr; }
 
+  /// Whether the source is cancelled; fires a passed deadline.
   bool cancelled() const {
-    return state_ != nullptr &&
-           state_->cancelled.load(std::memory_order_relaxed);
+    return state_ != nullptr && internal::cancelled(*state_);
   }
 
   /// Why the source cancelled; OK status while not cancelled.
@@ -81,11 +106,13 @@ class CancelSource {
 
   /// Requests cancellation with \p reason. First call wins; later calls
   /// are no-ops so the original cause is preserved.
-  void cancel(Status reason);
+  void cancel(Status reason) { internal::cancel(*state_, std::move(reason)); }
 
-  bool cancelled() const {
-    return state_->cancelled.load(std::memory_order_relaxed);
-  }
+  /// Starts a \p budget deadline now; 0 (or less) = none.
+  void set_deadline(std::chrono::milliseconds budget);
+
+  /// Whether the source is cancelled; fires a passed deadline.
+  bool cancelled() const { return internal::cancelled(*state_); }
 
   Status reason() const { return token().reason(); }
   long long progress() const { return token().progress(); }
@@ -93,5 +120,15 @@ class CancelSource {
  private:
   std::shared_ptr<internal::CancelState> state_;
 };
+
+/// Maps a source's progress counter to the elapsed time its deadline is
+/// checked against.
+using ProgressClock = std::chrono::nanoseconds (*)(long long progress);
+
+/// Test seam: deadline checks measure elapsed time with \p clock instead
+/// of the wall clock (process-wide; nullptr restores the wall clock). It
+/// lets a test place a deadline inside level B's search, the only code
+/// that reports progress, on any machine speed.
+void set_deadline_test_clock(ProgressClock clock);
 
 }  // namespace ocr::util

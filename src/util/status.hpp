@@ -29,7 +29,7 @@ enum class StatusKind {
   kParseError,         ///< malformed input text (line/column set)
   kUnroutable,         ///< no path exists in the search space
   kCancelled,          ///< a cancellation token fired mid-operation
-  kDeadlineExceeded,   ///< wall-clock deadline hit (watchdog)
+  kDeadlineExceeded,   ///< wall-clock deadline hit (util::CancelSource)
   kBudgetExhausted,    ///< per-net effort budget spent
   kFaultInjected,      ///< a registered fault fired (tests/CI only)
   kTaskFailed,         ///< a pool task threw; exception captured

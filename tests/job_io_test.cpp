@@ -109,7 +109,7 @@ TEST(JobResponse, RoundTripsThroughRenderAndParse) {
   response.cancelled_nets = 2;
   response.deadline_fired = true;
   response.faults_injected = 1;
-  response.error = "watchdog: deadline of 5 ms exceeded";
+  response.error = "deadline: deadline of 5 ms exceeded";
   response.manifest = "out/job-42.json";
 
   const std::string line = render_job_response(response);

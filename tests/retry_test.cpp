@@ -48,7 +48,7 @@ TEST(RetryClassification, FollowsTheTable) {
             RetryClass::kTransient);
   EXPECT_EQ(classify_status(Status::cancelled("supervisor")),
             RetryClass::kTransient);
-  EXPECT_EQ(classify_status(Status::deadline_exceeded("watchdog")),
+  EXPECT_EQ(classify_status(Status::deadline_exceeded("deadline")),
             RetryClass::kTransient);
   EXPECT_EQ(classify_status(Status::task_failed("worker crash")),
             RetryClass::kTransient);

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/watchdog.hpp"
 #include "flow/run.hpp"
 #include "io/job_io.hpp"
 #include "service/admission.hpp"
@@ -22,6 +21,7 @@
 #include "service/job.hpp"
 #include "service/journal.hpp"
 #include "service/queue.hpp"
+#include "util/cancel.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
 #include "util/status.hpp"
@@ -299,21 +299,21 @@ TEST(Executor, OverloadRejectsBeyondQueueBoundWithoutDropping) {
   EXPECT_EQ(rejected.load(), kJobs - accepted_count);
 }
 
-/// Measures watchdog deadlines in level-B search progress (one
-/// millisecond per unit) for the lifetime of the guard. Level A reports
-/// no progress, so a 1 ms deadline can only fire once level B has
-/// examined its first vertices — on slow (sanitizer) builds a wall-clock
-/// millisecond can expire inside level A and fail the run — and the
-/// watchdog's final check at stop() fires it even if no poll landed
-/// inside level B: the run ends `partial` on any machine and load.
+/// Measures deadlines in level-B search progress (one millisecond per
+/// unit) for the lifetime of the guard. Level A reports no progress, so
+/// a 1 ms deadline can only fire once level B has examined its first
+/// vertices — on slow (sanitizer) builds a wall-clock millisecond can
+/// expire inside level A and fail the run — and the run's end-of-run
+/// check fires it even if no check landed past it inside level B: the
+/// run ends `partial` on any machine and load.
 struct ProgressDeadlineClock {
   ProgressDeadlineClock() {
-    engine::Watchdog::set_test_clock(
+    util::set_deadline_test_clock(
         [](long long progress) -> std::chrono::nanoseconds {
           return std::chrono::milliseconds(progress);
         });
   }
-  ~ProgressDeadlineClock() { engine::Watchdog::set_test_clock(nullptr); }
+  ~ProgressDeadlineClock() { util::set_deadline_test_clock(nullptr); }
 };
 
 /// Per-job isolation under concurrency: clean, deadline-doomed and
