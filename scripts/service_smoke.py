@@ -19,7 +19,10 @@ service contract of docs/SERVICE.md:
 * daemon results are deterministic and identical to ocr_route on the
   same spec (wire_length/vias compared against --metrics-json);
 * under a 1-deep queue a burst is partially rejected — immediately,
-  never hung or dropped.
+  never hung or dropped; with retries on, the same burst is answered in
+  full, overflow jobs waiting out a backoff in the queue;
+* a hung attempt is cancelled by its hang limit and the job completes
+  cleanly on its retry.
 
 Usage: python3 scripts/service_smoke.py BUILD_DIR [--jobs N]
 """
@@ -165,9 +168,34 @@ def main():
         check("queue full" in r["error"] or "admission" in r["error"],
               f"rejection without a reason: {r}")
 
+    # --- The same burst with retries: overflow waits, nothing bounces. ---
+    code, responses = run_daemon(
+        served, burst,
+        ["--workers", "1", "--queue-limit", "1", "--retry-max", "3"])
+    check(code == 0, f"retrying overload daemon exit {code}")
+    check(len(responses) == len(burst),
+          f"retrying overload dropped responses: "
+          f"{len(responses)}/{len(burst)}")
+    retried = [r for r in responses
+               if r["status"] == "clean" and r["attempts"] > 1]
+    check(len(retried) > 0,
+          f"no overflow job completed on a retry: {responses}")
+
+    # --- Hang limit: a hung first attempt is cancelled and retried. -----
+    code, responses = run_daemon(
+        served, [{"id": "hung", "example": "ami33"}],
+        ["--workers", "1", "--retry-max", "2", "--retry-base-ms", "1",
+         "--hang-ms", "50", "--service-faults", "service.worker.hang=1"])
+    check(code == 0, f"hang daemon exit {code}")
+    check(len(responses) == 1
+          and responses[0]["status"] == "clean"
+          and responses[0]["attempts"] == 2,
+          f"hung job did not complete on its retry: {responses}")
+
     print(f"service smoke OK: {n_parsed} mixed responses, "
           f"{len(rejected)}/{len(burst)} burst rejections, "
-          "CLI/daemon results identical")
+          f"{len(retried)}/{len(burst)} burst jobs retried, "
+          "hung attempt retried, CLI/daemon results identical")
     return 0
 
 

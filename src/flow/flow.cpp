@@ -56,12 +56,29 @@ struct LevelAOutcome {
   int total_tracks = 0;
 };
 
+/// The run's cancel check before each level-A step (flow::run's deadline
+/// and the daemon's drain and hang limit): a cancelled run skips the
+/// step and all after it, never half-routing one, and says where it
+/// stopped.
+bool cancelled_before(LevelAOutcome& out, const FlowOptions& options,
+                      const std::string& step) {
+  const util::CancelToken& cancel = options.levelb.finder.cancel;
+  if (!cancel.cancelled()) return false;
+  out.success = false;
+  out.problems.push_back("level A cancelled before " + step + ": " +
+                         cancel.reason().to_string());
+  return true;
+}
+
 /// Global routing of \p nets into the channels, the first step of every
 /// channel flow: the outcome carries the feedthroughs' wire length and
-/// vias, and zero channel heights.
+/// vias, and zero channel heights. A cancelled run gets no channels.
 LevelAOutcome route_global(const MacroLayout& ml,
-                           const std::vector<int>& nets) {
+                           const std::vector<int>& nets,
+                           const FlowOptions& options) {
   LevelAOutcome out;
+  out.heights.resize(static_cast<std::size_t>(ml.num_channels()), 0);
+  if (cancelled_before(out, options, "global routing")) return out;
   global::GlobalOptions gopt;
   gopt.column_pitch =
       ml.rules().channel_pitch(geom::Layer::kMetal1, geom::Layer::kMetal2);
@@ -70,7 +87,6 @@ LevelAOutcome route_global(const MacroLayout& ml,
     out.success = false;
     out.problems = out.global.problems;
   }
-  out.heights.resize(static_cast<std::size_t>(ml.num_channels()), 0);
   out.wire_length = out.global.feedthrough_length;
   out.vias = out.global.feedthrough_vias;
   return out;
@@ -82,22 +98,13 @@ LevelAOutcome route_level_a(const MacroLayout& ml,
                             const std::vector<int>& nets,
                             const FlowOptions& options) {
   OCR_SPAN("flow.levelA");
-  LevelAOutcome out = route_global(ml, nets);
+  LevelAOutcome out = route_global(ml, nets, options);
   const Coord col_pitch =
       ml.rules().channel_pitch(geom::Layer::kMetal1, geom::Layer::kMetal2);
   const Coord track_pitch = col_pitch;
-  for (int c = 0; c < ml.num_channels(); ++c) {
-    // Deadline/cancel support (flow::run): remaining channels are skipped
-    // and reported, never half-routed.
-    if (options.levelb.finder.cancel.cancelled()) {
-      out.success = false;
-      out.problems.push_back(
-          "level A cancelled before channel " + std::to_string(c) + ": " +
-          options.levelb.finder.cancel.reason().to_string());
-      break;
-    }
-    const channel::ChannelProblem& problem =
-        out.global.channels[static_cast<std::size_t>(c)];
+  for (std::size_t c = 0; c < out.global.channels.size(); ++c) {
+    if (cancelled_before(out, options, "channel " + std::to_string(c))) break;
+    const channel::ChannelProblem& problem = out.global.channels[c];
     channel::ChannelRoute route =
         channel::route_greedy(problem, options.greedy);
     if (!route.success) {
@@ -106,7 +113,7 @@ LevelAOutcome route_level_a(const MacroLayout& ml,
                              route.failure_reason);
     }
     const bool has_pins = problem.max_net() > 0;
-    out.heights[static_cast<std::size_t>(c)] = std::max(
+    out.heights[c] = std::max(
         static_cast<Coord>(route.num_tracks) * track_pitch +
             (has_pins ? options.channel_margin : 0),
         options.min_channel_height);
@@ -254,7 +261,7 @@ FlowMetrics run_four_layer_channel_flow(const MacroLayout& ml,
                                         FlowArtifacts* artifacts) {
   FlowMetrics m;
   m.flow_name = "4-layer channel";
-  LevelAOutcome a = route_global(ml, all_nets(ml));
+  LevelAOutcome a = route_global(ml, all_nets(ml), options);
   const geom::DesignRules& rules = ml.rules();
   const Coord pitch12 =
       rules.channel_pitch(geom::Layer::kMetal1, geom::Layer::kMetal2);
@@ -263,9 +270,9 @@ FlowMetrics run_four_layer_channel_flow(const MacroLayout& ml,
   mlchannel::MultiLayerOptions mlopt;
   mlopt.greedy = options.greedy;
   OCR_SPAN("flow.mlchannel");
-  for (int c = 0; c < ml.num_channels(); ++c) {
-    const channel::ChannelProblem& problem =
-        a.global.channels[static_cast<std::size_t>(c)];
+  for (std::size_t c = 0; c < a.global.channels.size(); ++c) {
+    if (cancelled_before(a, options, "channel " + std::to_string(c))) break;
+    const channel::ChannelProblem& problem = a.global.channels[c];
     mlchannel::MultiLayerChannelResult result =
         mlchannel::route_multilayer(problem, mlopt);
     if (!result.success) {
@@ -274,8 +281,7 @@ FlowMetrics run_four_layer_channel_flow(const MacroLayout& ml,
                            result.failure_reason);
     }
     const bool has_pins = problem.max_net() > 0;
-    a.heights[static_cast<std::size_t>(c)] =
-        result.channel_height(rules) +
+    a.heights[c] = result.channel_height(rules) +
         (has_pins ? options.channel_margin : 0);
     // Wire length: horizontal runs at the column pitch; vertical runs at
     // each group's track pitch (group 1 pays the metal3/4 pitch).

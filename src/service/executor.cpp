@@ -37,24 +37,14 @@ JobResult rejected_result(const RoutingJob& job, util::Status reason) {
 
 }  // namespace
 
-JobExecutor::Supervisor::~Supervisor() {
-  stop.store(true, std::memory_order_relaxed);
-  if (thread.joinable()) thread.join();
-}
-
 JobExecutor::JobExecutor(const Options& options)
     : options_(options),
       queue_(std::max<std::size_t>(1, options.admission.queue_limit)),
+      running_(static_cast<std::size_t>(std::max(1, options.workers))),
       pool_(std::max(1, options.workers), "service.pool") {
-  slots_.reserve(static_cast<std::size_t>(pool_.size()));
-  for (int i = 0; i < pool_.size(); ++i) {
-    slots_.push_back(std::make_unique<Slot>());
-  }
-  if (options_.retry.enabled()) {
-    retry_thread_ = std::thread([this] { retry_loop(); });
-  }
   if (options_.hang_ms > 0) {
-    supervisor_.thread = std::thread([this] { supervise_loop(); });
+    // Listed from the start: a metrics dump shows 0 restarts, not none.
+    util::MetricsRegistry::global().counter("service.worker_restarts");
   }
   for (int i = 0; i < pool_.size(); ++i) {
     pool_.submit([this, i] { worker_loop(i); });
@@ -62,18 +52,10 @@ JobExecutor::JobExecutor(const Options& options)
 }
 
 JobExecutor::~JobExecutor() {
-  {
-    const std::lock_guard<std::mutex> lock(retry_mu_);
-    retry_stop_ = true;
-  }
-  retry_cv_.notify_all();
-  // The retry loop flushes every scheduled item straight into the queue
-  // once stopped, so accepted-for-retry jobs still run to completion.
-  if (retry_thread_.joinable()) retry_thread_.join();
+  // close() makes every scheduled retry due at once, so accepted jobs
+  // still run to completion; pool_'s destructor then joins the drain
+  // loops, which run every entry accepted before the close.
   queue_.close();
-  // pool_'s destructor joins the drain loops, which first run every
-  // entry accepted before the close; supervisor_ is destroyed after
-  // pool_, so a hung worker is still rescued during this join.
 }
 
 bool JobExecutor::submit(RoutingJob job, Callback on_complete) {
@@ -149,26 +131,18 @@ int JobExecutor::drain_within(long long deadline_ms) {
   hard_drain_.store(true, std::memory_order_relaxed);
 
   // Scheduled retries will never come due in time: abandon them.
-  std::vector<JobQueue::Entry> dropped;
-  {
-    const std::lock_guard<std::mutex> lock(retry_mu_);
-    dropped.reserve(retry_heap_.size());
-    for (RetryItem& item : retry_heap_) {
-      dropped.push_back(std::move(item.entry));
-    }
-    retry_heap_.clear();
-  }
-  retry_cv_.notify_all();
-  for (JobQueue::Entry& entry : dropped) abandon(entry);
+  for (JobQueue::Entry& entry : queue_.take_scheduled()) abandon(entry);
 
   // Cancel every running job; the cooperative cancel unwinds the worker
   // and finish_or_retry routes the cancelled attempt to abandon().
   // Queued-but-unstarted entries are abandoned by the drain loops.
-  for (const std::unique_ptr<Slot>& slot : slots_) {
-    const std::lock_guard<std::mutex> lock(slot->mu);
-    if (slot->busy) {
-      slot->cancel.cancel(
-          util::Status::cancelled("drain deadline").with_stage("drain"));
+  {
+    const std::lock_guard<std::mutex> lock(running_mu_);
+    for (std::optional<util::CancelSource>& cancel : running_) {
+      if (cancel) {
+        cancel->cancel(
+            util::Status::cancelled("drain deadline").with_stage("drain"));
+      }
     }
   }
   drain();
@@ -270,19 +244,10 @@ void JobExecutor::schedule_retry(JobQueue::Entry entry,
   }
   entry.job.attempt += 1;
   // Cancellation is sticky; a retried attempt needs its own source so a
-  // previous cancel (supervisor, deadline) cannot pre-cancel it.
+  // previous cancel (hang limit, deadline) cannot pre-cancel it.
   entry.job.cancel = util::CancelSource();
-  {
-    const std::lock_guard<std::mutex> lock(retry_mu_);
-    retry_heap_.push_back(
-        {Clock::now() + std::chrono::milliseconds(backoff),
-         std::move(entry)});
-    std::push_heap(retry_heap_.begin(), retry_heap_.end(),
-                   [](const RetryItem& a, const RetryItem& b) {
-                     return a.due > b.due;
-                   });
-  }
-  retry_cv_.notify_all();
+  queue_.push_retry(std::move(entry),
+                    Clock::now() + std::chrono::milliseconds(backoff));
 }
 
 void JobExecutor::abandon(JobQueue::Entry& entry) {
@@ -310,71 +275,6 @@ void JobExecutor::settle_pending() {
   pending_cv_.notify_all();
 }
 
-void JobExecutor::retry_loop() {
-  const auto due_order = [](const RetryItem& a, const RetryItem& b) {
-    return a.due > b.due;
-  };
-  std::unique_lock<std::mutex> lock(retry_mu_);
-  for (;;) {
-    if (retry_heap_.empty()) {
-      if (retry_stop_) return;
-      retry_cv_.wait(lock);
-      continue;
-    }
-    const Clock::time_point due = retry_heap_.front().due;
-    if (!retry_stop_ && Clock::now() < due) {
-      retry_cv_.wait_until(lock, due);
-      continue;  // re-check: an earlier item may have been scheduled
-    }
-    std::pop_heap(retry_heap_.begin(), retry_heap_.end(), due_order);
-    RetryItem item = std::move(retry_heap_.back());
-    retry_heap_.pop_back();
-    lock.unlock();
-    if (!queue_.push_retry(item.entry)) {
-      // Queue already closed (shutdown race): complete the job as
-      // cancelled rather than dropping its callback.
-      JobResult result;
-      result.id = item.entry.job.spec.id;
-      result.report.status = flow::RunStatus::kFailed;
-      result.report.error = util::Status::cancelled("executor shut down")
-                                .with_stage("retry");
-      finish(item.entry, std::move(result));
-    }
-    lock.lock();
-  }
-}
-
-void JobExecutor::supervise_loop() {
-  util::Counter& restarts =
-      util::MetricsRegistry::global().counter("service.worker_restarts");
-  while (!supervisor_.stop.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(std::max<long long>(
-            1, options_.supervise_poll_ms)));
-    const Clock::time_point now = Clock::now();
-    for (const std::unique_ptr<Slot>& slot_ptr : slots_) {
-      Slot& slot = *slot_ptr;
-      const std::lock_guard<std::mutex> lock(slot.mu);
-      if (!slot.busy || slot.cancel.cancelled()) continue;
-      const long long progress = slot.cancel.progress();
-      if (progress != slot.last_progress) {
-        slot.last_progress = progress;
-        slot.last_beat = now;
-        continue;
-      }
-      if (now - slot.last_beat >=
-          std::chrono::milliseconds(options_.hang_ms)) {
-        slot.cancel.cancel(
-            util::Status::cancelled(
-                util::format("worker hung: progress frozen for %lld ms",
-                             options_.hang_ms))
-                .with_stage("supervise"));
-        restarts.add();
-      }
-    }
-  }
-}
-
 JobResult JobExecutor::execute_job(RoutingJob& job, int slot) {
   JobResult result;
   result.id = job.spec.id;
@@ -384,18 +284,23 @@ JobResult JobExecutor::execute_job(RoutingJob& job, int slot) {
                         start - job.submitted)
                         .count();
 
-  const auto set_slot_busy = [&](bool busy) {
+  // A pool slot's job is cancellable by a hard drain and, with hang_ms,
+  // by its own hang limit; inline runs get neither.
+  const auto set_running = [&](std::optional<util::CancelSource> cancel) {
     if (slot < 0) return;
-    Slot& s = *slots_[static_cast<std::size_t>(slot)];
-    const std::lock_guard<std::mutex> lock(s.mu);
-    s.busy = busy;
-    if (busy) {
-      s.cancel = job.cancel;
-      s.last_progress = job.cancel.progress();
-      s.last_beat = Clock::now();
+    const std::lock_guard<std::mutex> lock(running_mu_);
+    running_[static_cast<std::size_t>(slot)] = std::move(cancel);
+  };
+  if (slot >= 0) {
+    job.cancel.set_hang_limit(std::chrono::milliseconds(options_.hang_ms));
+  }
+  set_running(job.cancel);
+  const auto end_attempt = [&] {
+    set_running(std::nullopt);
+    if (job.cancel.reason().stage() == "supervise") {
+      util::MetricsRegistry::global().counter("service.worker_restarts").add();
     }
   };
-  set_slot_busy(true);
 
   // Service-layer chaos sites (armed once at daemon startup, keyed by
   // attempt so plans like `service.worker.fail=@0` kill every job's
@@ -406,11 +311,11 @@ JobResult JobExecutor::execute_job(RoutingJob& job, int slot) {
       result.report.error = util::Status::task_failed("injected worker kill")
                                 .with_stage("execute");
       result.run_ms = ms_since(start);
-      set_slot_busy(false);
+      end_attempt();
       return result;
     }
     if (OCR_SERVICE_FAULT("service.worker.hang")) {
-      // Spin without heartbeats until the supervisor (or a drain)
+      // Spin without heartbeats until the hang limit (or a drain)
       // cancels this slot — the scenario a hung worker presents.
       while (!job.cancel.cancelled()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -418,7 +323,7 @@ JobResult JobExecutor::execute_job(RoutingJob& job, int slot) {
       result.report.status = flow::RunStatus::kFailed;
       result.report.error = job.cancel.reason();
       result.run_ms = ms_since(start);
-      set_slot_busy(false);
+      end_attempt();
       return result;
     }
   }
@@ -454,7 +359,7 @@ JobResult JobExecutor::execute_job(RoutingJob& job, int slot) {
   }
   result.run_ms = ms_since(start);
   result.metrics = job_registry.snapshot();
-  set_slot_busy(false);
+  end_attempt();
 
   if (!job.spec.manifest_path.empty()) {
     util::RunManifest manifest("ocr_served");

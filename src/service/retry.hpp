@@ -12,7 +12,7 @@
 /// | Status kind        | class      | rationale                        |
 /// |--------------------|------------|----------------------------------|
 /// | kFaultInjected     | transient  | chaos plan, passes when disarmed |
-/// | kCancelled         | transient  | supervisor kill / external cancel|
+/// | kCancelled         | transient  | hang limit / drain / external    |
 /// | kDeadlineExceeded  | transient  | deadline fired, load dependent   |
 /// | kTaskFailed        | transient  | worker crashed mid-job           |
 /// | kBudgetExhausted   | transient iff stage == "admission" (overload) |
