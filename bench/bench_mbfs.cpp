@@ -13,15 +13,16 @@
 ///   on 2/4/8 threads (one private grid copy per thread, as the parallel
 ///   engine's workers do) to expose allocator contention in the hot path;
 ///   the threaded percentiles pool every thread's samples.
-/// * **Full route** — wall clock of the serial router and the parallel
-///   engine at 1/2/4/8 workers, with a bit-identity check against the
-///   serial result on every engine run.
+/// * **Full route** — wall clock of the serial router and the sharded
+///   engine at 2/4/8 workers (4 in quick mode), measured by
+///   bench::measure_route, with a bit-identity check against the serial
+///   result on every engine run.
 /// * **Per-net growth** — a serial route of the sparse-100k generator cut
 ///   to 16k nets. Its µs/net over sparse-100k-ci's (the same generator at
 ///   4k nets) must stay flat; CI fails the build above 1.5.
 ///
 /// `--repeat N` (default 3) runs each timed section N times after one
-/// warm-up and reports the median. `--quick` shrinks the instance set and
+/// warm-up and reports the lower median. `--quick` shrinks the instance set and
 /// repeats for CI smoke use. `--json` writes BENCH_mbfs.json. `--label S`
 /// tags every JSON record (used to distinguish before/after captures).
 /// `--connect-only` skips the full-route rows and `--only NAME` runs one
@@ -35,19 +36,14 @@
 #include <utility>
 #include <vector>
 
-#include "bench_data/levelb_instance.hpp"
 #include "bench_data/synthetic.hpp"
-#include "engine/engine.hpp"
 #include "floorplan/macro_layout.hpp"
-#include "levelb/router.hpp"
 #include "levelb/workspace.hpp"
 #include "netlist/layout.hpp"
-#include "tig/track_grid.hpp"
+#include "route_sample.hpp"
 #include "util/flags.hpp"
 #include "util/manifest.hpp"
-#include "util/mem.hpp"
 #include "util/metrics.hpp"
-#include "util/rng.hpp"
 #include "util/str.hpp"
 #include "util/table.hpp"
 #include "util/trace.hpp"
@@ -56,7 +52,6 @@ namespace {
 
 using namespace ocr;
 using geom::Point;
-using geom::Rect;
 
 double ms_since(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double, std::milli>(
@@ -64,7 +59,8 @@ double ms_since(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
-/// Lower median of a sample (deterministic for even sizes).
+/// Lower median of a sample (deterministic for even sizes), as
+/// bench::measure_route takes it.
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   return v.empty() ? 0.0 : v[(v.size() - 1) / 2];
@@ -78,27 +74,16 @@ double percentile(const std::vector<double>& sorted, double q) {
   return sorted[rank];
 }
 
-/// A pristine routing instance: grid + nets, never mutated in place.
-struct Instance {
-  std::string name;
-  tig::TrackGrid grid;
-  std::vector<levelb::BNet> nets;
+/// A pristine routing instance (grid + nets, never mutated in place) and
+/// the rows it gets.
+struct Instance : bench_data::LevelBInstance {
   /// Skip the connect sweep (full-route rows only) — used for the large
-  /// scaling instance, whose sweep would dominate quick-mode runtime
+  /// scaling instances, whose sweep would dominate quick-mode runtime
   /// without measuring anything the smaller instances don't.
   bool route_only = false;
   /// Serial full-route row only (no connect sweep, no engine rows).
   bool serial_only = false;
 };
-
-Instance synthetic_instance(const char* name, geom::Coord size, int count,
-                            std::uint64_t seed) {
-  util::Rng rng(seed);
-  Instance inst{name, tig::TrackGrid::uniform(Rect(0, 0, size, size), 9, 11),
-                {}};
-  inst.nets = bench_data::uniform_random_nets(rng, size, count);
-  return inst;
-}
 
 /// The ami33-derived instance: the Table-1 synthetic ami33 floorplan
 /// assembled with fixed channel heights, all signal nets routed over-cell.
@@ -116,7 +101,7 @@ Instance ami33_instance() {
     if (ob.blocks_metal3) grid.block_region_h(ob.region);
     if (ob.blocks_metal4) grid.block_region_v(ob.region);
   }
-  Instance inst{"ami33", std::move(grid), {}};
+  Instance inst{{"ami33", std::move(grid), {}}};
   for (std::size_t n = 0; n < layout.nets().size(); ++n) {
     if (layout.nets()[n].net_class != netlist::NetClass::kSignal) continue;
     auto pins = layout.net_pin_positions(
@@ -302,71 +287,6 @@ ConnectRow connect_parallel(const Prepared& p,
 
 // ---- full route ---------------------------------------------------------
 
-struct RouteRow {
-  std::string mode;  ///< "serial" or "sharded"
-  int threads = 1;
-  int nets = 0;
-  double wall_ms = 0.0;  ///< median across repeats
-  bool identical = true;
-  int routed = 0;
-  long long vertices = 0;
-  // Engine work metrics (zero for the serial row). These are
-  // hardware-independent: they gate scaling regressions even on hosts
-  // where wall-clock speedup is noise (e.g. single-core CI runners).
-  long long wasted_vertices = 0;  ///< discarded escape searches
-  long long batches = 0;        ///< sharded rows: batches dispatched
-  long long boundary_nets = 0;  ///< sharded rows: escapes re-routed
-  double speedup_vs_1t = 0.0;  ///< 1-thread engine wall / this wall
-  /// Deterministic work counters of one route: the `levelb.*` registry
-  /// counters' growth, prefix dropped (engine rows include the work of
-  /// re-routed searches).
-  std::vector<std::pair<std::string, long long>> work{};
-  // Memory datapoints (see DESIGN.md §11 "Memory model").
-  long long grid_bytes = 0;    ///< routed grid's occupancy bytes
-  long long peak_rss_kb = 0;   ///< process high-water RSS after the run
-};
-
-/// Routes \p inst `repeat` times after one warm-up through the engine at
-/// \p threads (at 1 thread the engine is the serial LevelBRouter). The
-/// "serial" row stores its result in \p expected; every other row is
-/// checked against it.
-RouteRow route_row(const Instance& inst, const char* mode, int threads,
-                   int repeat, levelb::LevelBResult& expected) {
-  RouteRow row{mode, threads, static_cast<int>(inst.nets.size())};
-  const bool reference = row.mode == "serial";
-  const util::MetricsRegistry& reg = util::MetricsRegistry::global();
-  std::vector<double> walls;
-  for (int r = 0; r <= repeat; ++r) {
-    tig::TrackGrid grid = inst.grid;
-    engine::EngineOptions options;
-    options.threads = threads;
-    engine::RoutingEngine router(grid, options);
-    const util::MetricsSnapshot before = reg.snapshot();
-    const auto t0 = std::chrono::steady_clock::now();
-    levelb::LevelBResult result = router.route(inst.nets);
-    const double wall = ms_since(t0);
-    row.work = reg.snapshot().counters_since(before, "levelb.");
-    if (r > 0) walls.push_back(wall);
-    row.routed = result.routed_nets;
-    row.vertices = result.vertices_examined;
-    row.grid_bytes = static_cast<long long>(grid.grid_bytes());
-    const engine::EngineStats& stats = router.stats();
-    row.wasted_vertices = stats.sharded_wasted_vertices;
-    row.batches = stats.batches;
-    row.boundary_nets = stats.boundary_nets;
-    if (reference) {
-      expected = std::move(result);
-    } else {
-      row.identical = result == expected;
-    }
-  }
-  row.wall_ms = median(walls);
-  row.peak_rss_kb = util::peak_rss_kb();
-  return row;
-}
-
-// ---- driver -------------------------------------------------------------
-
 struct Config {
   bool quick = false;
   bool json = false;
@@ -375,71 +295,55 @@ struct Config {
   bool connect_only = false;  ///< skip full-route rows (profiling aid)
 };
 
-/// Full-route comparison: serial baseline, then the sharded engine across
-/// the thread sweep. Every engine run is identity-checked against the
-/// serial result; speedup_vs_1t is relative to the engine at 1 thread
-/// (= serial dispatch), which is what the CI scaling gate reads.
+/// Full-route comparison: the serial router, then the sharded engine
+/// across the thread sweep. Every engine run is identity-checked against
+/// the serial result, and its speedup_vs_1t is the serial wall over its
+/// own, which is what the CI scaling gate reads.
 void run_route_rows(const Instance& inst, const Config& cfg,
                     util::TraceSink* json) {
   util::TextTable route_table;
   route_table.set_header({"Mode", "Threads", "Wall ms", "Speedup",
                           "Identical", "Routed", "Batches", "Boundary"});
-  levelb::LevelBResult expected;
-  const RouteRow serial = route_row(inst, "serial", 1, cfg.repeat, expected);
-  route_table.add_row({serial.mode, "1", util::format("%.1f", serial.wall_ms),
-                       "1.00x", "-", util::format("%d", serial.routed), "-",
-                       "-"});
-  std::vector<RouteRow> rows{serial};
-  // Quick mode keeps the 1-thread engine run so speedup_vs_1t is always
-  // derivable from a single JSON capture (the CI smoke gate reads it).
-  const std::vector<int> route_threads =
-      inst.serial_only ? std::vector<int>{}
-      : cfg.quick      ? std::vector<int>{1, 4}
-                       : std::vector<int>{1, 2, 4, 8};
-  double engine_1t_ms = 0.0;
-  for (const int threads : route_threads) {
-    RouteRow row = route_row(inst, "sharded", threads, cfg.repeat, expected);
-    if (threads == 1) engine_1t_ms = row.wall_ms;
-    row.speedup_vs_1t = row.wall_ms > 0.0 && engine_1t_ms > 0.0
-                            ? engine_1t_ms / row.wall_ms
-                            : 0.0;
+  const bench::RouteSample serial = bench::measure_route(inst, 1, cfg.repeat);
+  const auto add_row = [&](const bench::RouteSample& row) {
+    const bool sharded = row.stats.threads > 1;
     route_table.add_row(
-        {row.mode, util::format("%d", threads),
+        {sharded ? "sharded" : "serial",
+         util::format("%lld", row.stats.threads),
          util::format("%.1f", row.wall_ms),
          util::format("%.2fx", serial.wall_ms / row.wall_ms),
-         row.identical ? "yes" : "NO", util::format("%d", row.routed),
-         util::format("%lld", row.batches),
-         util::format("%lld", row.boundary_nets)});
-    rows.push_back(row);
+         !sharded ? "-" : row.result == serial.result ? "yes" : "NO",
+         util::format("%d", row.result.routed_nets),
+         sharded ? util::format("%lld", row.stats.batches) : "-",
+         sharded ? util::format("%lld", row.stats.boundary_nets) : "-"});
+    if (json == nullptr) return;
+    const int nets = static_cast<int>(inst.nets.size());
+    util::TraceEvent ev("mbfs_route");
+    ev.add("label", cfg.label)
+        .add("instance", inst.name)
+        .add("mode", sharded ? "sharded" : "serial")
+        .add("nets", nets)
+        .add("us_per_net", nets > 0 ? row.wall_ms * 1e3 / nets : 0.0);
+    bench::add_route_fields(ev, row, serial);
+    json->record(std::move(ev));
+  };
+  add_row(serial);
+  long long peak_rss_kb = serial.peak_rss_kb;
+  const std::vector<int> engine_threads =
+      inst.serial_only ? std::vector<int>{}
+      : cfg.quick      ? std::vector<int>{4}
+                       : std::vector<int>{2, 4, 8};
+  for (const int threads : engine_threads) {
+    const bench::RouteSample row =
+        bench::measure_route(inst, threads, cfg.repeat);
+    add_row(row);
+    peak_rss_kb = row.peak_rss_kb;
   }
   std::printf("Full route (%d repeats, median)\n", cfg.repeat);
   std::fputs(route_table.render().c_str(), stdout);
-  if (json != nullptr) {
-    for (const RouteRow& row : rows) {
-      util::TraceEvent ev("mbfs_route");
-      ev.add("label", cfg.label)
-          .add("instance", inst.name)
-          .add("mode", row.mode)
-          .add("threads", row.threads)
-          .add("nets", row.nets)
-          .add("wall_ms", row.wall_ms)
-          .add("us_per_net", row.nets > 0 ? row.wall_ms * 1e3 / row.nets : 0.0)
-          .add("identical", row.identical)
-          .add("routed_nets", row.routed)
-          .add("vertices", static_cast<long long>(row.vertices));
-      for (const auto& [name, value] : row.work) ev.add(name, value);
-      ev.add("speedup_vs_1t", row.speedup_vs_1t)
-          .add("wasted_vertices", row.wasted_vertices)
-          .add("batches", row.batches)
-          .add("boundary_nets", row.boundary_nets)
-          .add("grid_bytes", row.grid_bytes)
-          .add("peak_rss_kb", row.peak_rss_kb);
-      json->record(std::move(ev));
-    }
-  }
   std::printf("memory: %s grid bytes (serial), %s KB peak RSS\n",
               util::with_commas(serial.grid_bytes).c_str(),
-              util::with_commas(rows.back().peak_rss_kb).c_str());
+              util::with_commas(peak_rss_kb).c_str());
 }
 
 void bench_instance(const Instance& inst, const Config& cfg,
@@ -543,43 +447,31 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Instance> instances;
-  instances.push_back(synthetic_instance("sparse-1000", 1000, 100, 5));
+  instances.push_back({bench::uniform_instance("sparse-1000", 1000, 100)});
   if (!cfg.quick) {
-    instances.push_back(synthetic_instance("dense-700", 700, 140, 7));
+    instances.push_back({bench::uniform_instance("dense-700", 700, 140, 7)});
   }
   instances.push_back(ami33_instance());
   // The scaling headliner: ~1.2k local nets on a 5000-dbu die. Full-route
-  // rows only (its connect sweep would dwarf the others without adding
-  // signal), in quick mode too — the CI sharded-speedup gate reads it.
-  {
-    bench_data::LevelBInstance big =
-        bench_data::generate_levelb_instance(bench_data::sparse5000_spec());
-    instances.push_back(Instance{std::move(big.name), std::move(big.grid),
-                                 std::move(big.nets), /*route_only=*/true});
-  }
+  // rows only, in quick mode too — the CI sharded-speedup gate reads it.
+  instances.push_back({bench_data::generate_levelb_instance(
+                           bench_data::sparse5000_spec()),
+                       /*route_only=*/true});
   // The large-*grid* datapoint: the 200k-dbu die (~40k tracks) with a
   // CI-affordable net count. Chunked storage is what makes this row
   // possible at all — a dense grid would carry every track's containers
   // through all the per-thread copies. bench-smoke reads its peak RSS.
-  {
-    bench_data::LevelBInstance large =
-        bench_data::generate_levelb_instance(bench_data::sparse100k_ci_spec());
-    instances.push_back(Instance{std::move(large.name),
-                                 std::move(large.grid),
-                                 std::move(large.nets),
-                                 /*route_only=*/true});
-  }
+  instances.push_back({bench_data::generate_levelb_instance(
+                           bench_data::sparse100k_ci_spec()),
+                       /*route_only=*/true});
   // The per-net growth row: the same generator at 16k nets, serial only
   // (the engine sweep would add minutes without measuring growth).
   {
     bench_data::LevelBSpec spec = bench_data::sparse100k_spec();
     spec.name = "sparse-100k-16k";
     spec.num_nets = 16000;
-    bench_data::LevelBInstance cut = bench_data::generate_levelb_instance(spec);
-    Instance inst{std::move(cut.name), std::move(cut.grid),
-                  std::move(cut.nets)};
-    inst.serial_only = true;
-    instances.push_back(std::move(inst));
+    instances.push_back({bench_data::generate_levelb_instance(spec),
+                         /*route_only=*/false, /*serial_only=*/true});
   }
   for (const Instance& inst : instances) {
     if (!only.empty() && inst.name != only) continue;

@@ -22,7 +22,10 @@ service contract of docs/SERVICE.md:
   never hung or dropped; with retries on, the same burst is answered in
   full, overflow jobs waiting out a backoff in the queue;
 * a hung attempt is cancelled by its hang limit and the job completes
-  cleanly on its retry.
+  cleanly on its retry;
+* in socket mode (--socket PATH) one connection's clean, failed and
+  malformed requests each get exactly one response, and after SIGINT
+  the daemon exits 0 and removes its socket file.
 
 Usage: python3 scripts/service_smoke.py BUILD_DIR [--jobs N]
 """
@@ -30,8 +33,13 @@ Usage: python3 scripts/service_smoke.py BUILD_DIR [--jobs N]
 import argparse
 import json
 import os
+import shutil
+import signal
+import socket
 import subprocess
 import sys
+import tempfile
+import time
 
 MANDATORY_FIELDS = [
     "id", "status", "exit_class", "queue_ms", "run_ms", "wire_length",
@@ -56,6 +64,52 @@ def check(cond, message):
     if not cond:
         print(f"FAIL: {message}")
         sys.exit(1)
+
+
+def socket_case(served):
+    """One connection to `ocr_served --socket`: a clean, a failed and a
+    malformed request, then SIGINT."""
+    scratch = tempfile.mkdtemp(prefix="ocr_smoke_")
+    path = os.path.join(scratch, "served.sock")
+    daemon = subprocess.Popen([served, "--workers", "1", "--socket", path],
+                              stdout=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not os.path.exists(path):
+            check(daemon.poll() is None, "socket daemon exited early")
+            check(time.monotonic() < deadline, "socket never appeared")
+            time.sleep(0.05)
+        stream = (json.dumps({"id": "sock-clean", "example": "ami33"}) + "\n"
+                  + json.dumps({"id": "sock-bogus", "example": "bogus"})
+                  + "\n" + '{"id":"sock-malformed" broken json}\n')
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.settimeout(300)
+            conn.connect(path)
+            conn.sendall(stream.encode())
+            conn.shutdown(socket.SHUT_WR)  # EOF ends the connection's batch
+            received = b""
+            while chunk := conn.recv(65536):
+                received += chunk
+        responses = [json.loads(line) for line in received.decode().splitlines()
+                     if line.strip()]
+        daemon.send_signal(signal.SIGINT)
+        code = daemon.wait(timeout=60)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+    removed = not os.path.exists(path)
+    shutil.rmtree(scratch, ignore_errors=True)
+    check(code == 0, f"socket daemon exit {code} after SIGINT")
+    check(removed, "socket daemon left its socket file behind")
+    check(len(responses) == 3,
+          f"socket connection expected 3 responses: {responses}")
+    by_class = {r["exit_class"]: r for r in responses}
+    check(sorted(by_class) == [0, 1, 2],
+          f"socket responses should have exit_class 0, 1 and 2: {responses}")
+    check(by_class[0]["id"] == "sock-clean"
+          and by_class[1]["id"] == "sock-bogus",
+          f"socket responses answer the wrong requests: {responses}")
 
 
 def main():
@@ -192,10 +246,14 @@ def main():
           and responses[0]["attempts"] == 2,
           f"hung job did not complete on its retry: {responses}")
 
+    # --- Socket mode: one connection, three requests, SIGINT. ----------
+    socket_case(served)
+
     print(f"service smoke OK: {n_parsed} mixed responses, "
           f"{len(rejected)}/{len(burst)} burst rejections, "
           f"{len(retried)}/{len(burst)} burst jobs retried, "
-          "hung attempt retried, CLI/daemon results identical")
+          "hung attempt retried, socket connection answered, "
+          "CLI/daemon results identical")
     return 0
 
 

@@ -17,6 +17,10 @@ using geom::Orientation;
 using geom::Point;
 using tig::TrackRef;
 
+/// Window-growth retries (margin x4 each step) before a connect falls
+/// back to the full grid.
+constexpr int kMaxWindowSteps = 2;
+
 /// Inclusive track-index window restricting one search pass (§3.1: "the
 /// solution space for each MBFS is defined by the locations of the two net
 /// terminals within a rectangular region"): tracks [lo[k], hi[k]] of the
@@ -401,7 +405,7 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
 
   int margin = options_.window_margin;
   for (int step = 0;; ++step) {
-    const bool final_step = step >= options_.max_window_steps;
+    const bool final_step = step >= kMaxWindowSteps;
     const Window w =
         final_step ? full_window(grid_) : make_window(grid_, a, b, margin);
 

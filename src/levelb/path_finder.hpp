@@ -74,11 +74,9 @@ struct SearchStats {
 struct PathFinderOptions {
   CostWeights weights;
   /// Initial search-window margin beyond the terminals' bounding box, in
-  /// tracks.
+  /// tracks. It grows x4 per failed step; after two steps the search
+  /// takes the full grid.
   int window_margin = 3;
-  /// Window-growth retries (margin x4 each step) before falling back to
-  /// the full grid.
-  int max_window_steps = 2;
   /// Populate Result::tree_v / tree_h (costs memory; used by the Figure
   /// 1/2 reproduction and by tests). Also runs every horizontal-rooted
   /// pass, including those the vertical-rooted pass proved fail, so that

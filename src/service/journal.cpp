@@ -37,7 +37,7 @@ bool terminal_event(io::JournalEvent event) {
 
 Journal::~Journal() { close(); }
 
-Status Journal::open(const std::string& path, Options options) {
+Status Journal::open(const std::string& path) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (fd_ >= 0) {
     return Status::invalid_argument("journal already open").with_stage(
@@ -48,8 +48,6 @@ Status Journal::open(const std::string& path, Options options) {
   if (fd < 0) return errno_status("open journal", path);
   fd_ = fd;
   path_ = path;
-  options_ = options;
-  if (options_.fsync_every < 1) options_.fsync_every = 1;
   unsynced_ = 0;
   return Status();
 }
@@ -90,7 +88,7 @@ Status Journal::append_locked(const std::string& line, bool durable) {
   }
   metrics.counter("service.journal_appends").add();
   ++unsynced_;
-  if (durable || unsynced_ >= options_.fsync_every) return sync_locked();
+  if (durable || unsynced_ >= kFsyncEvery) return sync_locked();
   return Status();
 }
 

@@ -6,7 +6,7 @@
 /// (see io/journal_io.hpp for the lifecycle). Durability policy:
 ///
 /// * `accepted` / `started` / `retry` / `responded` records are batched —
-///   fsync every `Options::fsync_every` appends. Losing a tail of these
+///   fsync every `kFsyncEvery` (8) appends. Losing a tail of these
 ///   in a crash costs at most duplicate *work* (a job re-runs), never a
 ///   wrong answer.
 /// * `completed` / `failed` / `drain` records fsync before append()
@@ -37,10 +37,8 @@ namespace ocr::service {
 
 class Journal {
  public:
-  struct Options {
-    /// Batched records reach disk at least every this many appends.
-    int fsync_every = 8;
-  };
+  /// Batched records reach disk at least every this many appends.
+  static constexpr int kFsyncEvery = 8;
 
   Journal() = default;
   ~Journal();
@@ -49,8 +47,7 @@ class Journal {
 
   /// Opens \p path for appending (created if absent). After a recovery
   /// pass, call set_next_seq so new records continue the sequence.
-  util::Status open(const std::string& path, Options options);
-  util::Status open(const std::string& path) { return open(path, Options()); }
+  util::Status open(const std::string& path);
 
   bool is_open() const;
   const std::string& path() const { return path_; }
@@ -76,7 +73,6 @@ class Journal {
   mutable std::mutex mu_;
   int fd_ = -1;
   std::string path_;
-  Options options_;
   long long next_seq_ = 1;
   int unsynced_ = 0;
 };

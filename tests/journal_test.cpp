@@ -193,9 +193,9 @@ TEST(Journal, TerminalRecordsForceFsyncBatchedOnesDoNot) {
 
   ScratchFile scratch("journal_test_fsync.jsonl");
   Journal journal;
-  Journal::Options options;
-  options.fsync_every = 100;  // batching alone would never sync here
-  ASSERT_TRUE(journal.open(scratch.path, options).ok());
+  ASSERT_TRUE(journal.open(scratch.path).ok());
+  // Two batched appends, well short of a batch sync.
+  static_assert(Journal::kFsyncEvery > 3);
   ASSERT_TRUE(journal.append(accepted("a", "{}")).ok());
   ASSERT_TRUE(journal.append(started("a")).ok());
   EXPECT_EQ(registry.counter("service.journal_fsyncs").value(), before);
@@ -211,13 +211,12 @@ TEST(Journal, FsyncEveryBatchesNonTerminalAppends) {
 
   ScratchFile scratch("journal_test_batch.jsonl");
   Journal journal;
-  Journal::Options options;
-  options.fsync_every = 3;
-  ASSERT_TRUE(journal.open(scratch.path, options).ok());
-  ASSERT_TRUE(journal.append(accepted("a", "{}")).ok());
-  ASSERT_TRUE(journal.append(accepted("b", "{}")).ok());
+  ASSERT_TRUE(journal.open(scratch.path).ok());
+  for (int i = 1; i < Journal::kFsyncEvery; ++i) {
+    ASSERT_TRUE(journal.append(accepted(std::to_string(i), "{}")).ok());
+  }
   EXPECT_EQ(registry.counter("service.journal_fsyncs").value(), before);
-  ASSERT_TRUE(journal.append(accepted("c", "{}")).ok());  // third: batch sync
+  ASSERT_TRUE(journal.append(accepted("last", "{}")).ok());  // batch sync
   EXPECT_EQ(registry.counter("service.journal_fsyncs").value(), before + 1);
   journal.close();
 }
