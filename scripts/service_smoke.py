@@ -25,7 +25,13 @@ service contract of docs/SERVICE.md:
   cleanly on its retry;
 * in socket mode (--socket PATH) one connection's clean, failed and
   malformed requests each get exactly one response, and after SIGINT
-  the daemon exits 0 and removes its socket file.
+  the daemon exits 0, removes its socket file and writes its
+  --manifest; a client that hangs up before its response does not kill
+  the daemon, which answers the next connection; SIGINT stops the
+  daemon even while a client keeps its connection open;
+* `--recover` re-emits a journaled response unchanged but for
+  `"replayed":true`, including the fields a fresh run alone sets
+  (queue_ms, deadline_fired, faults_injected, manifest).
 
 Usage: python3 scripts/service_smoke.py BUILD_DIR [--jobs N]
 """
@@ -66,40 +72,77 @@ def check(cond, message):
         sys.exit(1)
 
 
-def socket_case(served):
-    """One connection to `ocr_served --socket`: a clean, a failed and a
-    malformed request, then SIGINT."""
-    scratch = tempfile.mkdtemp(prefix="ocr_smoke_")
-    path = os.path.join(scratch, "served.sock")
-    daemon = subprocess.Popen([served, "--workers", "1", "--socket", path],
-                              stdout=subprocess.DEVNULL)
-    try:
+class SocketDaemon:
+    """`ocr_served --socket PATH` in a scratch directory, stopped and
+    cleaned up on exit."""
+
+    def __init__(self, served, extra=()):
+        self.scratch = tempfile.mkdtemp(prefix="ocr_smoke_")
+        self.path = os.path.join(self.scratch, "served.sock")
+        self.proc = subprocess.Popen(
+            [served, "--workers", "1", "--socket", self.path, *extra],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         deadline = time.monotonic() + 30
-        while not os.path.exists(path):
-            check(daemon.poll() is None, "socket daemon exited early")
+        while not os.path.exists(self.path):
+            check(self.proc.poll() is None, "socket daemon exited early")
             check(time.monotonic() < deadline, "socket never appeared")
             time.sleep(0.05)
+
+    def connect(self):
+        conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        conn.settimeout(300)
+        conn.connect(self.path)
+        return conn
+
+    def interrupt(self, timeout):
+        """SIGINT; the exit code, or None when the daemon outlives
+        `timeout` seconds."""
+        self.proc.send_signal(signal.SIGINT)
+        try:
+            return self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.wait()
+        shutil.rmtree(self.scratch, ignore_errors=True)
+
+
+def read_lines(conn, count):
+    """Reads until `count` response lines arrived or the peer closed."""
+    received = b""
+    while received.count(b"\n") < count:
+        try:
+            chunk = conn.recv(65536)
+        except ConnectionResetError:
+            break
+        if not chunk:
+            break
+        received += chunk
+    return [json.loads(line) for line in received.decode().splitlines()
+            if line.strip()]
+
+
+def socket_case(served):
+    """One connection to `ocr_served --socket`: a clean, a failed and a
+    malformed request, then SIGINT; the manifest is written at exit."""
+    manifest = os.path.join(tempfile.mkdtemp(prefix="ocr_smoke_"),
+                            "served.manifest.json")
+    with SocketDaemon(served, ["--manifest", manifest]) as daemon:
         stream = (json.dumps({"id": "sock-clean", "example": "ami33"}) + "\n"
                   + json.dumps({"id": "sock-bogus", "example": "bogus"})
                   + "\n" + '{"id":"sock-malformed" broken json}\n')
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
-            conn.settimeout(300)
-            conn.connect(path)
+        with daemon.connect() as conn:
             conn.sendall(stream.encode())
             conn.shutdown(socket.SHUT_WR)  # EOF ends the connection's batch
-            received = b""
-            while chunk := conn.recv(65536):
-                received += chunk
-        responses = [json.loads(line) for line in received.decode().splitlines()
-                     if line.strip()]
-        daemon.send_signal(signal.SIGINT)
-        code = daemon.wait(timeout=60)
-    finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait()
-    removed = not os.path.exists(path)
-    shutil.rmtree(scratch, ignore_errors=True)
+            responses = read_lines(conn, 4)  # 3 expected: read to EOF
+        code = daemon.interrupt(60)
+        removed = not os.path.exists(daemon.path)
     check(code == 0, f"socket daemon exit {code} after SIGINT")
     check(removed, "socket daemon left its socket file behind")
     check(len(responses) == 3,
@@ -110,8 +153,90 @@ def socket_case(served):
     check(by_class[0]["id"] == "sock-clean"
           and by_class[1]["id"] == "sock-bogus",
           f"socket responses answer the wrong requests: {responses}")
+    check(os.path.exists(manifest), "socket daemon wrote no --manifest")
+    with open(manifest, encoding="utf-8") as f:
+        outcomes = json.load(f)["outcome"]
+    shutil.rmtree(os.path.dirname(manifest), ignore_errors=True)
+    check(outcomes["requests"] == 3 and outcomes["responses"] == 3
+          and outcomes["signalled"] is True,
+          f"socket manifest outcomes are wrong: {outcomes}")
 
 
+def socket_hangup_case(served):
+    """A client that closes before its response is written loses that
+    response, not the daemon: the next connection is answered."""
+    with SocketDaemon(served) as daemon:
+        with daemon.connect() as conn:
+            conn.sendall((json.dumps({"id": "gone", "example": "ex3"})
+                          + "\n").encode())
+        try:
+            with daemon.connect() as conn:
+                conn.sendall((json.dumps({"id": "next", "example": "ami33"})
+                              + "\n").encode())
+                conn.shutdown(socket.SHUT_WR)
+                responses = read_lines(conn, 1)
+        except OSError as error:  # the daemon is gone
+            responses = [str(error)]
+        alive = daemon.proc.poll() is None
+        code = daemon.interrupt(60)
+    check(alive, f"a client hang-up killed the daemon (exit {code})")
+    check(len(responses) == 1 and responses[0]["id"] == "next"
+          and responses[0]["status"] == "clean",
+          f"the connection after a hang-up was not answered: {responses}")
+    check(code == 0, f"socket daemon exit {code} after SIGINT")
+
+
+def socket_open_connection_case(served):
+    """SIGINT stops the daemon while a client keeps its connection
+    open."""
+    with SocketDaemon(served) as daemon:
+        with daemon.connect() as conn:
+            conn.sendall((json.dumps({"id": "open", "example": "ami33"})
+                          + "\n").encode())
+            responses = read_lines(conn, 1)
+            code = daemon.interrupt(10)
+        removed = not os.path.exists(daemon.path)
+    check(len(responses) == 1 and responses[0]["status"] == "clean",
+          f"open connection was not answered: {responses}")
+    check(code == 0,
+          f"SIGINT with a connection open: exit {code} (None: still "
+          "running after 10 s)")
+    check(removed, "socket daemon left its socket file behind")
+
+
+def replay_case(served):
+    """A journaled response whose delivery was not recorded is written
+    again by --recover, unchanged but for "replayed":true."""
+    scratch = tempfile.mkdtemp(prefix="ocr_smoke_")
+    journal = os.path.join(scratch, "journal.jsonl")
+    job_manifest = os.path.join(scratch, "replay-1.manifest.json")
+    request = json.dumps({"id": "replay-1", "example": "ami33",
+                          "deadline_ms": 1, "faults": "levelb.connect=1",
+                          "manifest": job_manifest})
+    stored = {"id": "replay-1", "status": "partial", "exit_class": 3,
+              "queue_ms": 17, "run_ms": 23, "wire_length": 398000,
+              "vias": 1270, "unrouted_nets": 2, "cancelled_nets": 5,
+              "deadline_fired": True, "faults_injected": 1,
+              "attempts": 2, "error": "[deadline] flow: deadline exceeded",
+              "manifest": job_manifest}
+    records = [
+        {"event": "accepted", "seq": 1, "id": "replay-1", "attempt": 0,
+         "request": request},
+        {"event": "completed", "seq": 2, "id": "replay-1", "attempt": 1,
+         "response": json.dumps(stored, separators=(",", ":"))},
+    ]
+    with open(journal, "w", encoding="utf-8") as f:
+        f.write("".join(json.dumps(r) + "\n" for r in records))
+    proc = subprocess.run([served, "--journal", journal, "--recover"],
+                          stdin=subprocess.DEVNULL, capture_output=True,
+                          text=True, timeout=120)
+    shutil.rmtree(scratch, ignore_errors=True)
+    check(proc.returncode == 0,
+          f"recovery daemon exit {proc.returncode}: {proc.stderr[-2000:]}")
+    responses = [json.loads(line) for line in proc.stdout.splitlines()
+                 if line.strip()]
+    check(responses == [dict(stored, replayed=True)],
+          f"replayed response differs from the journaled one: {responses}")
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("build_dir")
@@ -246,13 +371,20 @@ def main():
           and responses[0]["attempts"] == 2,
           f"hung job did not complete on its retry: {responses}")
 
-    # --- Socket mode: one connection, three requests, SIGINT. ----------
+    # --- Socket mode: one connection, three requests, SIGINT; a client
+    # that hangs up; a connection held open through SIGINT. -------------
     socket_case(served)
+    socket_hangup_case(served)
+    socket_open_connection_case(served)
+
+    # --- Recovery re-emits the journaled response. ---------------------
+    replay_case(served)
 
     print(f"service smoke OK: {n_parsed} mixed responses, "
           f"{len(rejected)}/{len(burst)} burst rejections, "
           f"{len(retried)}/{len(burst)} burst jobs retried, "
-          "hung attempt retried, socket connection answered, "
+          "hung attempt retried, socket connections answered and "
+          "interrupted, journaled response replayed, "
           "CLI/daemon results identical")
     return 0
 

@@ -129,8 +129,9 @@ struct JobResponse {
 /// Renders \p response as one JSON object (single line, no newline).
 std::string render_job_response(const JobResponse& response);
 
-/// Parses a response line back into a JobResponse (used by tests to
-/// consume daemon output without a full JSON library).
+/// Parses a response line back into a JobResponse. `ocr_served
+/// --recover` re-emits a journaled response line through it, and tests
+/// read daemon output with it.
 util::StatusOr<JobResponse> parse_job_response(const std::string& line);
 
 }  // namespace ocr::io

@@ -37,7 +37,7 @@ constexpr JournalEvent kEvents[] = {
     JournalEvent::kDrain,
 };
 
-bool has_digest(JournalEvent event) {
+bool terminal(JournalEvent event) {
   return event == JournalEvent::kCompleted || event == JournalEvent::kFailed;
 }
 
@@ -52,33 +52,26 @@ std::string render_journal_record(const JournalRecord& record) {
   }
   switch (record.event) {
     case JournalEvent::kAccepted:
-      w.field("attempt", static_cast<long long>(record.attempt));
+      w.field("attempt", record.attempt);
       w.field("request", record.request);
       break;
     case JournalEvent::kStarted:
-      w.field("attempt", static_cast<long long>(record.attempt));
+      w.field("attempt", record.attempt);
       break;
     case JournalEvent::kRetry:
-      w.field("attempt", static_cast<long long>(record.attempt));
+      w.field("attempt", record.attempt);
       w.field("backoff_ms", record.backoff_ms);
       w.field("error", record.error);
       break;
     case JournalEvent::kCompleted:
     case JournalEvent::kFailed:
-      w.field("attempt", static_cast<long long>(record.attempt));
-      w.field("status", record.status);
-      w.field("exit_class", static_cast<long long>(record.exit_class));
-      w.field("wire_length", record.wire_length);
-      w.field("vias", static_cast<long long>(record.vias));
-      w.field("unrouted_nets", static_cast<long long>(record.unrouted_nets));
-      w.field("cancelled_nets", static_cast<long long>(record.cancelled_nets));
-      w.field("run_ms", record.run_ms);
-      if (!record.error.empty()) w.field("error", record.error);
+      w.field("attempt", record.attempt);
+      w.field("response", record.response);
       break;
     case JournalEvent::kResponded:
       break;
     case JournalEvent::kDrain:
-      w.field("unfinished", static_cast<long long>(record.unfinished));
+      w.field("unfinished", record.unfinished);
       break;
   }
   return w.finish();
@@ -98,30 +91,14 @@ StatusOr<JournalRecord> parse_journal_record(const std::string& line) {
         .with_stage("journal-io");
   }
 
-  long long attempt = 0, exit_class = 0, vias = 0, unrouted = 0,
-            cancelled = 0, unfinished = 0;
   if (!(s = take_int(fields, "seq", record.seq)).ok()) return s;
   if (!(s = take_string(fields, "id", record.id)).ok()) return s;
-  if (!(s = take_int(fields, "attempt", attempt)).ok()) return s;
+  if (!(s = take_int(fields, "attempt", record.attempt)).ok()) return s;
   if (!(s = take_string(fields, "request", record.request)).ok()) return s;
-  if (!(s = take_string(fields, "status", record.status)).ok()) return s;
-  if (!(s = take_int(fields, "exit_class", exit_class)).ok()) return s;
-  if (!(s = take_int(fields, "wire_length", record.wire_length)).ok()) {
-    return s;
-  }
-  if (!(s = take_int(fields, "vias", vias)).ok()) return s;
-  if (!(s = take_int(fields, "unrouted_nets", unrouted)).ok()) return s;
-  if (!(s = take_int(fields, "cancelled_nets", cancelled)).ok()) return s;
-  if (!(s = take_int(fields, "run_ms", record.run_ms)).ok()) return s;
+  if (!(s = take_string(fields, "response", record.response)).ok()) return s;
   if (!(s = take_string(fields, "error", record.error)).ok()) return s;
   if (!(s = take_int(fields, "backoff_ms", record.backoff_ms)).ok()) return s;
-  if (!(s = take_int(fields, "unfinished", unfinished)).ok()) return s;
-  record.attempt = static_cast<int>(attempt);
-  record.exit_class = static_cast<int>(exit_class);
-  record.vias = static_cast<int>(vias);
-  record.unrouted_nets = static_cast<int>(unrouted);
-  record.cancelled_nets = static_cast<int>(cancelled);
-  record.unfinished = static_cast<int>(unfinished);
+  if (!(s = take_int(fields, "unfinished", record.unfinished)).ok()) return s;
   // Unknown remaining fields are tolerated for forward compatibility.
 
   if (record.event != JournalEvent::kDrain && record.id.empty()) {
@@ -132,8 +109,10 @@ StatusOr<JournalRecord> parse_journal_record(const std::string& line) {
     return Status::parse_error("accepted record missing 'request'")
         .with_stage("journal-io");
   }
-  if (has_digest(record.event) && record.status.empty()) {
-    return Status::parse_error("terminal record missing 'status'")
+  if (terminal(record.event) && record.response.empty()) {
+    // Also every terminal record of a journal written before terminal
+    // records carried the response line.
+    return Status::parse_error("terminal record missing 'response'")
         .with_stage("journal-io");
   }
   return record;

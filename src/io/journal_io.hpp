@@ -25,9 +25,8 @@
 /// {"event":"started","seq":2,"id":"j1","attempt":0}
 /// {"event":"retry","seq":3,"id":"j1","attempt":1,"backoff_ms":12,
 ///  "error":"[task] execute: injected worker kill"}
-/// {"event":"completed","seq":5,"id":"j1","attempt":1,"status":"clean",
-///  "exit_class":0,"wire_length":399764,"vias":1288,"unrouted_nets":0,
-///  "cancelled_nets":0,"run_ms":41}
+/// {"event":"completed","seq":5,"id":"j1","attempt":1,
+///  "response":"{\"id\":\"j1\",\"status\":\"clean\",...}"}
 /// {"event":"responded","seq":6,"id":"j1"}
 /// {"event":"drain","seq":7,"unfinished":0}
 /// ```
@@ -48,8 +47,8 @@ enum class JournalEvent {
   kAccepted,   ///< admission accepted the job; `request` holds the line
   kStarted,    ///< a worker began executing an attempt
   kRetry,      ///< a transient attempt failed; re-queued after backoff
-  kCompleted,  ///< terminal result, exit_class 0 or 3 (digest fields set)
-  kFailed,     ///< terminal result, exit_class 1 or 2 (digest fields set)
+  kCompleted,  ///< terminal result, exit_class 0 or 3 (`response` set)
+  kFailed,     ///< terminal result, exit_class 1 or 2 (`response` set)
   kResponded,  ///< the response line was delivered to the client
   kDrain,      ///< clean shutdown marker with the unfinished-job count
 };
@@ -62,25 +61,19 @@ struct JournalRecord {
   /// Monotonic per-journal sequence number (assigned by Journal::append).
   long long seq = 0;
   std::string id;
-  int attempt = 0;
+  long long attempt = 0;
   /// kAccepted: the raw JSONL request line, replayed verbatim on
   /// recovery to rebuild the job.
   std::string request;
-  /// kCompleted / kFailed result digest — enough to synthesize the
-  /// response without re-routing.
-  std::string status;
-  int exit_class = 0;
-  long long wire_length = 0;
-  int vias = 0;
-  int unrouted_nets = 0;
-  int cancelled_nets = 0;
-  long long run_ms = 0;
-  /// kRetry / kFailed: human-readable failure reason.
+  /// kCompleted / kFailed: the response line (io::render_job_response)
+  /// the client is sent; recovery re-emits it without re-routing.
+  std::string response;
+  /// kRetry: human-readable failure reason.
   std::string error;
   /// kRetry: scheduled backoff before the next attempt.
   long long backoff_ms = 0;
   /// kDrain: jobs still unfinished at shutdown (0 for a clean drain).
-  int unfinished = 0;
+  long long unfinished = 0;
 };
 
 /// Renders \p record as one JSON line (no trailing newline). Only the

@@ -62,7 +62,7 @@ AdmissionDecision admit(const AdmissionPolicy& policy,
                         const RouteEstimate& estimate, std::string* reason) {
   if (policy.max_nets > 0 && estimate.nets > policy.max_nets) {
     if (reason != nullptr) {
-      *reason = util::format("instance has %d nets, admission limit is %d",
+      *reason = util::format("instance has %d nets, admission limit is %lld",
                              estimate.nets, policy.max_nets);
     }
     return AdmissionDecision::kReject;

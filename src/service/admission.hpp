@@ -55,9 +55,9 @@ enum class AdmissionDecision { kAdmit, kDowntier, kReject };
 struct AdmissionPolicy {
   /// Bounded job queue: submissions beyond this many pending jobs are
   /// rejected immediately.
-  std::size_t queue_limit = 16;
+  long long queue_limit = 16;
   /// Hard ceiling on instance net count.
-  int max_nets = 0;
+  long long max_nets = 0;
   /// Hard ceiling on estimated congestion (demand / capacity).
   double reject_congestion = 0.0;
   /// Above this congestion the job is admitted but down-tiered.

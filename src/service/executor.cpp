@@ -39,9 +39,11 @@ JobResult rejected_result(const RoutingJob& job, util::Status reason) {
 
 JobExecutor::JobExecutor(const Options& options)
     : options_(options),
-      queue_(std::max<std::size_t>(1, options.admission.queue_limit)),
-      running_(static_cast<std::size_t>(std::max(1, options.workers))),
-      pool_(std::max(1, options.workers), "service.pool") {
+      queue_(static_cast<std::size_t>(
+          std::max(1LL, options.admission.queue_limit))),
+      running_(static_cast<std::size_t>(std::max(1LL, options.workers))),
+      pool_(static_cast<int>(std::max(1LL, options.workers)),
+            "service.pool") {
   if (options_.hang_ms > 0) {
     // Listed from the start: a metrics dump shows 0 restarts, not none.
     util::MetricsRegistry::global().counter("service.worker_restarts");
@@ -199,26 +201,14 @@ void JobExecutor::finish_or_retry(JobQueue::Entry entry, JobResult result) {
 
 void JobExecutor::finish(JobQueue::Entry& entry, JobResult result) {
   result.attempts = entry.job.attempt + 1;
-  {
+  if (options_.journal != nullptr) {
     io::JournalRecord record;
     record.event = result.exit_class() == 1 || result.exit_class() == 2
                        ? io::JournalEvent::kFailed
                        : io::JournalEvent::kCompleted;
     record.id = result.id;
     record.attempt = entry.job.attempt;
-    record.status = result.status_name();
-    record.exit_class = result.exit_class();
-    const flow::FlowMetrics& m = result.report.metrics;
-    record.wire_length = m.wire_length;
-    record.vias = m.vias;
-    record.unrouted_nets = m.unrouted_nets;
-    record.cancelled_nets = m.cancelled_nets;
-    record.run_ms = result.run_ms;
-    if (result.rejected) {
-      record.error = result.reject_reason.to_string();
-    } else if (!result.report.error.ok()) {
-      record.error = result.report.error.to_string();
-    }
+    record.response = io::render_job_response(to_response(result));
     // Terminal records fsync inside append(): by the time the callback
     // can emit the response line, the outcome is durable — the ordering
     // that makes recovery exactly-once.

@@ -96,7 +96,7 @@ class JobExecutor {
   struct Options {
     /// Concurrent job workers (each job may additionally use its own
     /// level-B engine threads; see docs/SERVICE.md on oversubscription).
-    int workers = 1;
+    long long workers = 1;
     AdmissionPolicy admission;
     /// Transient-failure retry policy (max_attempts = 1 disables).
     RetryPolicy retry;

@@ -163,7 +163,7 @@ StatusOr<RecoveryPlan> recover_journal(const std::string& path) {
       if (record.event != io::JournalEvent::kAccepted) {
         // started/terminal for an id whose accepted record was lost or
         // corrupted — without the request line the job cannot be
-        // replayed, so record it only if it carries a terminal digest.
+        // replayed, so record it only if it carries its response.
         if (record.event != io::JournalEvent::kCompleted &&
             record.event != io::JournalEvent::kFailed) {
           continue;
@@ -186,7 +186,7 @@ StatusOr<RecoveryPlan> recover_journal(const std::string& path) {
       case io::JournalEvent::kCompleted:
       case io::JournalEvent::kFailed:
         job.has_terminal = true;
-        job.terminal = record;
+        job.response = record.response;
         break;
       case io::JournalEvent::kResponded:
         job.responded = true;
@@ -198,7 +198,7 @@ StatusOr<RecoveryPlan> recover_journal(const std::string& path) {
   if (in.bad()) return errno_status("read journal", path);
 
   for (const RecoveredJob& job : plan.jobs) {
-    if (!job.has_terminal) ++plan.unfinished;
+    if (!job.has_terminal && !job.responded) ++plan.unfinished;
   }
   plan.clean_drain = saw_clean_drain && plan.unfinished == 0;
   return plan;

@@ -83,14 +83,14 @@ struct RecoveredJob {
   std::string request;  ///< raw request line from the accepted record
   int attempts = 0;     ///< started records seen (execution attempts)
   bool has_terminal = false;
-  io::JournalRecord terminal;  ///< completed/failed digest when terminal
-  bool responded = false;      ///< response line reached the client
+  std::string response;    ///< the terminal record's response line
+  bool responded = false;  ///< response line reached the client
 };
 
 struct RecoveryPlan {
-  /// Jobs in first-accepted order. Unfinished ⇢ re-enqueue; terminal but
-  /// not responded ⇢ synthesize the response from the digest (flagged
-  /// `replayed`); terminal and responded ⇢ dedupe any resubmission.
+  /// Jobs in first-accepted order. Responded ⇢ dedupe any resubmission;
+  /// terminal but not responded ⇢ re-emit the journaled response
+  /// (flagged `replayed`); neither ⇢ re-enqueue.
   std::vector<RecoveredJob> jobs;
 
   long long lines_total = 0;
@@ -101,6 +101,7 @@ struct RecoveryPlan {
   long long last_seq = 0;
   /// The journal ends with a drain record reporting zero unfinished jobs.
   bool clean_drain = false;
+  /// Jobs with neither a terminal nor a `responded` record.
   int unfinished = 0;
 };
 

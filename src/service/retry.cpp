@@ -51,7 +51,7 @@ long long retry_backoff_ms(const RetryPolicy& policy,
   long long backoff = policy.base_ms > 0 ? policy.base_ms << shift : 0;
   backoff = std::min(backoff, policy.max_ms);
   if (backoff <= 0 || policy.jitter <= 0.0) return std::max(backoff, 0LL);
-  util::Rng rng(policy.seed ^ fnv1a(job_id) ^
+  util::Rng rng(static_cast<std::uint64_t>(policy.seed) ^ fnv1a(job_id) ^
                 (0x9e3779b97f4a7c15ULL *
                  static_cast<std::uint64_t>(failed_attempt + 1)));
   const double factor =

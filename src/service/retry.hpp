@@ -37,7 +37,7 @@ namespace ocr::service {
 
 struct RetryPolicy {
   /// Total execution attempts per job (1 = retries disabled).
-  int max_attempts = 1;
+  long long max_attempts = 1;
   /// Backoff before retry k (0-based failed attempt) is
   /// `min(max_ms, base_ms << k)` scaled by the jitter factor.
   long long base_ms = 10;
@@ -45,8 +45,8 @@ struct RetryPolicy {
   /// Jitter fraction in [0, 1): the backoff is scaled by a deterministic
   /// factor drawn from [1 - jitter, 1 + jitter).
   double jitter = 0.2;
-  /// Seed for the jitter draw (mixed with job id and attempt).
-  std::uint64_t seed = 1;
+  /// Seed for the jitter draw (its bits mixed with job id and attempt).
+  long long seed = 1;
 
   bool enabled() const { return max_attempts > 1; }
 };

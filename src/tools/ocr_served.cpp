@@ -13,22 +13,25 @@
 /// `id`. Every request produces exactly one response: malformed lines
 /// and admission rejections answer immediately with exit_class 2, job
 /// failures with exit_class 1. On EOF the daemon drains every accepted
-/// job, then exits 0.
+/// job, then exits 0. Socket mode reads each connection the same way,
+/// one connection at a time, and answers on it.
 ///
 /// With `--journal PATH` every job-state transition is written ahead to
 /// an append-only JSONL log; `--recover` replays it on startup —
-/// re-running unfinished jobs, re-emitting responses whose delivery was
-/// not recorded (flagged `"replayed":true`), and deduplicating resent
-/// ids that already completed. SIGTERM/SIGINT switch to drain mode:
-/// stop admitting, finish in-flight work within `--drain-deadline-ms`
-/// (abandoned jobs stay journaled for the next `--recover`), and exit 0
-/// on a clean drain. See docs/SERVICE.md for the full failure model.
+/// re-running unfinished jobs, re-emitting journaled responses whose
+/// delivery was not recorded (flagged `"replayed":true`), and
+/// deduplicating resent ids that already completed. SIGTERM/SIGINT
+/// switch either mode to drain mode: stop admitting, finish in-flight
+/// work within `--drain-deadline-ms` (abandoned jobs stay journaled for
+/// the next `--recover`), and exit 0 on a clean drain, 3 otherwise. A
+/// reader that hangs up loses its responses, not the daemon. See
+/// docs/SERVICE.md for the full failure model.
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -80,32 +83,27 @@ void usage() {
       "hopeless instances before routing; --downtier-congestion admits\n"
       "congested instances with the per-net effort capped at\n"
       "--downtier-net-effort. On stdin EOF the daemon finishes every\n"
-      "accepted job and exits 0.\n"
+      "accepted job and exits 0. --socket PATH serves one connection at\n"
+      "a time, each drained before the next is accepted.\n"
       "\n"
       "Crash safety (stdin mode): --journal FILE write-ahead-logs every\n"
       "job transition; --recover replays it on startup (exactly-once per\n"
       "id). --retry-max N re-runs transiently failed jobs up to N total\n"
       "attempts with exponential backoff from --retry-base-ms (jittered\n"
       "deterministically from --retry-seed). --hang-ms N supervises\n"
-      "workers: a frozen job is cancelled and retried. SIGTERM/SIGINT\n"
-      "drain within --drain-deadline-ms (default 5000). --service-faults\n"
-      "arms service-layer chaos sites (also: OCR_SERVICE_FAULTS env).");
+      "workers: a frozen job is cancelled and retried. In either mode\n"
+      "SIGTERM/SIGINT drain within --drain-deadline-ms (default 5000),\n"
+      "then exit 0, or 3 when jobs were left unfinished. --manifest FILE\n"
+      "writes the run manifest at exit. --service-faults arms\n"
+      "service-layer chaos sites (also: OCR_SERVICE_FAULTS env).");
 }
 
 struct Args {
-  long long workers = 1;
-  long long queue_limit = 16;
-  long long max_nets = 0;
-  double reject_congestion = 0.0;
-  double downtier_congestion = 0.0;
-  long long downtier_net_effort = 100000;
+  /// The executor's knobs, bound straight to their flags.
+  service::JobExecutor::Options executor;
   std::string journal_path;
   bool recover = false;
   long long drain_deadline_ms = 5000;
-  long long retry_max = 1;
-  long long retry_base_ms = 10;
-  long long retry_seed = 1;
-  long long hang_ms = 0;
   std::string service_faults;
   std::string manifest_path;
   std::string socket_path;
@@ -115,22 +113,25 @@ struct Args {
 
 std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
+  service::JobExecutor::Options& ex = args.executor;
   bool help = false;
   const util::Status parsed = util::parse_flags(
       argc, argv,
-      {util::int_flag("--workers", &args.workers),
-       util::int_flag("--queue-limit", &args.queue_limit, 1),
-       util::int_flag("--max-nets", &args.max_nets),
-       util::real_flag("--reject-congestion", &args.reject_congestion),
-       util::real_flag("--downtier-congestion", &args.downtier_congestion),
-       util::int_flag("--downtier-net-effort", &args.downtier_net_effort),
+      {util::int_flag("--workers", &ex.workers),
+       util::int_flag("--queue-limit", &ex.admission.queue_limit, 1),
+       util::int_flag("--max-nets", &ex.admission.max_nets),
+       util::real_flag("--reject-congestion", &ex.admission.reject_congestion),
+       util::real_flag("--downtier-congestion",
+                       &ex.admission.downtier_congestion),
+       util::int_flag("--downtier-net-effort",
+                      &ex.admission.downtier_net_effort),
        util::text_flag("--journal", &args.journal_path),
        util::switch_flag("--recover", &args.recover),
        util::int_flag("--drain-deadline-ms", &args.drain_deadline_ms),
-       util::int_flag("--retry-max", &args.retry_max, 1),
-       util::int_flag("--retry-base-ms", &args.retry_base_ms),
-       util::int_flag("--retry-seed", &args.retry_seed),
-       util::int_flag("--hang-ms", &args.hang_ms),
+       util::int_flag("--retry-max", &ex.retry.max_attempts, 1),
+       util::int_flag("--retry-base-ms", &ex.retry.base_ms),
+       util::int_flag("--retry-seed", &ex.retry.seed),
+       util::int_flag("--hang-ms", &ex.hang_ms),
        util::text_flag("--service-faults", &args.service_faults),
        util::text_flag("--manifest", &args.manifest_path),
        util::text_flag("--socket", &args.socket_path),
@@ -151,24 +152,12 @@ std::optional<Args> parse_args(int argc, char** argv) {
     std::fputs("--recover requires --journal\n", stderr);
     return std::nullopt;
   }
+  if (args.socket_path.size() >= sizeof(sockaddr_un::sun_path)) {
+    std::fprintf(stderr, "ocr_served: socket path too long '%s'\n",
+                 args.socket_path.c_str());
+    return std::nullopt;
+  }
   return args;
-}
-
-service::JobExecutor::Options executor_options(const Args& args,
-                                               service::Journal* journal) {
-  service::JobExecutor::Options options;
-  options.workers = static_cast<int>(args.workers);
-  options.admission.queue_limit = static_cast<std::size_t>(args.queue_limit);
-  options.admission.max_nets = static_cast<int>(args.max_nets);
-  options.admission.reject_congestion = args.reject_congestion;
-  options.admission.downtier_congestion = args.downtier_congestion;
-  options.admission.downtier_net_effort = args.downtier_net_effort;
-  options.retry.max_attempts = static_cast<int>(args.retry_max);
-  options.retry.base_ms = args.retry_base_ms;
-  options.retry.seed = static_cast<std::uint64_t>(args.retry_seed);
-  options.journal = journal;
-  options.hang_ms = args.hang_ms;
-  return options;
 }
 
 io::JobResponse error_response(const std::string& id, const char* status,
@@ -181,78 +170,62 @@ io::JobResponse error_response(const std::string& id, const char* status,
   return response;
 }
 
-/// Serializes response lines from worker threads onto one output.
+/// Writes response lines from worker threads to one fd: stdout, or the
+/// connection being served. Lines never interleave.
 class ResponseWriter {
  public:
-  virtual ~ResponseWriter() = default;
-  void write(const io::JobResponse& response) {
-    const std::string line = io::render_job_response(response);
+  explicit ResponseWriter(int fd) : fd_(fd) {}
+
+  /// Points the writer at the next connection (no response in flight).
+  void set_fd(int fd) {
     const std::lock_guard<std::mutex> lock(mu_);
-    write_line(line);
-    ++written_;
+    fd_ = fd;
   }
+
+  /// Writes \p response as one line; false when it was not delivered
+  /// because the reader hung up (SIGPIPE is ignored, so that is EPIPE).
+  bool write(const io::JobResponse& response) {
+    const std::string line = io::render_job_response(response) + "\n";
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t off = 0; off < line.size();) {
+      const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        OCR_WARN() << "ocr_served: dropped response for a closed connection";
+        return false;
+      }
+      off += static_cast<std::size_t>(n);
+    }
+    ++written_;
+    return true;
+  }
+
+  /// Lines delivered so far.
   long long written() const {
     const std::lock_guard<std::mutex> lock(mu_);
     return written_;
   }
 
  private:
-  /// Called with mu_ held.
-  virtual void write_line(const std::string& line) = 0;
-
   mutable std::mutex mu_;
+  int fd_;
   long long written_ = 0;
 };
 
-class StdoutWriter : public ResponseWriter {
- private:
-  void write_line(const std::string& line) override {
-    std::fputs(line.c_str(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  }
-};
-
-class FdWriter : public ResponseWriter {
- public:
-  explicit FdWriter(int fd) : fd_(fd) {}
-
- private:
-  void write_line(const std::string& line) override {
-    if (OCR_SERVICE_FAULT("service.socket.drop")) {
-      // Chaos site: the connection died between completion and delivery.
-      OCR_WARN() << "ocr_served: injected socket drop, response lost";
-      return;
-    }
-    std::string out = line;
-    out.push_back('\n');
-    std::size_t off = 0;
-    while (off < out.size()) {
-      const ssize_t n = ::write(fd_, out.data() + off, out.size() - off);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        OCR_WARN() << "ocr_served: dropped response for a closed connection";
-        return;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-  }
-
-  int fd_;
-};
-
-/// Shared serving state: the executor, the output, the journal, and the
-/// per-id exactly-once bookkeeping (journal mode only).
+/// Shared serving state: the executor, the output, the journal, the
+/// request counts, and the per-id exactly-once bookkeeping (journal mode
+/// only).
 struct ServeState {
-  ServeState(service::JobExecutor& e, ResponseWriter& w) : executor(e), writer(w) {}
+  explicit ServeState(service::JobExecutor& e) : executor(e) {}
 
   service::JobExecutor& executor;
-  ResponseWriter& writer;
+  ResponseWriter writer{STDOUT_FILENO};
   service::Journal* journal = nullptr;  ///< non-null in journal mode
 
   std::mutex mu;
   std::set<std::string> live;       ///< accepted, response not yet written
   std::set<std::string> responded;  ///< response written (dedupe resends)
+  long long requests = 0;
   long long deduped = 0;
   long long replayed = 0;
   long long recovered = 0;
@@ -260,25 +233,25 @@ struct ServeState {
   bool journaling() const { return journal != nullptr; }
 };
 
-/// Writes \p response and (journal mode) records the delivery. The
-/// `responded` journal record is appended *after* the response line is
-/// flushed: a crash in between replays the response (flagged), never
-/// loses it.
+/// Writes \p response and (journal mode) records its delivery. The
+/// `responded` journal record is appended only *after* the line was
+/// delivered: a crash in between, or a reader that hung up, leaves the
+/// response to be replayed (flagged) by the next --recover, never lost.
 void respond(ServeState& state, const io::JobResponse& response) {
-  state.writer.write(response);
-  if (state.journaling() && !response.id.empty()) {
-    {
-      const std::lock_guard<std::mutex> lock(state.mu);
-      state.live.erase(response.id);
-      state.responded.insert(response.id);
-    }
-    io::JournalRecord record;
-    record.event = io::JournalEvent::kResponded;
-    record.id = response.id;
-    const util::Status status = state.journal->append(std::move(record));
-    if (!status.ok()) {
-      OCR_WARN() << "journal responded append failed: " << status.to_string();
-    }
+  const bool delivered = state.writer.write(response);
+  if (!state.journaling() || response.id.empty()) return;
+  {
+    const std::lock_guard<std::mutex> lock(state.mu);
+    state.live.erase(response.id);
+    state.responded.insert(response.id);
+  }
+  if (!delivered) return;
+  io::JournalRecord record;
+  record.event = io::JournalEvent::kResponded;
+  record.id = response.id;
+  const util::Status status = state.journal->append(std::move(record));
+  if (!status.ok()) {
+    OCR_WARN() << "journal responded append failed: " << status.to_string();
   }
 }
 
@@ -328,57 +301,99 @@ void handle_line(const std::string& line, ServeState& state) {
                         });
 }
 
-/// Whitespace-only lines are skipped, not errors (trailing newlines).
-bool blank(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
 volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) { g_stop = 1; }
 
-/// SIGTERM/SIGINT without SA_RESTART, so a blocked ::read on stdin
+/// SIGTERM/SIGINT without SA_RESTART, so a blocked read or accept
 /// returns EINTR and the serve loop can enter drain mode promptly.
-void install_drain_signals() {
+/// SIGPIPE is ignored: a reader that hangs up fails the write of its
+/// response instead of killing the daemon and every job in it.
+void install_signals() {
   struct sigaction action {};
   action.sa_handler = on_signal;
   sigemptyset(&action.sa_mask);
   action.sa_flags = 0;  // deliberately not SA_RESTART
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
+  std::signal(SIGPIPE, SIG_IGN);
 }
 
-/// Replays the journal on startup: completed-but-unresponded jobs get
-/// their response synthesized from the terminal digest (no re-routing),
-/// responded ids are remembered for dedupe, unfinished jobs re-enter
-/// the executor through the normal submission path.
+/// Reads \p fd to EOF and hands each non-blank line to handle_line.
+/// Returns early when SIGINT/SIGTERM set g_stop, dropping any
+/// unterminated last line.
+void read_requests(int fd, ServeState& state) {
+  std::string line;
+  const auto take = [&] {
+    if (line.find_first_not_of(" \t\r") != std::string::npos) {
+      ++state.requests;
+      handle_line(line, state);
+    }
+    line.clear();
+  };
+  char buf[4096];
+  while (g_stop == 0) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;  // signal: loop re-checks g_stop
+    if (n <= 0) {
+      if (n < 0) std::perror("ocr_served: read");
+      take();
+      return;
+    }
+    for (ssize_t i = 0; i < n; ++i) {
+      if (buf[i] == '\n') {
+        take();
+      } else {
+        line.push_back(buf[i]);
+      }
+    }
+  }
+}
+
+/// A listening unix socket at \p path (a stale file there is replaced),
+/// or -1 after printing why not.
+int listen_at(const std::string& path) {
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listener < 0) {
+    std::perror("ocr_served: socket");
+    return -1;
+  }
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ::unlink(path.c_str());
+  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+             sizeof(addr)) != 0 ||
+      ::listen(listener, 8) != 0) {
+    std::perror("ocr_served: bind/listen");
+    ::close(listener);
+    return -1;
+  }
+  return listener;
+}
+
+/// Replays the journal on startup: responded ids are remembered for
+/// dedupe, a finished job's journaled response is written again
+/// (flagged `replayed`, no re-routing), and unfinished jobs re-enter the
+/// executor through the normal submission path.
 void replay_recovery(const service::RecoveryPlan& plan, ServeState& state) {
   util::MetricsRegistry& global = util::MetricsRegistry::global();
   for (const service::RecoveredJob& job : plan.jobs) {
-    if (job.has_terminal && job.responded) {
+    if (job.responded) {
       const std::lock_guard<std::mutex> lock(state.mu);
       state.responded.insert(job.id);
       continue;
     }
     if (job.has_terminal) {
-      // The outcome is durable but its delivery was not recorded: emit
-      // it again from the digest, flagged so clients can tell a replay
-      // from a fresh execution.
-      io::JobResponse response;
-      response.id = job.id;
-      response.status = job.terminal.status;
-      response.exit_class = job.terminal.exit_class;
-      response.run_ms = job.terminal.run_ms;
-      response.wire_length = job.terminal.wire_length;
-      response.vias = job.terminal.vias;
-      response.unrouted_nets = job.terminal.unrouted_nets;
-      response.cancelled_nets = job.terminal.cancelled_nets;
-      response.attempts = job.terminal.attempt + 1;
-      response.replayed = true;
-      response.error = job.terminal.error;
-      ++state.replayed;
-      global.counter("service.jobs_replayed").add();
-      respond(state, response);
-      continue;
+      auto response = io::parse_job_response(job.response);
+      if (response.ok()) {
+        response->replayed = true;
+        ++state.replayed;
+        global.counter("service.jobs_replayed").add();
+        respond(state, *response);
+        continue;
+      }
+      OCR_WARN() << "recovery: job '" << job.id << "' has a damaged response ("
+                 << response.status().to_string() << "), re-running it";
     }
     if (job.request.empty()) {
       OCR_WARN() << "recovery: job '" << job.id
@@ -391,8 +406,11 @@ void replay_recovery(const service::RecoveryPlan& plan, ServeState& state) {
   }
 }
 
-/// Batch mode: stdin -> stdout; drain on EOF, bounded drain on signal.
-int serve_stdin(const Args& args) {
+/// Serves stdin, or with --socket one connection at a time, each its own
+/// batch (drained before the next accept). Then both modes shut down
+/// alike: a full drain after EOF, a bounded one after SIGINT/SIGTERM.
+int serve(Args args) {
+  install_signals();
   service::Journal journal;
   service::RecoveryPlan plan;
   if (!args.journal_path.empty()) {
@@ -411,53 +429,32 @@ int serve_stdin(const Args& args) {
       return 2;
     }
     journal.set_next_seq(plan.last_seq);
+    args.executor.journal = &journal;
   }
+  const int listener =
+      args.socket_path.empty() ? -1 : listen_at(args.socket_path);
+  if (!args.socket_path.empty() && listener < 0) return 1;
 
-  service::JobExecutor executor(
-      executor_options(args, journal.is_open() ? &journal : nullptr));
-  StdoutWriter writer;
-  ServeState state{executor, writer};
-  state.journal = journal.is_open() ? &journal : nullptr;
-
+  service::JobExecutor executor(args.executor);
+  ServeState state{executor};
+  state.journal = args.executor.journal;
   if (args.recover) replay_recovery(plan, state);
 
-  install_drain_signals();
-  long long requests = 0;
-  std::string line;
-  bool eof = false;
-  char buf[4096];
-  std::size_t buf_len = 0, buf_pos = 0;
-  while (g_stop == 0) {
-    if (buf_pos == buf_len) {
-      const ssize_t n = ::read(STDIN_FILENO, buf, sizeof(buf));
-      if (n < 0) {
-        if (errno == EINTR) continue;  // signal: loop re-checks g_stop
-        std::perror("ocr_served: read");
-        break;
-      }
-      if (n == 0) {
-        eof = true;
-        break;
-      }
-      buf_len = static_cast<std::size_t>(n);
-      buf_pos = 0;
+  if (listener < 0) read_requests(STDIN_FILENO, state);
+  int conn = -1;  // open while a signal ends its batch: the drain answers it
+  while (listener >= 0 && g_stop == 0) {
+    conn = ::accept(listener, nullptr, nullptr);
+    if (conn < 0) {
+      if (errno == EINTR) continue;
+      std::perror("ocr_served: accept");
+      break;
     }
-    while (buf_pos < buf_len) {
-      const char c = buf[buf_pos++];
-      if (c != '\n') {
-        line.push_back(c);
-        continue;
-      }
-      if (!blank(line)) {
-        ++requests;
-        handle_line(line, state);
-      }
-      line.clear();
-    }
-  }
-  if (eof && !blank(line)) {
-    ++requests;
-    handle_line(line, state);
+    state.writer.set_fd(conn);
+    read_requests(conn, state);
+    if (g_stop != 0) break;
+    executor.drain();  // every response out before the connection closes
+    ::close(conn);
+    conn = -1;
   }
 
   // Drain: complete on EOF, bounded when a signal asked us to stop.
@@ -466,6 +463,11 @@ int serve_stdin(const Args& args) {
     unfinished = executor.drain_within(args.drain_deadline_ms);
   } else {
     executor.drain();
+  }
+  if (conn >= 0) ::close(conn);
+  if (listener >= 0) {
+    ::close(listener);
+    ::unlink(args.socket_path.c_str());
   }
   if (journal.is_open()) {
     io::JournalRecord record;
@@ -478,25 +480,27 @@ int serve_stdin(const Args& args) {
     journal.close();
   }
 
+  const long long written = state.writer.written();
   if (args.verbose || state.deduped > 0 || state.replayed > 0 ||
       state.recovered > 0) {
     std::fprintf(stderr,
                  "ocr_served: %lld requests, %lld responses, %lld recovered, "
                  "%lld replayed, %lld deduped, %d unfinished\n",
-                 requests, writer.written(), state.recovered, state.replayed,
+                 state.requests, written, state.recovered, state.replayed,
                  state.deduped, unfinished);
   }
 
   if (!args.manifest_path.empty()) {
+    const service::JobExecutor::Options& ex = args.executor;
     util::RunManifest manifest("ocr_served");
-    manifest.add_config("workers", args.workers);
-    manifest.add_config("queue_limit", args.queue_limit);
+    manifest.add_config("workers", ex.workers);
+    manifest.add_config("queue_limit", ex.admission.queue_limit);
     manifest.add_config("journal", args.journal_path);
     manifest.add_config("recover", args.recover);
-    manifest.add_config("retry_max", args.retry_max);
-    manifest.add_config("retry_base_ms", args.retry_base_ms);
-    manifest.add_config("retry_seed", args.retry_seed);
-    manifest.add_config("hang_ms", args.hang_ms);
+    manifest.add_config("retry_max", ex.retry.max_attempts);
+    manifest.add_config("retry_base_ms", ex.retry.base_ms);
+    manifest.add_config("retry_seed", ex.retry.seed);
+    manifest.add_config("hang_ms", ex.hang_ms);
     manifest.add_config("drain_deadline_ms", args.drain_deadline_ms);
     manifest.add_provenance("journal_lines", plan.lines_total);
     manifest.add_provenance("journal_corrupt_lines", plan.lines_corrupt);
@@ -506,8 +510,8 @@ int serve_stdin(const Args& args) {
     }
     manifest.add_provenance("recovered_jobs", state.recovered);
     manifest.add_provenance("replayed_responses", state.replayed);
-    manifest.add_outcome("requests", requests);
-    manifest.add_outcome("responses", writer.written());
+    manifest.add_outcome("requests", state.requests);
+    manifest.add_outcome("responses", written);
     manifest.add_outcome("deduped", state.deduped);
     manifest.add_outcome("drained_unfinished", unfinished);
     manifest.add_outcome("signalled", g_stop != 0);
@@ -523,72 +527,8 @@ int serve_stdin(const Args& args) {
   // replayed and re-executed recovery responses are extra lines on top
   // of `requests`.
   const long long expected =
-      requests - state.deduped + state.replayed + state.recovered;
-  return writer.written() == expected ? 0 : 1;
-}
-
-/// Socket mode: one connection at a time; each connection is its own
-/// batch (drained before the next accept). SIGINT/SIGTERM exit cleanly.
-/// Journaling is a stdin-mode feature — see parse_args.
-int serve_socket(const Args& args) {
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener < 0) {
-    std::perror("ocr_served: socket");
-    return 1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (args.socket_path.size() >= sizeof(addr.sun_path)) {
-    std::fprintf(stderr, "ocr_served: socket path too long '%s'\n",
-                 args.socket_path.c_str());
-    ::close(listener);
-    return 2;
-  }
-  std::strncpy(addr.sun_path, args.socket_path.c_str(),
-               sizeof(addr.sun_path) - 1);
-  ::unlink(args.socket_path.c_str());
-  if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listener, 8) != 0) {
-    std::perror("ocr_served: bind/listen");
-    ::close(listener);
-    return 1;
-  }
-
-  install_drain_signals();
-
-  service::JobExecutor executor(executor_options(args, nullptr));
-  while (g_stop == 0) {
-    const int conn = ::accept(listener, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) continue;
-      std::perror("ocr_served: accept");
-      break;
-    }
-    FdWriter writer(conn);
-    ServeState state{executor, writer};
-    std::string line;
-    char buf[4096];
-    for (;;) {
-      const ssize_t n = ::read(conn, buf, sizeof(buf));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;
-      for (ssize_t i = 0; i < n; ++i) {
-        if (buf[i] != '\n') {
-          line.push_back(buf[i]);
-          continue;
-        }
-        if (!blank(line)) handle_line(line, state);
-        line.clear();
-      }
-    }
-    if (!blank(line)) handle_line(line, state);
-    executor.drain();  // every response out before the connection closes
-    ::close(conn);
-  }
-  ::close(listener);
-  ::unlink(args.socket_path.c_str());
-  return 0;
+      state.requests - state.deduped + state.replayed + state.recovered;
+  return written == expected ? 0 : 1;
 }
 
 }  // namespace
@@ -615,8 +555,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int code =
-      args->socket_path.empty() ? serve_stdin(*args) : serve_socket(*args);
+  const int code = serve(*args);
 
   if (!args->metrics_json.empty()) {
     const util::MetricsSnapshot snapshot =

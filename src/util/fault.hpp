@@ -61,8 +61,7 @@ inline constexpr std::string_view kFaultSites[] = {
 /// Every OCR_SERVICE_FAULT site: the names the daemon's chaos plan may arm.
 inline constexpr std::string_view kServiceFaultSites[] = {
     "service.journal.append", "service.journal.replay",
-    "service.socket.drop",    "service.worker.fail",
-    "service.worker.hang",
+    "service.worker.fail",    "service.worker.hang",
 };
 
 /// \p site itself when \p sites lists it. Any other name is not a
@@ -103,7 +102,7 @@ class FaultRegistry {
   static FaultRegistry& global();
 
   /// Second process-wide registry for service-layer sites (journal
-  /// append, worker kill, socket drop, recovery replay). Kept separate
+  /// append, worker kill and hang, recovery replay). Kept separate
   /// from global() because the job executor re-arms global() from each
   /// job's `faults` spec per attempt — service chaos plans must survive
   /// that churn, persisting hit counters across attempts so triggers

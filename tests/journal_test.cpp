@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "io/job_io.hpp"
 #include "io/journal_io.hpp"
 #include "service/journal.hpp"
 #include "util/fault.hpp"
@@ -45,16 +46,35 @@ io::JournalRecord started(const std::string& id, int attempt = 0) {
   return r;
 }
 
+/// A terminal record carrying a clean response with \p wire_length.
 io::JournalRecord completed(const std::string& id, long long wire_length) {
+  io::JobResponse response;
+  response.id = id;
+  response.status = "clean";
+  response.wire_length = wire_length;
+  response.vias = 7;
+  response.run_ms = 3;
   io::JournalRecord r;
   r.event = io::JournalEvent::kCompleted;
   r.id = id;
-  r.status = "clean";
-  r.exit_class = 0;
-  r.wire_length = wire_length;
-  r.vias = 7;
-  r.run_ms = 3;
+  r.response = io::render_job_response(response);
   return r;
+}
+
+/// The wire length in a recovered job's journaled response line.
+long long response_wire_length(const RecoveredJob& job) {
+  const auto response = io::parse_job_response(job.response);
+  EXPECT_TRUE(response.ok()) << job.response;
+  return response.ok() ? response->wire_length : -1;
+}
+
+/// A terminal record as journals wrote it before terminal records
+/// carried the response line: a result digest and no `response`.
+std::string digest_terminal(const std::string& id) {
+  return R"({"event":"completed","seq":3,"id":")" + id +
+         R"(","attempt":0,"status":"clean","exit_class":0,)"
+         R"("wire_length":10,"vias":7,"unrouted_nets":0,)"
+         R"("cancelled_nets":0,"run_ms":3})";
 }
 
 io::JournalRecord responded(const std::string& id) {
@@ -91,13 +111,9 @@ TEST(JournalCodec, EveryEventRoundTrips) {
     record.id = event == JournalEvent::kDrain ? "" : "job-1";
     record.attempt = 2;
     record.request = "{\"id\":\"job-1\"}";
-    record.status = "failed";
-    record.exit_class = 1;
-    record.wire_length = 123;
-    record.vias = 4;
-    record.unrouted_nets = 1;
-    record.cancelled_nets = 2;
-    record.run_ms = 9;
+    record.response =
+        R"({"id":"job-1","status":"failed","exit_class":1,)"
+        R"("error":"boom \"quoted\"\\n","manifest":"out/m.json"})";
     record.error = "boom \"quoted\"";
     record.backoff_ms = 20;
     record.unfinished = 3;
@@ -119,14 +135,8 @@ TEST(JournalCodec, EveryEventRoundTrips) {
         break;
       case JournalEvent::kCompleted:
       case JournalEvent::kFailed:
-        EXPECT_EQ(parsed->status, "failed");
-        EXPECT_EQ(parsed->exit_class, 1);
-        EXPECT_EQ(parsed->wire_length, 123);
-        EXPECT_EQ(parsed->vias, 4);
-        EXPECT_EQ(parsed->unrouted_nets, 1);
-        EXPECT_EQ(parsed->cancelled_nets, 2);
-        EXPECT_EQ(parsed->run_ms, 9);
-        EXPECT_EQ(parsed->error, record.error);
+        EXPECT_EQ(parsed->response, record.response);
+        EXPECT_EQ(parsed->attempt, 2);
         break;
       case JournalEvent::kDrain:
         EXPECT_EQ(parsed->unfinished, 3);
@@ -145,9 +155,12 @@ TEST(JournalCodec, RejectsDamagedRecords) {
   // Missing id on a non-drain record.
   EXPECT_FALSE(
       io::parse_journal_record("{\"event\":\"started\",\"seq\":1}").ok());
-  // Terminal record without a status digest.
+  // Terminal record without its response line.
   EXPECT_FALSE(io::parse_journal_record(
                    "{\"event\":\"completed\",\"seq\":1,\"id\":\"a\"}")
+                   .ok());
+  EXPECT_FALSE(io::parse_journal_record(
+                   R"({"event":"failed","seq":1,"id":"a","response":""})")
                    .ok());
   // Accepted without the request payload cannot be replayed.
   EXPECT_FALSE(io::parse_journal_record(
@@ -253,7 +266,7 @@ TEST(Recovery, FoldsPerJobOutcomes) {
   ASSERT_TRUE(journal.append(started("done")).ok());
   ASSERT_TRUE(journal.append(completed("done", 111)).ok());
   ASSERT_TRUE(journal.append(responded("done")).ok());
-  // finished, response never delivered: replay from the digest.
+  // finished, response never delivered: replay the journaled response.
   ASSERT_TRUE(journal.append(accepted("silent", "{\"id\":\"silent\"}")).ok());
   ASSERT_TRUE(journal.append(started("silent")).ok());
   ASSERT_TRUE(journal.append(completed("silent", 222)).ok());
@@ -275,12 +288,12 @@ TEST(Recovery, FoldsPerJobOutcomes) {
   EXPECT_EQ(plan->jobs[0].id, "done");
   EXPECT_TRUE(plan->jobs[0].has_terminal);
   EXPECT_TRUE(plan->jobs[0].responded);
-  EXPECT_EQ(plan->jobs[0].terminal.wire_length, 111);
+  EXPECT_EQ(response_wire_length(plan->jobs[0]), 111);
 
   EXPECT_EQ(plan->jobs[1].id, "silent");
   EXPECT_TRUE(plan->jobs[1].has_terminal);
   EXPECT_FALSE(plan->jobs[1].responded);
-  EXPECT_EQ(plan->jobs[1].terminal.wire_length, 222);
+  EXPECT_EQ(response_wire_length(plan->jobs[1]), 222);
 
   EXPECT_EQ(plan->jobs[2].id, "lost");
   EXPECT_FALSE(plan->jobs[2].has_terminal);
@@ -367,11 +380,42 @@ TEST(Recovery, CleanDrainNeedsTrailingEmptyDrainRecord) {
   EXPECT_EQ(plan->unfinished, 1);  // "b" must be re-enqueued
 }
 
+TEST(Recovery, DigestTerminalRecordsAreCorrupt) {
+  // A terminal record without a response line is skipped as corrupt. A
+  // job whose `responded` record survives is still deduplicated; one
+  // without it re-runs from its accepted record.
+  EXPECT_FALSE(io::parse_journal_record(digest_terminal("x")).ok());
+  ScratchFile scratch("journal_test_digest.jsonl");
+  {
+    Journal journal;
+    ASSERT_TRUE(journal.open(scratch.path).ok());
+    ASSERT_TRUE(journal.append(accepted("seen", "{\"id\":\"seen\"}")).ok());
+    ASSERT_TRUE(journal.append(accepted("unseen", "{\"id\":\"unseen\"}")).ok());
+    journal.close();
+  }
+  {
+    std::ofstream out(scratch.path, std::ios::app);
+    out << digest_terminal("seen") << "\n"
+        << R"({"event":"responded","seq":4,"id":"seen"})" << "\n"
+        << digest_terminal("unseen") << "\n";
+  }
+  const auto plan = recover_journal(scratch.path);
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  EXPECT_EQ(plan->lines_corrupt, 2);
+  ASSERT_EQ(plan->jobs.size(), 2u);
+  EXPECT_FALSE(plan->jobs[0].has_terminal);
+  EXPECT_TRUE(plan->jobs[0].responded);
+  EXPECT_FALSE(plan->jobs[1].has_terminal);
+  EXPECT_FALSE(plan->jobs[1].responded);
+  EXPECT_EQ(plan->jobs[1].request, "{\"id\":\"unseen\"}");
+  EXPECT_EQ(plan->unfinished, 1);  // only "unseen" re-runs
+}
+
 TEST(Recovery, TerminalWithoutAcceptedIsKeptForDedupe) {
   // The accepted record can be lost to a torn batch while the terminal
   // record (fsynced) survived. The job cannot be replayed, but its
   // outcome must still be recovered so a client resend is answered from
-  // the digest instead of re-executed.
+  // the journaled response instead of re-executed.
   ScratchFile scratch("journal_test_orphan.jsonl");
   {
     Journal journal;
@@ -384,6 +428,7 @@ TEST(Recovery, TerminalWithoutAcceptedIsKeptForDedupe) {
   ASSERT_EQ(plan->jobs.size(), 1u);
   EXPECT_TRUE(plan->jobs[0].has_terminal);
   EXPECT_TRUE(plan->jobs[0].request.empty());
+  EXPECT_EQ(response_wire_length(plan->jobs[0]), 333);
   EXPECT_EQ(plan->unfinished, 0);
 }
 
