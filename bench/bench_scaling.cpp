@@ -252,7 +252,6 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
     if (json != nullptr) {
       util::TraceEvent ev = bench_record("memory");
       ev.add("instance", inst.name)
-          .add("storage", "flat")
           .add("nets", static_cast<int>(inst.nets.size()))
           .add("grid_h", inst.grid.num_h())
           .add("grid_v", inst.grid.num_v())

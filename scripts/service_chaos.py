@@ -7,6 +7,11 @@ exactly-once contract of docs/SERVICE.md:
 * a job stream is fed to `ocr_served --journal`; mid-stream the daemon is
   SIGKILLed (no drain, no flush — the worst crash) and restarted with
   `--recover`, which replays the journal and re-runs unfinished jobs;
+* in the first cycle the harness hangs up on the daemon's stdout before
+  feeding the wave, so every job that finishes journals its terminal
+  record (with the response line) but no `responded` record: each such id
+  must come back `"replayed":true`, equal to its journaled response, and
+  at least one must;
 * after N kill/restart cycles plus a final run, every job id has been
   answered at least once, at most one response per id is a fresh
   execution (the rest carry `"replayed":true`), and all responses for an
@@ -23,6 +28,7 @@ Usage: python3 scripts/service_chaos.py BUILD_DIR [--jobs N] [--kills N]
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -60,12 +66,18 @@ def read_journal(path):
     return records
 
 
-def spawn(served, journal, queue_limit, extra=()):
+def spawn(served, journal, queue_limit, extra=(), stdout=subprocess.PIPE):
     return subprocess.Popen(
         [served, "--journal", journal, "--workers", "2",
          "--queue-limit", str(queue_limit), *extra],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stdin=subprocess.PIPE, stdout=stdout,
         stderr=subprocess.PIPE, text=True)
+
+
+def journaled_responses(path):
+    """id -> the response line of its terminal record in the journal."""
+    return {r["id"]: r["response"] for r in read_journal(path)
+            if r["event"] in ("completed", "failed")}
 
 
 def feed(proc, requests):
@@ -94,6 +106,7 @@ def main():
 
     responses = {}   # id -> list of decoded response objects
     kill_waves = []  # ids fed before each kill, for the report
+    unheard = {}     # id -> response journaled while stdout was closed
 
     def record(batch):
         for response in batch:
@@ -107,18 +120,33 @@ def main():
     for cycle in range(args.kills):
         check(pending, "stream exhausted before the kill budget")
         recover = ["--recover"] if cycle > 0 else []
-        proc = spawn(served, journal, args.jobs + 8, recover)
         slice_size = max(1, len(pending) // (args.kills - cycle + 1))
         wave = pending[:slice_size]
+        if cycle == 0:
+            # Hang up on the daemon's stdout before the wave: each response
+            # it writes fails (EPIPE), leaving a terminal record without a
+            # `responded` record, which recovery must replay.
+            read_end, write_end = os.pipe()
+            proc = spawn(served, journal, args.jobs + 8, recover, write_end)
+            os.close(write_end)
+            os.close(read_end)
+        else:
+            proc = spawn(served, journal, args.jobs + 8, recover)
         feed(proc, [requests[i] for i in wave])
         kill_waves.append(len(wave))
         # Let some jobs finish so the kill lands with a mix of completed,
         # in-flight and queued work — the interesting recovery states.
-        # (~40 ms per ami33 job on 2 workers: a fraction of the wave.)
         time.sleep(0.15)
+        deadline = time.monotonic() + 30
+        while cycle == 0 and not journaled_responses(journal):
+            check(time.monotonic() < deadline,
+                  "no job finished within 30 s of the first wave")
+            time.sleep(0.01)
         proc.kill()  # SIGKILL: no drain, no journal flush
         out, _ = proc.communicate(timeout=60)
-        batch = parse_responses(out)
+        if cycle == 0:
+            unheard = journaled_responses(journal)
+        batch = parse_responses(out or "")
         record(batch)
         answered = {r["id"] for r in batch}
         pending = [i for i in pending if i not in answered]
@@ -135,6 +163,11 @@ def main():
     # --- Exactly-once: every id answered, answers agree, at most one
     # fresh execution per id. -------------------------------------------
     check(not unanswered(), f"unanswered ids: {unanswered()[:10]}")
+    for job_id, line in unheard.items():
+        journaled = dict(json.loads(line), replayed=True)
+        check(journaled in responses[job_id],
+              f"{job_id}: response journaled while stdout was closed was "
+              f"not replayed: {responses[job_id]}")
     replay_count = 0
     for job_id in all_ids:
         answers = responses[job_id]
@@ -150,6 +183,8 @@ def main():
         check(answers[0]["status"] == "clean"
               and answers[0]["wire_length"] > 0,
               f"{job_id} did not route cleanly: {answers[0]}")
+
+    check(replay_count >= 1, "no response was replayed")
 
     # --- Journal: exactly one terminal record per id, and responses were
     # only ever emitted for journaled outcomes. --------------------------
@@ -181,8 +216,10 @@ def main():
 
     print(f"service chaos OK: {args.jobs} ids exactly-once across "
           f"{args.kills} SIGKILLs (waves {kill_waves}), "
-          f"{replay_count} replayed responses, {len(torn)} torn journal "
+          f"{replay_count} replayed responses ({len(unheard)} journaled "
+          f"while stdout was closed), {len(torn)} torn journal "
           f"lines tolerated, SIGTERM drain clean")
+    shutil.rmtree(workdir)  # a failed run keeps its journal for inspection
     return 0
 
 

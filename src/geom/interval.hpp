@@ -2,13 +2,15 @@
 /// \file interval.hpp
 /// \brief Closed integer intervals [lo, hi].
 ///
-/// Channel routing reasons about horizontal spans of nets; track blocking
-/// reasons about blocked extents along a track. Both use closed intervals
-/// on grid coordinates.
+/// Channel routing reasons about horizontal spans of nets; track records
+/// reason about free gaps along a track. Both use closed intervals on grid
+/// coordinates.
 
 #include <algorithm>
 #include <compare>
+#include <cstddef>
 #include <ostream>
+#include <vector>
 
 #include "geom/point.hpp"
 #include "util/assert.hpp"
@@ -51,6 +53,24 @@ struct Interval {
 inline Interval leg_extent(const Point& p, const Point& q, Orientation o) {
   return Interval(std::min(along(p, o), along(q, o)),
                   std::max(along(p, o), along(q, o)));
+}
+
+/// Replaces `v[first, last)` with `pieces[0, np)` in place: overwrites
+/// the common prefix, then erases or inserts the difference, so the tail
+/// shifts at most once.
+template <typename T>
+void replace_range(std::vector<T>& v, std::size_t first, std::size_t last,
+                   const T* pieces, std::size_t np) {
+  const std::size_t overwrite = std::min(np, last - first);
+  const auto at = [&v](std::size_t k) {
+    return v.begin() + static_cast<std::ptrdiff_t>(k);
+  };
+  std::copy(pieces, pieces + overwrite, at(first));
+  if (np < last - first) {
+    v.erase(at(first + np), at(last));
+  } else if (np > last - first) {
+    v.insert(at(last), pieces + overwrite, pieces + np);
+  }
 }
 
 std::ostream& operator<<(std::ostream& os, const Interval& iv);

@@ -61,12 +61,6 @@ bool IntervalSet::contains(Coord v) const {
   return intersects(Interval(v, v));
 }
 
-Coord IntervalSet::blocked_length() const {
-  Coord total = 0;
-  for (const Interval& run : runs_) total += run.length();
-  return total;
-}
-
 Coord IntervalSet::overlap_length(const Interval& span) const {
   Coord total = 0;
   for (auto it = first_reaching(runs_, span.lo);
@@ -98,26 +92,6 @@ std::optional<Coord> IntervalSet::distance_to_nearest_blocked(
   if (it != runs_.end()) best = std::min(best, it->lo - v);
   if (it != runs_.begin()) best = std::min(best, v - std::prev(it)->hi);
   return best;
-}
-
-std::vector<Interval> IntervalSet::free_gaps(const Interval& universe) const {
-  std::vector<Interval> gaps;
-  free_gaps_into(universe, gaps);
-  return gaps;
-}
-
-void IntervalSet::free_gaps_into(const Interval& universe,
-                                 std::vector<Interval>& out) const {
-  out.clear();
-  Coord cursor = universe.lo;
-  for (const Interval& run : runs_) {
-    if (run.hi < universe.lo) continue;
-    if (run.lo > universe.hi) break;
-    if (run.lo > cursor) out.emplace_back(cursor, run.lo - 1);
-    cursor = std::max(cursor, run.hi + 1);
-    if (cursor > universe.hi) break;
-  }
-  if (cursor <= universe.hi) out.emplace_back(cursor, universe.hi);
 }
 
 }  // namespace ocr::geom

@@ -2,37 +2,17 @@
 /// \file interval_set.hpp
 /// \brief A set of disjoint closed intervals with block/free queries.
 ///
-/// Routing tracks keep an IntervalSet of *blocked* extents (obstacles and
-/// wires already committed to the track). Path legality checks reduce to
-/// "is [a, b] fully free on this track?", which this structure answers in
-/// O(log k) for k maximal blocked runs.
+/// The level-B core keeps per-track runs in IntervalSets: the extents a
+/// search read and the committed wiring new paths should not run beside
+/// (levelb/footprint.hpp). Tests also use it as the reference model of a
+/// track's occupancy, which tig::TrackRecord stores as free gaps instead.
 
-#include <algorithm>
-#include <cstddef>
 #include <optional>
 #include <vector>
 
 #include "geom/interval.hpp"
 
 namespace ocr::geom {
-
-/// Replaces `v[first, last)` with `pieces[0, np)` in place: overwrites
-/// the common prefix, then erases or inserts the difference, so the tail
-/// shifts at most once.
-template <typename T>
-void replace_range(std::vector<T>& v, std::size_t first, std::size_t last,
-                   const T* pieces, std::size_t np) {
-  const std::size_t overwrite = std::min(np, last - first);
-  const auto at = [&v](std::size_t k) {
-    return v.begin() + static_cast<std::ptrdiff_t>(k);
-  };
-  std::copy(pieces, pieces + overwrite, at(first));
-  if (np < last - first) {
-    v.erase(at(first + np), at(last));
-  } else if (np > last - first) {
-    v.insert(at(last), pieces + overwrite, pieces + np);
-  }
-}
 
 /// Maintains a canonical (sorted, non-overlapping, non-adjacent-merged)
 /// list of blocked closed intervals over Coord.
@@ -50,13 +30,6 @@ class IntervalSet {
   /// True if the single coordinate \p v is blocked.
   bool contains(Coord v) const;
 
-  /// True if the whole of \p iv is free (no blocked point inside).
-  bool is_free(const Interval& iv) const { return !intersects(iv); }
-
-  /// Total blocked length, counting each blocked run as hi - lo
-  /// (zero-length runs block a single point but add no length).
-  Coord blocked_length() const;
-
   /// Blocked length inside \p span, counting each run's clipped part as
   /// hi - lo. O(log k + runs inside the span).
   Coord overlap_length(const Interval& span) const;
@@ -64,27 +37,13 @@ class IntervalSet {
   /// Maximal blocked runs in ascending order.
   const std::vector<Interval>& runs() const { return runs_; }
 
-  bool empty() const { return runs_.empty(); }
-  void clear() { runs_.clear(); }
-
-  /// Enumerates the maximal free gaps of the universe [lo, hi] minus the
-  /// blocked runs. Gaps are closed intervals; runs touching the boundary
-  /// clip the gaps accordingly.
-  std::vector<Interval> free_gaps(const Interval& universe) const;
-
-  /// free_gaps, written into \p out (cleared first) so callers can reuse
-  /// its capacity across rebuilds.
-  void free_gaps_into(const Interval& universe,
-                      std::vector<Interval>& out) const;
-
   /// The maximal free gap of \p universe containing \p v, if \p v is free
   /// and inside the universe. O(log k).
   std::optional<Interval> free_gap_containing(const Interval& universe,
                                               Coord v) const;
 
   /// Distance from \p v to the nearest blocked coordinate (in either
-  /// direction), or nullopt when nothing is blocked. Used by the level-B
-  /// cost function's corner-proximity term.
+  /// direction), or nullopt when nothing is blocked.
   std::optional<Coord> distance_to_nearest_blocked(Coord v) const;
 
   friend bool operator==(const IntervalSet&, const IntervalSet&) = default;

@@ -1,6 +1,7 @@
 #include "tig/track_grid.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/assert.hpp"
 
@@ -41,32 +42,42 @@ Gap make_gap(geom::Coord lo, geom::Coord hi,
   return Gap{geom::Interval(lo, hi), first, last};
 }
 
+// \p span clipped to the universe of \p whole (nullopt when disjoint).
+std::optional<geom::Interval> clip(const geom::Interval& span,
+                                   const Gap& whole) {
+  const geom::Coord lo = std::max(span.lo, whole.iv.lo);
+  const geom::Coord hi = std::min(span.hi, whole.iv.hi);
+  if (lo > hi) return std::nullopt;
+  return geom::Interval(lo, hi);
+}
+
 }  // namespace
 
 const TrackRecord TrackGrid::kEmptyRecord;
 
 void TrackRecord::block(const geom::Interval& span, const Gap& whole,
                         const std::vector<geom::Coord>& perp) {
-  if (blocked_.empty()) gaps_.assign(1, whole);
-  blocked_.add(span);
+  const std::optional<geom::Interval> s = clip(span, whole);
+  if (!s) return;
+  if (!patched_) {
+    gaps_.assign(1, whole);
+    patched_ = true;
+  }
   // Gaps intersecting the span lose the blocked part: the first may keep
   // a left remainder (its lo and first crossing), the last a right one
   // (its hi and last crossing), wholly covered gaps vanish.
-  const auto first = std::lower_bound(
-      gaps_.begin(), gaps_.end(), span.lo,
-      [](const Gap& gap, geom::Coord v) { return gap.iv.hi < v; });
-  if (first == gaps_.end() || first->iv.lo > span.hi) return;  // blocked
+  const auto first = first_reaching(gaps_.begin(), gaps_.end(), s->lo);
+  if (first == gaps_.end() || first->iv.lo > s->hi) return;  // blocked
   auto last = first;
-  while (last != gaps_.end() && last->iv.lo <= span.hi) ++last;
+  while (last != gaps_.end() && last->iv.lo <= s->hi) ++last;
   Gap pieces[2];
   std::size_t np = 0;
-  if (first->iv.lo < span.lo) {
-    pieces[np++] = make_gap(first->iv.lo, span.lo - 1, perp, first->first);
+  if (first->iv.lo < s->lo) {
+    pieces[np++] = make_gap(first->iv.lo, s->lo - 1, perp, first->first);
   }
   const Gap& right = *std::prev(last);
-  if (right.iv.hi > span.hi) {
-    pieces[np++] =
-        make_gap(span.hi + 1, right.iv.hi, perp, kUnknown, right.last);
+  if (right.iv.hi > s->hi) {
+    pieces[np++] = make_gap(s->hi + 1, right.iv.hi, perp, kUnknown, right.last);
   }
   geom::replace_range(gaps_, static_cast<std::size_t>(first - gaps_.begin()),
                       static_cast<std::size_t>(last - gaps_.begin()), pieces,
@@ -75,24 +86,19 @@ void TrackRecord::block(const geom::Interval& span, const Gap& whole,
 
 void TrackRecord::unblock(const geom::Interval& span, const Gap& whole,
                           const std::vector<geom::Coord>& perp) {
-  if (blocked_.empty()) return;
-  blocked_.remove(span);
-  // The freed range, clamped to the universe, merges with every gap it
-  // touches or abuts. Only the first merged gap can reach further left
-  // and only the last further right; their span ends carry over.
-  const geom::Coord s_lo = std::max(span.lo, whole.iv.lo);
-  const geom::Coord s_hi = std::min(span.hi, whole.iv.hi);
-  if (s_lo > s_hi) return;  // entirely outside the universe
-  const auto first = std::lower_bound(
-      gaps_.begin(), gaps_.end(), s_lo - 1,
-      [](const Gap& gap, geom::Coord v) { return gap.iv.hi < v; });
+  const std::optional<geom::Interval> s = clip(span, whole);
+  if (!patched_ || !s) return;
+  // The freed range merges with every gap it touches or abuts. Only the
+  // first merged gap can reach further left and only the last further
+  // right; their span ends carry over.
+  const auto first = first_reaching(gaps_.begin(), gaps_.end(), s->lo - 1);
   auto last = first;
-  while (last != gaps_.end() && last->iv.lo <= s_hi + 1) ++last;
-  const bool left = first != last && first->iv.lo <= s_lo;
-  const bool right = first != last && std::prev(last)->iv.hi >= s_hi;
+  while (last != gaps_.end() && last->iv.lo <= s->hi + 1) ++last;
+  const bool left = first != last && first->iv.lo <= s->lo;
+  const bool right = first != last && std::prev(last)->iv.hi >= s->hi;
   if (left && right && last - first == 1) return;  // already free
   const Gap merged = make_gap(
-      left ? first->iv.lo : s_lo, right ? std::prev(last)->iv.hi : s_hi,
+      left ? first->iv.lo : s->lo, right ? std::prev(last)->iv.hi : s->hi,
       perp, left ? first->first : kUnknown,
       right ? std::prev(last)->last : kUnknown);
   geom::replace_range(gaps_, static_cast<std::size_t>(first - gaps_.begin()),
@@ -100,10 +106,49 @@ void TrackRecord::unblock(const geom::Interval& span, const Gap& whole,
                       &merged, 1);
 }
 
-double TrackRecord::blocked_fraction(const geom::Interval& span) const {
-  if (span.length() == 0) return blocked_.contains(span.lo) ? 1.0 : 0.0;
-  return static_cast<double>(blocked_.overlap_length(span)) /
-         static_cast<double>(span.length());
+bool TrackRecord::is_free(const geom::Interval& span, const Gap& whole) const {
+  // Inside the universe, the span is free when one gap holds it.
+  const std::optional<geom::Interval> s = clip(span, whole);
+  if (!s) return true;
+  const Gap* gap = gap_containing(s->lo, whole);
+  return gap != nullptr && gap->iv.hi >= s->hi;
+}
+
+std::optional<geom::Coord> TrackRecord::distance_to_blocked(
+    geom::Coord v, const Gap& whole) const {
+  // Every blocked coordinate lies inside the universe, so from outside it
+  // the nearest one is the nearest from the universe's edge.
+  const geom::Interval& u = whole.iv;
+  const geom::Coord c = std::clamp(v, u.lo, u.hi);
+  const geom::Coord outside = v < c ? c - v : v - c;
+  const Gap* gap = gap_containing(c, whole);
+  if (gap == nullptr) return outside;  // c is blocked
+  // The nearest blocked coordinates border c's gap.
+  if (gap->iv.lo == u.lo && gap->iv.hi == u.hi) return std::nullopt;
+  const geom::Coord far = std::numeric_limits<geom::Coord>::max();
+  return outside + std::min(gap->iv.lo > u.lo ? c - gap->iv.lo + 1 : far,
+                            gap->iv.hi < u.hi ? gap->iv.hi + 1 - c : far);
+}
+
+double TrackRecord::blocked_fraction(const geom::Interval& span,
+                                     const Gap& whole) const {
+  if (!patched_) return 0.0;
+  if (span.length() == 0) return is_free(span, whole) ? 0.0 : 1.0;
+  // Sum the blocked runs between consecutive gaps, each clipped part
+  // counted as hi - lo.
+  auto it = first_reaching(gaps_.begin(), gaps_.end(), span.lo);
+  geom::Coord run_lo =
+      it == gaps_.begin() ? whole.iv.lo : std::prev(it)->iv.hi + 1;
+  geom::Coord blocked = 0;
+  for (;; ++it) {
+    const geom::Coord run_hi = it == gaps_.end() ? whole.iv.hi : it->iv.lo - 1;
+    const geom::Coord lo = std::max(run_lo, span.lo);
+    const geom::Coord hi = std::min(run_hi, span.hi);
+    if (lo <= hi) blocked += hi - lo;
+    if (it == gaps_.end() || it->iv.hi >= span.hi) break;
+    run_lo = it->iv.hi + 1;
+  }
+  return static_cast<double>(blocked) / static_cast<double>(span.length());
 }
 
 TrackGrid::TrackGrid(std::vector<geom::Coord> h_ys,

@@ -8,9 +8,9 @@ namespace {
 
 TEST(IntervalSet, StartsEmpty) {
   IntervalSet s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_TRUE(s.is_free(Interval(-100, 100)));
-  EXPECT_EQ(s.blocked_length(), 0);
+  EXPECT_TRUE(s.runs().empty());
+  EXPECT_FALSE(s.intersects(Interval(-100, 100)));
+  EXPECT_EQ(s.overlap_length(Interval(-100, 100)), 0);
 }
 
 TEST(IntervalSet, AddAndQuery) {
@@ -22,7 +22,7 @@ TEST(IntervalSet, AddAndQuery) {
   EXPECT_FALSE(s.contains(11));
   EXPECT_TRUE(s.intersects(Interval(0, 5)));
   EXPECT_FALSE(s.intersects(Interval(0, 4)));
-  EXPECT_TRUE(s.is_free(Interval(11, 20)));
+  EXPECT_FALSE(s.intersects(Interval(11, 20)));
 }
 
 TEST(IntervalSet, MergesOverlapping) {
@@ -75,7 +75,7 @@ TEST(IntervalSet, RemoveWholeAndEdges) {
   IntervalSet s;
   s.add(Interval(0, 10));
   s.remove(Interval(0, 10));
-  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.runs().empty());
 
   s.add(Interval(0, 10));
   s.remove(Interval(0, 3));
@@ -95,43 +95,12 @@ TEST(IntervalSet, RemoveNoopOutside) {
   EXPECT_EQ(s.runs()[0], Interval(5, 7));
 }
 
-TEST(IntervalSet, BlockedLength) {
-  IntervalSet s;
-  s.add(Interval(0, 5));
-  s.add(Interval(10, 12));
-  EXPECT_EQ(s.blocked_length(), 7);
-}
-
-TEST(IntervalSet, FreeGaps) {
-  IntervalSet s;
-  s.add(Interval(3, 4));
-  s.add(Interval(8, 9));
-  const auto gaps = s.free_gaps(Interval(0, 12));
-  ASSERT_EQ(gaps.size(), 3u);
-  EXPECT_EQ(gaps[0], Interval(0, 2));
-  EXPECT_EQ(gaps[1], Interval(5, 7));
-  EXPECT_EQ(gaps[2], Interval(10, 12));
-}
-
-TEST(IntervalSet, FreeGapsFullyBlocked) {
-  IntervalSet s;
-  s.add(Interval(-5, 20));
-  EXPECT_TRUE(s.free_gaps(Interval(0, 10)).empty());
-}
-
-TEST(IntervalSet, FreeGapsEmptySet) {
-  IntervalSet s;
-  const auto gaps = s.free_gaps(Interval(2, 9));
-  ASSERT_EQ(gaps.size(), 1u);
-  EXPECT_EQ(gaps[0], Interval(2, 9));
-}
-
 TEST(IntervalSet, ZeroLengthRunBlocksPoint) {
   IntervalSet s;
   s.add(Interval(5, 5));
   EXPECT_TRUE(s.contains(5));
   EXPECT_FALSE(s.contains(4));
-  EXPECT_EQ(s.blocked_length(), 0);
+  EXPECT_EQ(s.overlap_length(Interval(0, 10)), 0);
 }
 
 /// Property test: IntervalSet agrees with a brute-force boolean array under

@@ -108,6 +108,30 @@ TEST(TrackGrid, BlockedFraction) {
   EXPECT_DOUBLE_EQ(g.blocked_fraction({kH, 0}, Interval(0, 20)), 1.0);
 }
 
+TEST(TrackGrid, BlockPastTheUniverseIsClipped) {
+  // A block reaching past the die edge blocks the track only up to the
+  // edge: it reads exactly like the same block clipped at the edge, also
+  // from the edge and beyond it. The h tracks' universe is x in [0, 40].
+  TrackGrid past = small_grid();
+  TrackGrid clipped = small_grid();
+  past.block({kH, 0}, Interval(30, 60));
+  clipped.block({kH, 0}, Interval(30, 40));
+  past.block({kH, 1}, Interval(-30, -10));  // wholly outside: no block
+  for (const geom::Coord x : {-20, 0, 20, 40, 45, 60}) {
+    for (const int i : {0, 1}) {
+      EXPECT_EQ(past.distance_to_blocked({kH, i}, x),
+                clipped.distance_to_blocked({kH, i}, x))
+          << "track " << i << " at " << x;
+      EXPECT_EQ(past.blocked_fraction({kH, i}, Interval(x, x + 10)),
+                clipped.blocked_fraction({kH, i}, Interval(x, x + 10)))
+          << "track " << i << " at " << x;
+    }
+  }
+  EXPECT_EQ(past.distance_to_blocked({kH, 0}, 45), 5);  // the edge at 40
+  EXPECT_FALSE(past.distance_to_blocked({kH, 1}, 0).has_value());
+  EXPECT_TRUE(past.is_free({kH, 1}, Interval(-40, 80)));
+}
+
 TEST(Graph, CompleteWithoutObstacles) {
   const TrackGrid g = small_grid();
   const TrackIntersectionGraph tig = build_tig(g);
