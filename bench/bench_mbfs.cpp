@@ -458,9 +458,11 @@ int main(int argc, char** argv) {
                            bench_data::sparse5000_spec()),
                        /*route_only=*/true});
   // The large-*grid* datapoint: the 200k-dbu die (~40k tracks) with a
-  // CI-affordable net count. Chunked storage is what makes this row
-  // possible at all — a dense grid would carry every track's containers
-  // through all the per-thread copies. bench-smoke reads its peak RSS.
+  // CI-affordable net count. It stays affordable because a grid holds
+  // records only for the track families it blocks, each record being its
+  // free-gap list (DESIGN.md §11), and sharded workers read the live grid
+  // through overlays that copy only the records they touch, never the
+  // grid. bench-smoke reads its peak RSS.
   instances.push_back({bench_data::generate_levelb_instance(
                            bench_data::sparse100k_ci_spec()),
                        /*route_only=*/true});

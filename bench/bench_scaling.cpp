@@ -214,12 +214,12 @@ void print_resilience_table(const bench_data::LevelBInstance& inst,
 /// sparse-100k) serially and through the 4-thread sharded engine, recording
 /// wall clock, routed nets, the grid's occupancy bytes, the high-water
 /// bytes of the search workspaces' extra visited segments
-/// (`levelb.arena_high_water_bytes`) and the process peak RSS. The die
+/// (`levelb.visited_more_high_water_bytes`) and the process peak RSS. The die
 /// carries ~40k tracks, and a routed grid holds one record for each.
 void print_memory_table(util::TraceSink* json, int repeat, bool large) {
   util::TextTable table;
   table.set_header({"Instance", "Nets", "Mode", "Wall ms", "Routed",
-                    "Identical", "Grid MB", "Arena KB", "Peak RSS MB"});
+                    "Identical", "Grid MB", "Visited KB", "Peak RSS MB"});
 
   // One instance per invocation: `--large` swaps the CI-bounded instance
   // for the full 100k-net one instead of adding it, so a `--memory-only
@@ -231,12 +231,14 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
   util::MetricsRegistry& metrics = util::MetricsRegistry::global();
   // Workspaces raise these to their high-water marks (a max over the
   // process), so each mode starts them from zero and reads them after.
-  util::Gauge& arena_hw = metrics.gauge("levelb.arena_high_water_bytes");
-  util::Gauge& arena_reserved = metrics.gauge("levelb.arena_reserved_bytes");
+  util::Gauge& visited_hw =
+      metrics.gauge("levelb.visited_more_high_water_bytes");
+  util::Gauge& visited_reserved =
+      metrics.gauge("levelb.visited_more_reserved_bytes");
   bench::RouteSample serial;
   for (const int threads : {1, 4}) {
-    arena_hw.reset();
-    arena_reserved.reset();
+    visited_hw.reset();
+    visited_reserved.reset();
     const bench::RouteSample row = bench::measure_route(inst, threads, repeat);
     if (threads == 1) serial = row;
     const char* mode = threads == 1 ? "serial" : "sharded-4t";
@@ -247,7 +249,7 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
                    : row.result == serial.result ? "yes"
                                                  : "NO",
                    util::format("%.2f", row.grid_bytes / 1e6),
-                   util::format("%lld", arena_hw.value() / 1024),
+                   util::format("%lld", visited_hw.value() / 1024),
                    util::format("%.1f", row.peak_rss_kb / 1024.0)});
     if (json != nullptr) {
       util::TraceEvent ev = bench_record("memory");
@@ -256,8 +258,8 @@ void print_memory_table(util::TraceSink* json, int repeat, bool large) {
           .add("grid_h", inst.grid.num_h())
           .add("grid_v", inst.grid.num_v())
           .add("mode", mode)
-          .add("arena_high_water_bytes", arena_hw.value())
-          .add("arena_reserved_bytes", arena_reserved.value());
+          .add("visited_more_high_water_bytes", visited_hw.value())
+          .add("visited_more_reserved_bytes", visited_reserved.value());
       bench::add_route_fields(ev, row, serial);
       json->record(std::move(ev));
     }

@@ -7,7 +7,7 @@ bench_mbfs; `engine_compare` and `memory` from bench_scaling) must
 reproduce the committed datapoint exactly. For each row kind the
 baseline is the last label, in file order, of the committed file's rows
 of that kind: a change that moves a counter on purpose commits its new
-rows with it. Wall, RSS, grid and arena bytes are not compared.
+rows with it. Wall, RSS, grid and visited-set bytes are not compared.
 
 Prints a markdown report and exits 1 on any mismatch, on a capture row
 without a committed counterpart, or on a capture with no route rows.

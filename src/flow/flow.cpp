@@ -1,7 +1,6 @@
 #include "flow/flow.hpp"
 
 #include "engine/engine.hpp"
-#include "levelb/optimize.hpp"
 
 #include <algorithm>
 #include <numeric>
@@ -218,10 +217,6 @@ FlowMetrics run_over_cell_flow(const MacroLayout& ml,
     OCR_SPAN("flow.levelB");
     return router.route(bnets);
   }();
-  if (options.straighten_levelb) {
-    OCR_SPAN("flow.optimize");
-    levelb::straighten_corners(grid, b);
-  }
   m.levelb_vertices = b.vertices_examined;
   m.engine = router.stats();
   m.peak_rss_kb = util::peak_rss_kb();

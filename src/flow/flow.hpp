@@ -49,10 +49,6 @@ struct FlowOptions {
   /// to the metal3/4 wire; the paper argues these land on the terminal
   /// pads, but they are still vias and counted as such).
   int terminal_stack_vias = 2;
-  /// Run the corner-straightening post-pass on the level-B wiring
-  /// (levelb/optimize.hpp). Off by default to keep the paper-faithful
-  /// single-pass numbers; the ablation bench quantifies the gain.
-  bool straighten_levelb = false;
   /// Level-B engine worker threads: 1 = the serial router, N > 1 =
   /// sharded parallel batches with deterministic commit (results are
   /// bit-identical for any value), <= 0 = one per hardware thread.

@@ -406,21 +406,14 @@ NetResult route_single_net(tig::GridView grid,
 
     bool connected = false;
     for (const Point& target : targets) {
-      PathFinder::Result found;
-      if (options.net_vertex_budget > 0) {
-        // Cap this connect at the net's remaining budget (tightened by any
-        // per-connect budget already configured). Remaining budget is a
-        // pure function of the expansions so far, so the stop point is the
-        // same at any thread count.
-        const long long left = options.net_vertex_budget - net_vertices;
-        PathFinderOptions capped = options.finder;
-        capped.vertex_budget = capped.vertex_budget > 0
-                                   ? std::min(capped.vertex_budget, left)
-                                   : left;
-        found = PathFinder(grid, capped).connect(source, target, ctx, ws);
-      } else {
-        found = finder.connect(source, target, ctx, ws);
-      }
+      // Cap this connect at the net's remaining budget. Remaining budget
+      // is a pure function of the expansions so far, so the stop point is
+      // the same at any thread count.
+      const PathFinder::Result found = finder.connect(
+          source, target, ctx, ws,
+          options.net_vertex_budget > 0
+              ? options.net_vertex_budget - net_vertices
+              : 0);
       stats += found.stats;
       net_vertices += found.stats.vertices_examined;
       if (found.cancelled) {
@@ -428,8 +421,7 @@ NetResult route_single_net(tig::GridView grid,
         aborted = true;
         break;
       }
-      if (found.budget_exhausted && options.net_vertex_budget > 0 &&
-          net_vertices >= options.net_vertex_budget) {
+      if (found.budget_exhausted) {
         result.outcome = util::StatusKind::kBudgetExhausted;
         aborted = true;
         break;

@@ -65,11 +65,12 @@ struct LevelBOptions {
   /// Tracing never changes routing results.
   util::TraceSink* trace = nullptr;
   /// Vertex-expansion budget for one whole net (all its connections and
-  /// retry targets combined); 0 = unlimited. A net that exhausts it stops
-  /// routing with NetResult::outcome = kBudgetExhausted. Deterministic:
-  /// vertex order is fixed, so the same budget always stops at the same
-  /// point regardless of thread count. The cancel token rides in
-  /// finder.cancel.
+  /// retry targets combined); 0 = unlimited. Each connect gets what is
+  /// left of it as its PathFinder::connect vertex budget, so the connect
+  /// that spends it stops the net with NetResult::outcome =
+  /// kBudgetExhausted. Deterministic: vertex order is fixed, so the same
+  /// budget always stops at the same point regardless of thread count.
+  /// The cancel token rides in finder.cancel.
   long long net_vertex_budget = 0;
 };
 

@@ -372,7 +372,8 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
 PathFinder::Result PathFinder::connect(const geom::Point& a,
                                        const geom::Point& b,
                                        const CostContext& ctx,
-                                       SearchWorkspace& ws) const {
+                                       SearchWorkspace& ws,
+                                       long long vertex_budget) const {
   Result result;
   if (a == b) {
     result.found = true;
@@ -401,7 +402,7 @@ PathFinder::Result PathFinder::connect(const geom::Point& a,
 
   SearchLimits limits;
   if (options_.cancel.valid()) limits.cancel = &options_.cancel;
-  limits.vertex_budget = options_.vertex_budget;
+  limits.vertex_budget = vertex_budget;
 
   int margin = options_.window_margin;
   for (int step = 0;; ++step) {

@@ -87,13 +87,6 @@ struct PathFinderOptions {
   /// Result::cancelled set. A token that never fires leaves results
   /// bit-identical to an untokened run.
   util::CancelToken cancel;
-  /// Vertex budget for one connect() call (both MBFS passes plus window
-  /// growths); 0 = unlimited. Exceeding it fails the search with
-  /// Result::budget_exhausted — deterministically, since vertex
-  /// expansion order is fixed. A proven pass counts its credited
-  /// vertices; when they would reach the budget the pass is run instead,
-  /// so the search stops on the same vertex as when every pass runs.
-  long long vertex_budget = 0;
 };
 
 /// Finds minimum-corner paths between grid crossings.
@@ -104,7 +97,7 @@ class PathFinder {
   struct Result {
     bool found = false;
     bool cancelled = false;         ///< the cancel token fired mid-search
-    bool budget_exhausted = false;  ///< vertex_budget spent before found
+    bool budget_exhausted = false;  ///< vertex budget spent before found
     Path path;             ///< best path (canonical form)
     int corners = 0;       ///< corners of the best path
     SearchStats stats;
@@ -127,15 +120,23 @@ class PathFinder {
   /// workspace across connects to keep steady-state searches allocation-
   /// free (results never depend on the workspace's history). Returns
   /// found = false when no path exists even on the full grid.
+  ///
+  /// \p vertex_budget caps the vertices this connect may examine (both
+  /// MBFS passes plus window growths); 0 = unlimited. Reaching it fails
+  /// the search with Result::budget_exhausted — deterministically, since
+  /// vertex expansion order is fixed. route_single_net passes what is
+  /// left of the net's LevelBOptions::net_vertex_budget. A proven pass
+  /// counts its credited vertices; when they would reach the budget the
+  /// pass is run instead, so the search stops on the same vertex as when
+  /// every pass runs.
   Result connect(const geom::Point& a, const geom::Point& b,
-                 const CostContext& ctx, SearchWorkspace& ws) const;
+                 const CostContext& ctx, SearchWorkspace& ws,
+                 long long vertex_budget = 0) const;
 
   /// Convenience overload owning a throwaway workspace (tests, one-shot
   /// callers). Hot paths should hold a workspace and use the overload.
   Result connect(const geom::Point& a, const geom::Point& b,
                  const CostContext& ctx) const;
-
-  const Options& options() const { return options_; }
 
  private:
   tig::GridView grid_;

@@ -145,17 +145,16 @@ struct SearchWorkspace {
   /// Folds this workspace's visited_more footprint into the global
   /// registry, atomic-max across every workspace that reports (a run's
   /// serial step and each engine worker slot): the largest pass's entries
-  /// as `levelb.arena_high_water_bytes` and the vector's capacity as
-  /// `levelb.arena_reserved_bytes`, both in bytes (the names predate the
-  /// vector). Called once when the owner finishes a run, never per
-  /// connect.
+  /// as `levelb.visited_more_high_water_bytes` and the vector's capacity
+  /// as `levelb.visited_more_reserved_bytes`, both in bytes. Called once
+  /// when the owner finishes a run, never per connect.
   void publish_arena_metrics() const {
     const std::size_t high_water =
         std::max(visited_more_high_water, visited_more.size());
     util::MetricsRegistry& reg = util::MetricsRegistry::global();
-    reg.gauge("levelb.arena_high_water_bytes")
+    reg.gauge("levelb.visited_more_high_water_bytes")
         .set_max(static_cast<long long>(high_water * sizeof(VisitMore)));
-    reg.gauge("levelb.arena_reserved_bytes")
+    reg.gauge("levelb.visited_more_reserved_bytes")
         .set_max(static_cast<long long>(visited_more.capacity() *
                                         sizeof(VisitMore)));
   }

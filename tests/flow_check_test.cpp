@@ -43,22 +43,6 @@ TEST(FlowCheck, ThreePaperExamplesPass) {
   }
 }
 
-TEST(FlowCheck, StraightenedRunStillPasses) {
-  const auto ml =
-      bench_data::generate_macro_layout(bench_data::random_spec(7, 0.5));
-  const auto layout = ml.assemble(
-      std::vector<geom::Coord>(static_cast<std::size_t>(ml.num_channels()),
-                               0));
-  FlowOptions options;
-  options.straighten_levelb = true;
-  FlowArtifacts artifacts;
-  run_over_cell_flow(ml, partition::partition_by_class(layout), options,
-                     &artifacts);
-  const auto problems = check_over_cell_result(artifacts);
-  EXPECT_TRUE(problems.empty())
-      << (problems.empty() ? "" : problems.front());
-}
-
 TEST(FlowCheck, DetectsInjectedCrossNetOverlap) {
   auto artifacts = route_example(102);
   // Corrupt: copy a wired path from one net into another net's result.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -414,14 +415,10 @@ TEST(PathFinderProperty, ProvenSecondPassMatchesRunningBoth) {
       // Budget stops land where running both passes puts them.
       const long long spent = r.stats.vertices_examined;
       for (const long long budget : {spent, spent + 1}) {
-        PathFinderOptions capped = options;
-        PathFinderOptions ref_capped = ref_options;
-        capped.vertex_budget = budget;
-        ref_capped.vertex_budget = budget;
         SCOPED_TRACE(testing::Message() << "budget " << budget);
-        const auto rb = PathFinder(grid, capped).connect(a, b, ctx, ws_budget);
-        const auto rb_ref = PathFinder(grid, ref_capped)
-                                .connect(a, b, ref_ctx, ws_budget_ref);
+        const auto rb = finder.connect(a, b, ctx, ws_budget, budget);
+        const auto rb_ref =
+            reference.connect(a, b, ref_ctx, ws_budget_ref, budget);
         EXPECT_EQ(rb.budget_exhausted, rb_ref.budget_exhausted);
         EXPECT_EQ(rb.budget_exhausted, budget == spent);
         EXPECT_EQ(rb.found, rb_ref.found);
@@ -494,6 +491,117 @@ TEST(PathFinderProperty, PublishMetricsFoldsEveryWorkCounter) {
     EXPECT_EQ(reg.counter(c.name).value() - before[i], expected[i]) << c.name;
     EXPECT_EQ(ws.*c.member, 0) << c.name;
   }
+}
+
+TEST(PathFinderProperty, SelectionPicksTheFirstCheapestMinimumCornerPath) {
+  // connect() stops costing a candidate once its partial cost reaches the
+  // best so far, which is exact only while every term is non-negative.
+  // Oracle: the full cost of every minimum-corner distinct candidate the
+  // final window step left in the workspace, summed in connect()'s order
+  // (w1 length, then the w24 leg terms, then each corner); the pick must
+  // be its argmin, first index on ties. Weights are non-negative; the
+  // oracle's context has no workspace, so its dup scratch and counters
+  // leave `ws` alone.
+  util::Rng rng(3107);
+  SearchWorkspace ws;
+  int checked = 0;
+  int later_winners = 0;  // argmin is not the first minimum-corner path
+  for (int g = 0; g < 40; ++g) {
+    auto grid = tig::TrackGrid::uniform(Rect(0, 0, 300, 300), 10, 10);
+    for (int k = 0; k < 50; ++k) {
+      const geom::Coord x = rng.uniform_int(0, 290);
+      const geom::Coord y = rng.uniform_int(0, 290);
+      const Rect r(x, y, x + rng.uniform_int(2, 40),
+                   y + rng.uniform_int(2, 40));
+      grid.block_region_h(r);
+      grid.block_region_v(r);
+    }
+    const auto random_crossing = [&rng, &grid] {
+      return grid.crossing(
+          static_cast<int>(rng.uniform_int(0, grid.num_h() - 1)),
+          static_cast<int>(rng.uniform_int(0, grid.num_v() - 1)));
+    };
+    SensitiveRuns sensitive;
+    for (int k = 0; k < 12; ++k) {
+      const tig::TrackRef t =
+          rng.chance(0.5)
+              ? tig::TrackRef{kH, static_cast<int>(rng.uniform_int(
+                                      0, grid.num_h() - 1))}
+              : tig::TrackRef{kV, static_cast<int>(rng.uniform_int(
+                                      0, grid.num_v() - 1))};
+      const geom::Coord lo = rng.uniform_int(0, 250);
+      sensitive.add(t, Interval(lo, lo + rng.uniform_int(10, 50)));
+    }
+    // Every fourth grid prices wire length alone, so equal-length
+    // candidates tie exactly.
+    const bool length_only = g % 4 == 0;
+    const auto weight = [&rng, length_only](double hi) {
+      return length_only || rng.chance(0.25) ? 0.0
+                                             : rng.uniform_real(0.0, hi);
+    };
+    PathFinderOptions options;
+    options.weights.w1 = length_only ? 1.0 : weight(2.0);
+    options.weights.w21 = weight(3.0);
+    options.weights.w22 = weight(3.0);
+    options.weights.w23 = weight(3.0);
+    options.weights.w24 = weight(3.0);
+    const std::vector<Point> own = {random_crossing(), random_crossing(),
+                                    random_crossing()};
+    CostContext ctx = make_cost_context(grid, &own);
+    ctx.sensitive = &sensitive;
+    ctx.workspace = &ws;
+    CostContext oracle_ctx = ctx;
+    oracle_ctx.workspace = nullptr;
+    const PathFinder finder(grid, options);
+    for (int c = 0; c < 30; ++c) {
+      const Point a = random_crossing();
+      const Point b = random_crossing();
+      if (a == b) continue;
+      const long long evaluated0 = ws.candidates_evaluated;
+      const auto r = finder.connect(a, b, ctx, ws);
+      // Failures and straight connects run no selection.
+      if (!r.found || ws.candidates_evaluated == evaluated0) continue;
+      SCOPED_TRACE(testing::Message() << "grid " << g << " connect " << c);
+      const int min_corners = *std::min_element(ws.unique_corners.begin(),
+                                                ws.unique_corners.end());
+      int first = -1;
+      int best = -1;
+      double best_cost = 0.0;
+      for (std::size_t i = 0; i < ws.unique.size(); ++i) {
+        if (ws.unique_corners[i] != min_corners) continue;
+        const int u = ws.unique[i];
+        const Path& p = ws.candidates[static_cast<std::size_t>(u)];
+        double cost = options.weights.w1 * static_cast<double>(p.length()) /
+                      static_cast<double>(ctx.pitch);
+        for (std::size_t leg = 0; leg + 1 < p.points.size(); ++leg) {
+          cost += leg_parallel_cost(
+              grid, options.weights, oracle_ctx, p.tracks[leg],
+              geom::leg_extent(p.points[leg], p.points[leg + 1],
+                               p.tracks[leg].orient));
+        }
+        for (std::size_t leg = 1; leg + 1 < p.points.size(); ++leg) {
+          const tig::TrackRef& t_in = p.tracks[leg - 1];
+          const tig::TrackRef& t_out = p.tracks[leg];
+          const int h = t_in.orient == kH ? t_in.index : t_out.index;
+          const int v = t_in.orient == kV ? t_in.index : t_out.index;
+          cost += corner_cost(grid, options.weights, oracle_ctx,
+                              p.points[leg], h, v);
+        }
+        if (first < 0) first = u;
+        if (best < 0 || cost < best_cost) {
+          best = u;
+          best_cost = cost;
+        }
+      }
+      ASSERT_GE(best, 0);
+      EXPECT_EQ(r.corners, min_corners);
+      EXPECT_EQ(r.path, ws.candidates[static_cast<std::size_t>(best)]);
+      ++checked;
+      if (best != first) ++later_winners;
+    }
+  }
+  EXPECT_GT(checked, 100);
+  EXPECT_GT(later_winners, 0) << checked << " selections checked";
 }
 
 TEST(PathFinderProperty, LengthAtLeastManhattan) {

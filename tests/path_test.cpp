@@ -368,8 +368,9 @@ TEST(VisitedSet, HighWaterTracksLargestPass) {
   reg.reset();
   ws.publish_arena_metrics();
   constexpr long long kEntry = sizeof(SearchWorkspace::VisitMore);
-  EXPECT_EQ(reg.gauge("levelb.arena_high_water_bytes").value(), 7 * kEntry);
-  EXPECT_EQ(reg.gauge("levelb.arena_reserved_bytes").value(),
+  EXPECT_EQ(reg.gauge("levelb.visited_more_high_water_bytes").value(),
+            7 * kEntry);
+  EXPECT_EQ(reg.gauge("levelb.visited_more_reserved_bytes").value(),
             static_cast<long long>(ws.visited_more.capacity()) * kEntry);
 }
 
